@@ -105,6 +105,10 @@ impl Experiment {
     /// simulation — the perf harness above all — can keep construction
     /// cost out of the measured region. [`Experiment::run`] is exactly
     /// `prepare().run()`, so prepared and direct runs are bit-identical.
+    ///
+    /// The workload's dataset is built only if no other live simulation
+    /// of the same workload, parameters and seed holds one; otherwise
+    /// this one shares it (DESIGN.md §18).
     pub fn prepare(self) -> PreparedRun {
         let cores = self.cfg.cores;
         let workload = self.cfg.workload;

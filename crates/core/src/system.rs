@@ -36,7 +36,7 @@ use astriflash_stats::{Histogram, OnlineStats, Phase, PhaseSet};
 use astriflash_trace::{Track, Tracer};
 use astriflash_uthread::{Completion, MissPark, NotificationQueue, Pick, Policy, Scheduler};
 use astriflash_workloads::{
-    JobArena, JobBuf, MemoryAccess, PoissonArrivals, WorkloadEngine, PAGE_SIZE,
+    EngineFork, JobArena, JobBuf, MemoryAccess, PoissonArrivals, PAGE_SIZE,
 };
 
 use crate::config::{Configuration, SystemConfig};
@@ -344,7 +344,9 @@ pub struct SystemSim {
     configuration: Configuration,
     queue: EventQueue<Event>,
     rng: SimRng,
-    engine: Box<dyn WorkloadEngine>,
+    /// This run's fork of its workload's engine: cells alive at the same
+    /// time share one build of the dataset (DESIGN.md §18).
+    engine: EngineFork,
     hierarchy: CacheHierarchy,
     dram_cache: DramCache,
     main_memory: DramBanks,
@@ -414,7 +416,7 @@ impl SystemSim {
     pub fn new(cfg: SystemConfig, configuration: Configuration, seed: u64) -> Self {
         cfg.validate();
         let rng = SimRng::new(seed);
-        let mut engine = cfg.workload.build(&cfg.workload_params, seed ^ 0xE17);
+        let mut engine = cfg.workload.fork(&cfg.workload_params, seed ^ 0xE17);
         let threads_per_core =
             cfg.effective_threads_per_core(engine.threads_per_core_hint());
         let pending_cap = cfg

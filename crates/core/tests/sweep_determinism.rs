@@ -63,6 +63,42 @@ fn one_thread_and_eight_threads_merge_identically() {
     }
 }
 
+/// Every workload under every configuration, at one seed no other test
+/// here uses. Cells of one workload share a dataset build while they
+/// overlap (DESIGN.md §18), and which ones overlap depends on the worker
+/// count.
+fn all_kinds_grid() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for kind in WorkloadKind::all() {
+        for conf in Configuration::all() {
+            cells.push(Cell::closed(cfg().with_workload(kind), conf, 11, 25));
+        }
+    }
+    cells
+}
+
+#[test]
+fn shared_datasets_change_no_report() {
+    let cells = all_kinds_grid();
+    let serial = Sweep::with_threads(1).run(&cells);
+    let parallel = Sweep::with_threads(8).run(&cells);
+    for (i, cell) in cells.iter().enumerate() {
+        // Run alone: no other cell of its workload is alive.
+        let alone = cell.run();
+        for (name, other) in [("8 threads", &parallel[i]), ("alone", &alone)] {
+            let s = &serial[i];
+            let what = format!("{} on {}, {name}", cell.cfg.workload, cell.configuration);
+            assert_eq!(
+                s.throughput_jobs_per_sec.to_bits(),
+                other.throughput_jobs_per_sec.to_bits(),
+                "{what}"
+            );
+            assert_eq!(s.events_processed, other.events_processed, "{what}");
+            assert_eq!(s.render(), other.render(), "{what}");
+        }
+    }
+}
+
 #[test]
 fn fig1_thread_count_does_not_change_output() {
     let params = WorkloadParams::tiny_for_tests();

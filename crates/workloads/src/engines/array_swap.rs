@@ -14,7 +14,7 @@ use crate::popularity::KeyChooser;
 /// Records are laid out as one contiguous array; each swap reads both
 /// elements and writes both back. Element popularity is Zipfian with
 /// scrambling, so hot elements are scattered across the array.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ArraySwap {
     chooser: KeyChooser,
     record_bytes: u64,

@@ -4,10 +4,12 @@
 //! to a single B+-tree layer, which is what we model. Nodes carry
 //! simulated addresses; traversals emit one read per visited node block.
 //!
-//! Nodes are fixed-size values in one `Vec` (DESIGN.md §17): keys and
+//! Nodes are fixed-size values in one array (DESIGN.md §17): keys and
 //! values sit in inline arrays, so building or churning the index makes
-//! no per-node heap allocation.
+//! no per-node heap allocation. The array is copy-on-write, so a clone of
+//! an engine's tree copies only the nodes it writes (DESIGN.md §18).
 
+use crate::engines::cow::CowVec;
 use crate::job::MemoryAccess;
 
 /// Maximum keys per node; split at overflow. 14 keys × (8 B key + 8 B
@@ -124,9 +126,9 @@ impl BNode {
 /// let mut trace = Vec::new();
 /// assert_eq!(t.lookup_trace(5, &mut trace), Some(500));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree {
-    nodes: Vec<BNode>,
+    nodes: CowVec<BNode>,
     root: u32,
     len: usize,
     /// Slots of removed nodes, reused by later splits.
@@ -137,12 +139,38 @@ impl BPlusTree {
     /// Creates an empty tree. `alloc` assigns a simulated address to the
     /// root node (called with the node's ordinal).
     pub fn new(alloc: &mut dyn FnMut(u64) -> u64) -> Self {
+        Self::with_capacity(0, alloc)
+    }
+
+    /// [`BPlusTree::new`] with node storage reserved for `keys` keys
+    /// inserted in ascending order, the order the engines build in. Such
+    /// a build leaves every leaf but the last with `MAX_KEYS / 2` keys and
+    /// every internal node but the last of its level with more than
+    /// `MAX_KEYS / 2` children, so it needs fewer than `keys / 6 + 16`
+    /// nodes and never moves the storage.
+    pub fn with_capacity(keys: u64, alloc: &mut dyn FnMut(u64) -> u64) -> Self {
+        let mut nodes = CowVec::with_capacity((keys / 6 + 16) as usize);
+        nodes.push(BNode::new(true, alloc(0), &[], &[]));
         BPlusTree {
-            nodes: vec![BNode::new(true, alloc(0), &[], &[])],
+            nodes,
             root: 0,
             len: 0,
             free: Vec::new(),
         }
+    }
+
+    /// Moves the nodes into storage that clones share (see
+    /// [`CowVec::freeze`]); the build's last step.
+    pub(crate) fn freeze(&mut self) {
+        self.nodes.freeze();
+    }
+
+    fn node(&self, n: u32) -> &BNode {
+        self.nodes.get(n as usize)
+    }
+
+    fn node_mut(&mut self, n: u32) -> &mut BNode {
+        self.nodes.get_mut(n as usize)
     }
 
     /// Number of keys stored.
@@ -159,8 +187,8 @@ impl BPlusTree {
     pub fn height(&self) -> usize {
         let mut h = 1;
         let mut cur = self.root;
-        while !self.nodes[cur as usize].leaf {
-            cur = self.nodes[cur as usize].child(0);
+        while !self.node(cur).leaf {
+            cur = self.node(cur).child(0);
             h += 1;
         }
         h
@@ -169,7 +197,7 @@ impl BPlusTree {
     /// Stores `node` in a free slot, or a new one, and returns the slot.
     fn new_node(&mut self, node: BNode) -> u32 {
         if let Some(slot) = self.free.pop() {
-            self.nodes[slot as usize] = node;
+            *self.node_mut(slot) = node;
             slot
         } else {
             self.nodes.push(node);
@@ -188,7 +216,7 @@ impl BPlusTree {
         self.len -= 1;
         // Shrink the root: an internal root with one child drops a
         // level; an empty leaf root just stays (empty tree).
-        let r = &self.nodes[self.root as usize];
+        let r = self.node(self.root);
         if !r.leaf && r.len == 0 {
             let only_child = r.child(0);
             self.free.push(self.root);
@@ -198,15 +226,16 @@ impl BPlusTree {
     }
 
     fn remove_rec(&mut self, node: u32, key: u64) -> Option<u64> {
-        let n = &mut self.nodes[node as usize];
+        // Only the leaf is written here: a clone copies what it writes.
+        let n = self.node(node);
         if n.leaf {
             let pos = n.find(key).ok()?;
-            return Some(n.remove(pos, pos).1);
+            return Some(self.node_mut(node).remove(pos, pos).1);
         }
         let slot = n.slot_for(key);
         let child = n.child(slot);
         let removed = self.remove_rec(child, key)?;
-        if self.nodes[child as usize].len() < Self::MIN_KEYS {
+        if self.node(child).len() < Self::MIN_KEYS {
             self.fix_underflow(node, slot);
         }
         Some(removed)
@@ -215,19 +244,19 @@ impl BPlusTree {
     /// Repairs the underfull child at `parent.children[slot]` by
     /// borrowing from a sibling or merging with one.
     fn fix_underflow(&mut self, parent: u32, slot: usize) {
-        let p = self.nodes[parent as usize];
+        let p = *self.node(parent);
         let child = p.child(slot);
         // Try the left sibling first, then the right.
         if slot > 0 {
             let left = p.child(slot - 1);
-            if self.nodes[left as usize].len() > Self::MIN_KEYS {
+            if self.node(left).len() > Self::MIN_KEYS {
                 self.borrow_from_left(parent, slot, left, child);
                 return;
             }
         }
         if slot < p.len() {
             let right = p.child(slot + 1);
-            if self.nodes[right as usize].len() > Self::MIN_KEYS {
+            if self.node(right).len() > Self::MIN_KEYS {
                 self.borrow_from_right(parent, slot, child, right);
                 return;
             }
@@ -241,39 +270,39 @@ impl BPlusTree {
     }
 
     fn borrow_from_left(&mut self, parent: u32, slot: usize, left: u32, child: u32) {
-        let l = &mut self.nodes[left as usize];
+        let l = self.node_mut(left);
         let (last_key, last_val) = (l.len() - 1, l.vals_len() - 1);
         let (k, v) = l.remove(last_key, last_val);
-        if self.nodes[child as usize].leaf {
-            self.nodes[child as usize].insert(0, k, 0, v);
+        if self.node(child).leaf {
+            self.node_mut(child).insert(0, k, 0, v);
         } else {
             // Rotate through the parent separator.
-            let sep = self.nodes[parent as usize].keys[slot - 1];
-            self.nodes[child as usize].insert(0, sep, 0, v);
+            let sep = self.node(parent).keys[slot - 1];
+            self.node_mut(child).insert(0, sep, 0, v);
         }
-        self.nodes[parent as usize].keys[slot - 1] = k;
+        self.node_mut(parent).keys[slot - 1] = k;
     }
 
     fn borrow_from_right(&mut self, parent: u32, slot: usize, child: u32, right: u32) {
-        let (k, v) = self.nodes[right as usize].remove(0, 0);
-        let c = &self.nodes[child as usize];
+        let (k, v) = self.node_mut(right).remove(0, 0);
+        let c = self.node(child);
         let (end_key, end_val) = (c.len(), c.vals_len());
         if c.leaf {
-            self.nodes[child as usize].insert(end_key, k, end_val, v);
-            self.nodes[parent as usize].keys[slot] = self.nodes[right as usize].keys[0];
+            self.node_mut(child).insert(end_key, k, end_val, v);
+            self.node_mut(parent).keys[slot] = self.node(right).keys[0];
         } else {
-            let sep = self.nodes[parent as usize].keys[slot];
-            self.nodes[child as usize].insert(end_key, sep, end_val, v);
-            self.nodes[parent as usize].keys[slot] = k;
+            let sep = self.node(parent).keys[slot];
+            self.node_mut(child).insert(end_key, sep, end_val, v);
+            self.node_mut(parent).keys[slot] = k;
         }
     }
 
     /// Merges `right` into `left`; `sep_slot` is the parent key between
     /// them.
     fn merge(&mut self, parent: u32, sep_slot: usize, left: u32, right: u32) {
-        let (sep, _) = self.nodes[parent as usize].remove(sep_slot, sep_slot + 1);
-        let r = self.nodes[right as usize];
-        let l = &mut self.nodes[left as usize];
+        let (sep, _) = self.node_mut(parent).remove(sep_slot, sep_slot + 1);
+        let r = *self.node(right);
+        let l = self.node_mut(left);
         let (mut nk, nv) = (l.len(), l.vals_len());
         if l.leaf {
             l.next_leaf = r.next_leaf;
@@ -301,14 +330,14 @@ impl BPlusTree {
         let mut path = [(0u32, 0u8); MAX_DEPTH];
         let mut depth = 0;
         let mut cur = self.root;
-        while !self.nodes[cur as usize].leaf {
-            let node = &self.nodes[cur as usize];
+        while !self.node(cur).leaf {
+            let node = self.node(cur);
             let slot = node.slot_for(key);
             path[depth] = (cur, slot as u8);
             depth += 1;
             cur = node.child(slot);
         }
-        let leaf = &mut self.nodes[cur as usize];
+        let leaf = self.node_mut(cur);
         match leaf.find(key) {
             Ok(pos) => {
                 leaf.vals[pos] = record;
@@ -321,13 +350,14 @@ impl BPlusTree {
         }
         // Split upward while overflowing.
         let mut child = cur;
-        while self.nodes[child as usize].len() > MAX_KEYS {
+        while self.node(child).len() > MAX_KEYS {
             let (sep, right) = self.split(child, alloc);
             if depth > 0 {
                 depth -= 1;
                 let (parent, slot) = path[depth];
                 let slot = usize::from(slot);
-                self.nodes[parent as usize].insert(slot, sep, slot + 1, u64::from(right));
+                self.node_mut(parent)
+                    .insert(slot, sep, slot + 1, u64::from(right));
                 child = parent;
             } else {
                 // Split the root: grow a level.
@@ -349,7 +379,7 @@ impl BPlusTree {
     fn split(&mut self, node: u32, alloc: &mut dyn FnMut(u64) -> u64) -> (u64, u32) {
         let ordinal = self.nodes.len() as u64;
         let addr = alloc(ordinal);
-        let left = &mut self.nodes[node as usize];
+        let left = self.node_mut(node);
         let (len, mid) = (left.len(), left.len() / 2);
         let sep = left.keys[mid];
         let right = if left.leaf {
@@ -368,7 +398,7 @@ impl BPlusTree {
         };
         left.len = mid as u8;
         let right_index = self.new_node(right);
-        let left = &mut self.nodes[node as usize];
+        let left = self.node_mut(node);
         if left.leaf {
             left.next_leaf = right_index;
         }
@@ -378,7 +408,7 @@ impl BPlusTree {
     /// Looks up `key`, pushing one read per visited node. Returns the
     /// record address if present.
     pub fn lookup_trace(&self, key: u64, out: &mut Vec<MemoryAccess>) -> Option<u64> {
-        let leaf = &self.nodes[self.descend(key, out) as usize];
+        let leaf = self.node(self.descend(key, out));
         leaf.find(key).ok().map(|pos| leaf.vals[pos])
     }
 
@@ -387,7 +417,7 @@ impl BPlusTree {
     fn descend(&self, key: u64, out: &mut Vec<MemoryAccess>) -> u32 {
         let mut cur = self.root;
         loop {
-            let node = &self.nodes[cur as usize];
+            let node = self.node(cur);
             out.push(MemoryAccess::read(node.addr));
             if node.leaf {
                 return cur;
@@ -416,11 +446,9 @@ impl BPlusTree {
     ) {
         let base = records.len();
         let mut cur = self.descend(start, out);
-        let mut pos = self.nodes[cur as usize]
-            .find(start)
-            .unwrap_or_else(|pos| pos);
+        let mut pos = self.node(cur).find(start).unwrap_or_else(|pos| pos);
         while records.len() - base < count && cur != NIL {
-            let node = &self.nodes[cur as usize];
+            let node = self.node(cur);
             while pos < node.len() && records.len() - base < count {
                 records.push(node.vals[pos]);
                 pos += 1;
@@ -429,7 +457,7 @@ impl BPlusTree {
                 cur = node.next_leaf;
                 pos = 0;
                 if cur != NIL {
-                    out.push(MemoryAccess::read(self.nodes[cur as usize].addr));
+                    out.push(MemoryAccess::read(self.node(cur).addr));
                 }
             }
         }
@@ -444,7 +472,7 @@ impl BPlusTree {
     pub fn validate(&self) -> usize {
         // All leaves at the same depth, keys sorted, separators correct.
         fn walk(t: &BPlusTree, n: u32, lo: Option<u64>, hi: Option<u64>, depth: usize) -> usize {
-            let node = &t.nodes[n as usize];
+            let node = t.node(n);
             let keys = node.keys();
             assert!(keys.len() <= MAX_KEYS, "overfull node");
             assert!(
@@ -477,20 +505,20 @@ impl BPlusTree {
 
         // Leaf chain covers all keys in order.
         let mut cur = self.root;
-        while !self.nodes[cur as usize].leaf {
-            cur = self.nodes[cur as usize].child(0);
+        while !self.node(cur).leaf {
+            cur = self.node(cur).child(0);
         }
         let mut count = 0;
         let mut last: Option<u64> = None;
         while cur != NIL {
-            for &k in self.nodes[cur as usize].keys() {
+            for &k in self.node(cur).keys() {
                 if let Some(l) = last {
                     assert!(k > l, "leaf chain out of order");
                 }
                 last = Some(k);
                 count += 1;
             }
-            cur = self.nodes[cur as usize].next_leaf;
+            cur = self.node(cur).next_leaf;
         }
         assert_eq!(count, self.len, "leaf chain count != len");
         count

@@ -7,6 +7,8 @@
 //! cell, so the walk is genuine pointer chasing across scattered pages),
 //! then touches the 1 KiB data record.
 
+use std::sync::Arc;
+
 use astriflash_sim::rng::splitmix64;
 use astriflash_sim::SimRng;
 
@@ -24,8 +26,9 @@ const LOAD_FACTOR: u64 = 4; // mean chain length
 /// locality while remaining a dependent-load chain.
 const SLOTS_PER_BUCKET: u64 = 8;
 
-/// The Hash Table workload engine.
-#[derive(Debug)]
+/// The Hash Table workload engine. Runs never write the chains, so
+/// clones share them (DESIGN.md §18).
+#[derive(Debug, Clone)]
 pub struct HashTable {
     chooser: KeyChooser,
     compute_ns: u64,
@@ -36,10 +39,10 @@ pub struct HashTable {
     record_base: u64,
     record_bytes: u64,
     /// Bucket `b`'s chain is `chain[offsets[b]..offsets[b + 1]]`.
-    offsets: Vec<u32>,
+    offsets: Arc<Vec<u32>>,
     /// Every chain, back to back, each in walk order (head first, which
     /// is ascending key order).
-    chain: Vec<ChainNode>,
+    chain: Arc<Vec<ChainNode>>,
 }
 
 /// One chain node: the key it holds and its simulated address.
@@ -140,8 +143,9 @@ impl HashTable {
             num_buckets,
             record_base,
             record_bytes: params.record_bytes,
-            offsets,
-            chain,
+            // `Arc::new` moves the vectors' headers, not their contents.
+            offsets: Arc::new(offsets),
+            chain: Arc::new(chain),
         }
     }
 

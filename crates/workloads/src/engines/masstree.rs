@@ -12,8 +12,9 @@ use crate::popularity::KeyChooser;
 
 const NODE_BYTES: u64 = 256;
 
-/// The Masstree workload engine.
-#[derive(Debug)]
+/// The Masstree workload engine. A clone shares the index until its
+/// churn writes a node (DESIGN.md §18).
+#[derive(Debug, Clone)]
 pub struct Masstree {
     tree: BPlusTree,
     chooser: KeyChooser,
@@ -36,11 +37,12 @@ impl Masstree {
         // nodes exactly as a real allocator would interleave them.
         let record_bytes = params.record_bytes;
 
-        let mut tree = BPlusTree::new(&mut |_| node_alloc.alloc(NODE_BYTES));
+        let mut tree = BPlusTree::with_capacity(n, &mut |_| node_alloc.alloc(NODE_BYTES));
         for key in 0..n {
             let record = node_alloc.alloc(record_bytes);
             tree.insert(key, record, &mut |_| node_alloc.alloc(NODE_BYTES));
         }
+        tree.freeze();
 
         Masstree {
             tree,

@@ -4,6 +4,7 @@
 
 pub mod array_swap;
 pub mod btree_index;
+mod cow;
 pub mod hash_table;
 pub mod masstree;
 pub mod rb_tree;

@@ -11,6 +11,7 @@
 use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
+use crate::engines::cow::CowVec;
 use crate::engines::touch_record;
 use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
 use crate::kind::WorkloadParams;
@@ -21,7 +22,7 @@ const NODE_BYTES: u64 = 64;
 const NIL: u32 = u32::MAX >> 1;
 /// Colour bit, kept in the spare top bit of a node's parent link.
 const RED_BIT: u32 = 1 << 31;
-/// Keys whose descents [`RbArena::insert_all`] keeps in flight.
+/// Keys whose descents [`RbArena::insert_shuffled`] keeps in flight.
 const LOOKAHEAD: usize = 48;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,9 +78,12 @@ impl RbLayout {
 /// Insert, delete and the rotations compare slots only for identity,
 /// never for order, so this layout builds exactly the tree shapes an
 /// insertion-ordered arena builds from the same operation sequence.
-#[derive(Debug)]
+///
+/// A clone of an engine's tree shares its nodes: it copies a chunk of
+/// them only when it first writes one (DESIGN.md §18).
+#[derive(Debug, Clone)]
 pub struct RbArena {
-    nodes: Vec<Node>,
+    nodes: CowVec<Node>,
     root: u32,
     len: usize,
     layout: RbLayout,
@@ -97,7 +101,7 @@ impl RbArena {
             "RbArena holds at most {NIL} keys, asked for {capacity}"
         );
         RbArena {
-            nodes: vec![DETACHED; capacity as usize],
+            nodes: CowVec::from_elem(DETACHED, capacity as usize),
             root: NIL,
             len: 0,
             layout,
@@ -114,33 +118,41 @@ impl RbArena {
         self.len == 0
     }
 
+    fn node(&self, n: u32) -> &Node {
+        self.nodes.get(n as usize)
+    }
+
+    fn node_mut(&mut self, n: u32) -> &mut Node {
+        self.nodes.get_mut(n as usize)
+    }
+
     fn left(&self, n: u32) -> u32 {
-        self.nodes[n as usize].left
+        self.node(n).left
     }
 
     fn right(&self, n: u32) -> u32 {
-        self.nodes[n as usize].right
+        self.node(n).right
     }
 
     fn parent(&self, n: u32) -> u32 {
-        self.nodes[n as usize].parent_red & !RED_BIT
+        self.node(n).parent_red & !RED_BIT
     }
 
     fn set_left(&mut self, n: u32, child: u32) {
-        self.nodes[n as usize].left = child;
+        self.node_mut(n).left = child;
     }
 
     fn set_right(&mut self, n: u32, child: u32) {
-        self.nodes[n as usize].right = child;
+        self.node_mut(n).right = child;
     }
 
     fn set_parent(&mut self, n: u32, parent: u32) {
-        let node = &mut self.nodes[n as usize];
+        let node = self.node_mut(n);
         node.parent_red = (node.parent_red & RED_BIT) | parent;
     }
 
     fn color(&self, n: u32) -> Color {
-        if n != NIL && self.nodes[n as usize].parent_red & RED_BIT != 0 {
+        if n != NIL && self.node(n).parent_red & RED_BIT != 0 {
             Color::Red
         } else {
             Color::Black
@@ -148,7 +160,7 @@ impl RbArena {
     }
 
     fn set_color(&mut self, n: u32, color: Color) {
-        let node = &mut self.nodes[n as usize];
+        let node = self.node_mut(n);
         match color {
             Color::Red => node.parent_red |= RED_BIT,
             Color::Black => node.parent_red &= !RED_BIT,
@@ -224,7 +236,7 @@ impl RbArena {
             };
         }
         let idx = key as u32;
-        self.nodes[key as usize] = Node {
+        *self.node_mut(idx) = Node {
             left: NIL,
             right: NIL,
             parent_red: parent | RED_BIT,
@@ -241,8 +253,9 @@ impl RbArena {
         true
     }
 
-    /// Inserts `keys` in order and returns how many were new. The tree
-    /// is exactly the one [`RbArena::insert`] builds key by key.
+    /// Inserts every key of `0..capacity` into this empty tree, in the
+    /// order [`SimRng::shuffle`] puts `0..capacity` in: the tree is the one
+    /// [`RbArena::insert`] builds from that list key by key.
     ///
     /// A build inserts a million keys in random order, and every descent
     /// is a chain of dependent loads that mostly miss the cache. So while
@@ -251,21 +264,69 @@ impl RbArena {
     /// are independent, so their misses overlap, and by its turn each
     /// key's path is cached. Cursors never write, so a cursor that an
     /// earlier insert left off its key's path only wastes its loads.
-    pub fn insert_all(&mut self, keys: &[u64]) -> usize {
-        // Key m's cursor is `cursors[m % LOOKAHEAD]`; NIL means "start at
-        // the root".
-        let mut cursors = [NIL; LOOKAHEAD];
-        let mut inserted = 0;
-        for (i, &key) in keys.iter().enumerate() {
-            // Key i is next, so its cursor passes to key i + LOOKAHEAD.
-            cursors[i % LOOKAHEAD] = NIL;
-            for (m, &ahead) in keys.iter().enumerate().take(i + 1 + LOOKAHEAD).skip(i + 1) {
-                let cursor = &mut cursors[m % LOOKAHEAD];
-                *cursor = self.step_toward(*cursor, ahead);
-            }
-            inserted += usize::from(self.insert(key));
+    ///
+    /// The shuffled list is never allocated. An uninserted key's node is
+    /// free until its insert overwrites all of it, so the shuffle runs
+    /// over the `right` links, position `p` holding the `p`-th key, and a
+    /// second pass links the keys through their own `left` links: the
+    /// `left` of the `p`-th key holds the key `LOOKAHEAD` places later.
+    /// The loop reads the `p`-th key's link just before inserting it, when
+    /// it needs that later key, so consecutive reads do not wait on one
+    /// another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is not empty.
+    pub fn insert_shuffled(&mut self, rng: &mut SimRng) {
+        assert!(self.is_empty(), "insert_shuffled needs an empty tree");
+        let n = self.nodes.len();
+        for p in 0..n {
+            self.set_right(p as u32, p as u32);
         }
-        inserted
+        for i in (1..n).rev() {
+            let j = rng.gen_range(i as u64 + 1) as u32;
+            let (at_i, at_j) = (self.right(i as u32), self.right(j));
+            self.set_right(i as u32, at_j);
+            self.set_right(j, at_i);
+        }
+        for p in LOOKAHEAD..n {
+            let (key, later) = (self.right((p - LOOKAHEAD) as u32), self.right(p as u32));
+            self.set_left(key, later);
+        }
+
+        const RING: usize = LOOKAHEAD + 1;
+        // Key m and its cursor sit at `ahead[m % RING]`; a NIL cursor
+        // means "start at the root".
+        let mut ahead = [(0u64, NIL); RING];
+        let key_at = |arena: &Self, m: usize, ahead: &[(u64, u32); RING]| {
+            u64::from(if m < LOOKAHEAD {
+                arena.right(m as u32)
+            } else {
+                arena.left(ahead[(m - LOOKAHEAD) % RING].0 as u32)
+            })
+        };
+        for m in 0..n.min(RING) {
+            ahead[m].0 = key_at(self, m, &ahead);
+        }
+        for i in 0..n {
+            let key = ahead[i % RING].0;
+            for m in i + 1..n.min(i + RING) {
+                let (ahead_key, cursor) = &mut ahead[m % RING];
+                *cursor = self.step_toward(*cursor, *ahead_key);
+            }
+            self.insert(key);
+            // Key i's slot passes to key i + RING.
+            if i + RING < n {
+                ahead[i % RING] = (key_at(self, i + RING, &ahead), NIL);
+            }
+        }
+        debug_assert_eq!(self.len, n, "a key was inserted twice");
+    }
+
+    /// Moves the nodes into storage that clones share (see
+    /// [`CowVec::freeze`]); the build's last step.
+    pub(crate) fn freeze(&mut self) {
+        self.nodes.freeze();
     }
 
     /// One level of a read-only descent toward `key` from `cursor` (from
@@ -274,7 +335,7 @@ impl RbArena {
         if cursor == NIL {
             return self.root;
         }
-        let node = &self.nodes[cursor as usize];
+        let node = self.node(cursor);
         let next = if key < u64::from(cursor) {
             node.left
         } else {
@@ -507,7 +568,7 @@ impl RbArena {
             if key == k {
                 return Some(self.layout.record_addr(k));
             }
-            let node = &self.nodes[cur as usize];
+            let node = self.node(cur);
             cur = if key < k { node.left } else { node.right };
         }
         None
@@ -575,8 +636,9 @@ impl RbArena {
     }
 }
 
-/// The Red-Black Tree workload engine.
-#[derive(Debug)]
+/// The Red-Black Tree workload engine. A clone shares the tree until
+/// its churn writes a node (DESIGN.md §18).
+#[derive(Debug, Clone)]
 pub struct RbTree {
     arena: RbArena,
     chooser: KeyChooser,
@@ -606,14 +668,9 @@ impl RbTree {
             record_base: alloc.alloc(n * params.record_bytes),
             record_bytes: params.record_bytes,
         };
-        let mut rng = SimRng::new(seed);
-
-        let mut keys: Vec<u64> = (0..n).collect();
-        rng.shuffle(&mut keys);
-
         let mut arena = RbArena::new(n, layout);
-        let inserted = arena.insert_all(&keys);
-        debug_assert_eq!(inserted as u64, n);
+        arena.insert_shuffled(&mut SimRng::new(seed));
+        arena.freeze();
 
         RbTree {
             arena,

@@ -16,8 +16,9 @@ use crate::popularity::KeyChooser;
 
 const NODE_BYTES: u64 = 256;
 
-/// The Silo workload engine.
-#[derive(Debug)]
+/// The Silo workload engine. Runs never write the index, so clones
+/// share all of it (DESIGN.md §18).
+#[derive(Debug, Clone)]
 pub struct Silo {
     tree: BPlusTree,
     chooser: KeyChooser,
@@ -33,11 +34,12 @@ impl Silo {
         let mut alloc = SimAlloc::scattered(space, seed ^ 0x51_10);
         let record_bytes = params.record_bytes;
 
-        let mut tree = BPlusTree::new(&mut |_| alloc.alloc(NODE_BYTES));
+        let mut tree = BPlusTree::with_capacity(n, &mut |_| alloc.alloc(NODE_BYTES));
         for key in 0..n {
             let record = alloc.alloc(record_bytes);
             tree.insert(key, record, &mut |_| alloc.alloc(NODE_BYTES));
         }
+        tree.freeze();
 
         Silo {
             tree,

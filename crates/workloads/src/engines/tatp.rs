@@ -67,7 +67,7 @@ impl TatpTxn {
 
 /// The TATP workload engine. Jobs are single transactions — the paper
 /// calls them "short database operations … ten µs on average" (§VI-C).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tatp {
     chooser: KeyChooser,
     compute_ns: u64,

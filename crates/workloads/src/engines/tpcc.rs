@@ -48,7 +48,7 @@ impl TpccTxn {
 /// The paper's TPCC runs 'neworder' transactions (§V-A); that is the
 /// default here. [`Tpcc::with_full_mix`] enables the five-transaction
 /// TPC-C mix as an extension.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Tpcc {
     full_mix: bool,
     customer_chooser: KeyChooser,

@@ -1,7 +1,7 @@
 //! Workload selection and shared sizing parameters.
 
-use crate::engines;
 use crate::job::WorkloadEngine;
+use crate::shared;
 
 /// Sizing and skew parameters shared by all workload engines.
 ///
@@ -144,17 +144,10 @@ impl WorkloadKind {
         }
     }
 
-    /// Builds the engine with its dataset structures populated.
+    /// Builds the engine with its dataset structures populated: always a
+    /// fresh build, shared with nothing (see [`WorkloadKind::fork`]).
     pub fn build(&self, params: &WorkloadParams, seed: u64) -> Box<dyn WorkloadEngine> {
-        match self {
-            WorkloadKind::ArraySwap => Box::new(engines::ArraySwap::new(params, seed)),
-            WorkloadKind::HashTable => Box::new(engines::HashTable::new(params, seed)),
-            WorkloadKind::RbTree => Box::new(engines::RbTree::new(params, seed)),
-            WorkloadKind::Masstree => Box::new(engines::Masstree::new(params, seed)),
-            WorkloadKind::Tatp => Box::new(engines::Tatp::new(params, seed)),
-            WorkloadKind::Tpcc => Box::new(engines::Tpcc::new(params, seed)),
-            WorkloadKind::Silo => Box::new(engines::Silo::new(params, seed)),
-        }
+        shared::build(*self, params, seed).into_engine()
     }
 }
 

@@ -30,6 +30,7 @@ pub mod engines;
 pub mod job;
 pub mod kind;
 pub mod popularity;
+mod shared;
 pub mod zipf;
 
 pub use address_space::{AddressSpace, SimAlloc, BLOCK_SIZE, PAGE_SIZE};
@@ -37,4 +38,5 @@ pub use arrival::PoissonArrivals;
 pub use job::{FlatOp, JobArena, JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
 pub use kind::{WorkloadKind, WorkloadParams};
 pub use popularity::KeyChooser;
+pub use shared::EngineFork;
 pub use zipf::ZipfGenerator;

@@ -29,7 +29,7 @@ use crate::zipf::ZipfGenerator;
 /// let key = chooser.next(&mut rng);
 /// assert!(key < 1_000_000);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyChooser {
     zipf: ZipfGenerator,
     cluster: u64,

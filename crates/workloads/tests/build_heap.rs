@@ -4,9 +4,11 @@
 //! the next build of the same engine lands elsewhere and the process's
 //! peak memory varies from run to run (DESIGN.md §17).
 //!
-//! Only the hash table is held to this so far: the RBT build still frees
-//! its shuffled key list, and the B+-tree grows its node vector by
-//! reallocation.
+//! Every kind is held to this: the RBT build shuffles its keys inside
+//! the tree's own nodes instead of a 10 MB list, the B+-trees reserve
+//! their node storage up front instead of growing it, and freezing an
+//! index into the storage that forks share moves it without a copy
+//! (DESIGN.md §18).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,10 +74,12 @@ fn large_frees_of_build(kind: WorkloadKind) -> u64 {
 }
 
 #[test]
-fn hash_table_build_frees_no_large_block() {
-    let freed = large_frees_of_build(WorkloadKind::HashTable);
-    assert_eq!(
-        freed, 0,
-        "the hash table build gave back {freed} blocks of {LARGE} B or more"
-    );
+fn builds_free_no_large_block() {
+    for kind in WorkloadKind::all() {
+        let freed = large_frees_of_build(kind);
+        assert_eq!(
+            freed, 0,
+            "the {kind} build gave back {freed} blocks of {LARGE} B or more"
+        );
+    }
 }

@@ -11,7 +11,7 @@
 
 use astriflash_sim::rng::splitmix64;
 use astriflash_sim::SimRng;
-use astriflash_testkit::prop_check;
+use astriflash_testkit::{prop_check, TestRng};
 use astriflash_workloads::address_space::{AddressSpace, SimAlloc, BLOCK_SIZE, PAGE_SIZE};
 use astriflash_workloads::engines::btree_index::BPlusTree;
 use astriflash_workloads::engines::rb_tree::{RbArena, RbLayout};
@@ -45,7 +45,7 @@ mod old_rb {
         record_addr: u64,
     }
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     pub struct RbArena {
         nodes: Vec<Node>,
         root: u32,
@@ -459,7 +459,7 @@ mod old_btree {
         }
     }
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     pub struct BPlusTree {
         nodes: Vec<BNode>,
         root: u32,
@@ -954,6 +954,47 @@ fn assert_same_rb(new: &RbArena, old: &old_rb::RbArena, capacity: u64) {
     }
 }
 
+/// One random insert, delete or churn of a key in `0..capacity`, on both
+/// trees; every return value and a random descent must agree.
+fn rb_step(
+    g: &mut TestRng,
+    new: &mut RbArena,
+    old: &mut old_rb::RbArena,
+    layout: RbLayout,
+    capacity: u64,
+    step: usize,
+) {
+    let key = g.u64_in(0..capacity);
+    match g.u32_in(0..4) {
+        0 | 1 => assert_eq!(
+            new.insert(key),
+            old_insert(old, layout, key),
+            "insert {key} at step {step}"
+        ),
+        2 => assert_eq!(
+            new.delete(key),
+            old.delete(key),
+            "delete {key} at step {step}"
+        ),
+        _ => {
+            // Churn, as `RbTree::fill_job` does it.
+            assert_eq!(
+                new.delete(key),
+                old.delete(key),
+                "churn {key} at step {step}"
+            );
+            assert!(new.insert(key) && old_insert(old, layout, key));
+        }
+    }
+    let probe = g.u64_in(0..capacity);
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    assert_eq!(
+        new.lookup_trace(probe, &mut a),
+        old.lookup_trace(probe, &mut b)
+    );
+    assert_eq!(a, b, "descent to {probe} at step {step}");
+}
+
 /// Random insert / delete / churn streams: every return value and every
 /// descent agrees with the insertion-ordered oracle, step by step.
 #[test]
@@ -963,72 +1004,96 @@ fn rb_arena_matches_insertion_ordered_oracle() {
         let steps = g.usize_in(1..2_000);
         let mut new = RbArena::new(capacity, LAYOUT);
         let mut old = old_rb::RbArena::new();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
         for step in 0..steps {
-            let key = g.u64_in(0..capacity);
-            match g.u32_in(0..4) {
-                0 | 1 => assert_eq!(
-                    new.insert(key),
-                    old_insert(&mut old, LAYOUT, key),
-                    "insert {key} at step {step}"
-                ),
-                2 => assert_eq!(new.delete(key), old.delete(key), "delete {key} at step {step}"),
-                _ => {
-                    // Churn, as `RbTree::fill_job` does it.
-                    assert_eq!(new.delete(key), old.delete(key), "churn {key} at step {step}");
-                    assert!(new.insert(key) && old_insert(&mut old, LAYOUT, key));
-                }
-            }
-            let probe = g.u64_in(0..capacity);
-            a.clear();
-            b.clear();
-            assert_eq!(new.lookup_trace(probe, &mut a), old.lookup_trace(probe, &mut b));
-            assert_eq!(a, b, "descent to {probe} at step {step}");
+            rb_step(g, &mut new, &mut old, LAYOUT, capacity, step);
         }
         assert_same_rb(&new, &old, capacity);
     });
 }
 
-/// `insert_all`'s lookahead cursors change nothing: the tree equals the
-/// oracle's key-by-key build, duplicates included.
+/// `insert_shuffled` inserts `0..capacity` in `SimRng::shuffle` order,
+/// and neither its lookahead cursors nor its in-node key list change the
+/// tree: it equals the oracle's key-by-key build of the shuffled list, at
+/// capacities on both sides of the lookahead window.
 #[test]
-fn rb_bulk_insert_matches_key_by_key_oracle() {
+fn rb_shuffled_build_matches_key_by_key_oracle() {
     prop_check!(cases: 24, |g| {
-        let capacity = g.u64_in(1..5_000);
-        let keys = g.vec(0..6_000, |g| g.u64_in(0..capacity));
+        let capacity = if g.any_bool() {
+            g.u64_in(0..100)
+        } else {
+            g.u64_in(100..5_000)
+        };
+        let seed = g.any_u64();
         let mut new = RbArena::new(capacity, LAYOUT);
+        new.insert_shuffled(&mut SimRng::new(seed));
+        let mut keys: Vec<u64> = (0..capacity).collect();
+        SimRng::new(seed).shuffle(&mut keys);
         let mut old = old_rb::RbArena::new();
-        let old_inserted = keys
-            .iter()
-            .filter(|&&k| old_insert(&mut old, LAYOUT, k))
-            .count();
-        assert_eq!(new.insert_all(&keys), old_inserted);
+        for key in keys {
+            assert!(old_insert(&mut old, LAYOUT, key));
+        }
         assert_same_rb(&new, &old, capacity);
     });
+}
+
+/// The layout `RbTree::new` gives its tree: the node region, then the
+/// record region, from a sequential allocator.
+fn rb_engine_layout(params: &WorkloadParams) -> RbLayout {
+    let n = params.num_records();
+    let mut alloc = SimAlloc::sequential(AddressSpace::new(params.dataset_bytes));
+    RbLayout {
+        node_base: alloc.alloc(n * 64),
+        record_base: alloc.alloc(n * params.record_bytes),
+        record_bytes: params.record_bytes,
+    }
+}
+
+/// `RbTree::new`'s build replayed into the oracle: every key, in
+/// `SimRng::shuffle` order.
+fn oracle_rb_engine_build(params: &WorkloadParams, seed: u64) -> old_rb::RbArena {
+    let layout = rb_engine_layout(params);
+    let mut keys: Vec<u64> = (0..params.num_records()).collect();
+    SimRng::new(seed).shuffle(&mut keys);
+    let mut old = old_rb::RbArena::new();
+    for key in keys {
+        assert!(old_insert(&mut old, layout, key));
+    }
+    old
 }
 
 /// The engine's shuffled build, replayed key by key into the oracle.
 #[test]
 fn rb_tree_engine_index_matches_oracle_build() {
     let params = WorkloadParams::tiny_for_tests();
-    let n = params.num_records();
-    // `RbTree::new` allocates the node region, then the record region.
-    let mut alloc = SimAlloc::sequential(AddressSpace::new(params.dataset_bytes));
-    let layout = RbLayout {
-        node_base: alloc.alloc(n * 64),
-        record_base: alloc.alloc(n * params.record_bytes),
-        record_bytes: params.record_bytes,
-    };
     for seed in [1u64, 13, 0xE17] {
         let engine = RbTree::new(&params, seed);
-        let mut keys: Vec<u64> = (0..n).collect();
-        SimRng::new(seed).shuffle(&mut keys);
-        let mut old = old_rb::RbArena::new();
-        for key in keys {
-            assert!(old_insert(&mut old, layout, key));
-        }
-        assert_same_rb(engine.arena(), &old, n);
+        let old = oracle_rb_engine_build(&params, seed);
+        assert_same_rb(engine.arena(), &old, params.num_records());
     }
+}
+
+/// The op streams above, on two clones of an engine's tree, as forks
+/// take them (DESIGN.md §18): interleaved steps, each clone against its
+/// own copy of the oracle build. The clones copy the nodes they write,
+/// so the engine's tree must still be the untouched build.
+#[test]
+fn rb_arena_forks_match_oracle() {
+    let params = WorkloadParams::tiny_for_tests();
+    let (n, layout) = (params.num_records(), rb_engine_layout(&params));
+    let engine = RbTree::new(&params, 21);
+    let built = oracle_rb_engine_build(&params, 21);
+    prop_check!(cases: 6, |g| {
+        let mut forks = [engine.arena().clone(), engine.arena().clone()];
+        let mut oracles = [built.clone(), built.clone()];
+        for step in 0..g.usize_in(1..3_000) {
+            let side = g.usize_in(0..2);
+            rb_step(g, &mut forks[side], &mut oracles[side], layout, n, step);
+        }
+        for (fork, oracle) in forks.iter().zip(&oracles) {
+            assert_same_rb(fork, oracle, n);
+        }
+    });
+    assert_same_rb(engine.arena(), &built, n);
 }
 
 /// A sequential simulated allocator that logs the ordinals it is called
@@ -1067,6 +1132,64 @@ fn assert_same_btree(new: &BPlusTree, old: &old_btree::BPlusTree, key_space: u64
 /// case from insert-heavy (splits) to remove-heavy (borrows, merges and
 /// root collapse): every result, trace and `alloc` call agrees with the
 /// `Vec`-node oracle.
+/// One B+-tree under test and its oracle, each with its own logged
+/// allocator.
+struct BTreePair<'a> {
+    new: &'a mut BPlusTree,
+    old: &'a mut old_btree::BPlusTree,
+    new_alloc: &'a mut LoggedAlloc,
+    old_alloc: &'a mut LoggedAlloc,
+}
+
+impl BTreePair<'_> {
+    /// One random insert (`insert_weight` times as likely as each other
+    /// op), remove, churn or scan of a key in `0..key_space` on both
+    /// trees; every result and trace must agree.
+    fn step(&mut self, g: &mut TestRng, key_space: u64, insert_weight: u32, step: usize) {
+        let BTreePair {
+            new,
+            old,
+            new_alloc,
+            old_alloc,
+        } = self;
+        let key = g.u64_in(0..key_space);
+        let op = g.u32_in(0..insert_weight + 4);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        if op < insert_weight {
+            let record = g.any_u64();
+            assert_eq!(
+                new.insert(key, record, &mut |o| new_alloc.alloc(o)),
+                old.insert(key, record, &mut |o| old_alloc.alloc(o)),
+                "insert {key} at step {step}"
+            );
+        } else if op < insert_weight + 2 {
+            assert_eq!(
+                new.remove(key),
+                old.remove(key),
+                "remove {key} at step {step}"
+            );
+        } else if op == insert_weight + 2 {
+            // Churn, as `Masstree::fill_job` does it.
+            if let Some(record) = new.remove(key) {
+                assert_eq!(old.remove(key), Some(record), "churn {key} at step {step}");
+                new.insert(key, record, &mut |o| new_alloc.alloc(o));
+                old.insert(key, record, &mut |o| old_alloc.alloc(o));
+            }
+        } else {
+            let count = g.usize_in(1..40);
+            let (mut recs_a, mut recs_b) = (Vec::new(), Vec::new());
+            new.scan_trace_into(key, count, &mut a, &mut recs_a);
+            old.scan_trace_into(key, count, &mut b, &mut recs_b);
+            assert_eq!(recs_a, recs_b, "scan of {count} from {key} at step {step}");
+            assert_eq!(a, b, "scan trace of {count} from {key} at step {step}");
+            a.clear();
+            b.clear();
+        }
+        assert_eq!(new.lookup_trace(key, &mut a), old.lookup_trace(key, &mut b));
+        assert_eq!(a, b, "descent to {key} at step {step}");
+    }
+}
+
 #[test]
 fn bplus_tree_matches_vec_node_oracle() {
     prop_check!(cases: 48, |g| {
@@ -1076,42 +1199,14 @@ fn bplus_tree_matches_vec_node_oracle() {
         let (mut new_alloc, mut old_alloc) = (LoggedAlloc::default(), LoggedAlloc::default());
         let mut new = BPlusTree::new(&mut |o| new_alloc.alloc(o));
         let mut old = old_btree::BPlusTree::new(&mut |o| old_alloc.alloc(o));
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        let (mut recs_a, mut recs_b) = (Vec::new(), Vec::new());
+        let mut pair = BTreePair {
+            new: &mut new,
+            old: &mut old,
+            new_alloc: &mut new_alloc,
+            old_alloc: &mut old_alloc,
+        };
         for step in 0..steps {
-            let key = g.u64_in(0..key_space);
-            let op = g.u32_in(0..insert_weight + 4);
-            if op < insert_weight {
-                let record = g.any_u64();
-                assert_eq!(
-                    new.insert(key, record, &mut |o| new_alloc.alloc(o)),
-                    old.insert(key, record, &mut |o| old_alloc.alloc(o)),
-                    "insert {key} at step {step}"
-                );
-            } else if op < insert_weight + 2 {
-                assert_eq!(new.remove(key), old.remove(key), "remove {key} at step {step}");
-            } else if op == insert_weight + 2 {
-                // Churn, as `Masstree::fill_job` does it.
-                if let Some(record) = new.remove(key) {
-                    assert_eq!(old.remove(key), Some(record), "churn {key} at step {step}");
-                    new.insert(key, record, &mut |o| new_alloc.alloc(o));
-                    old.insert(key, record, &mut |o| old_alloc.alloc(o));
-                }
-            } else {
-                let count = g.usize_in(1..40);
-                a.clear();
-                b.clear();
-                recs_a.clear();
-                recs_b.clear();
-                new.scan_trace_into(key, count, &mut a, &mut recs_a);
-                old.scan_trace_into(key, count, &mut b, &mut recs_b);
-                assert_eq!(recs_a, recs_b, "scan of {count} from {key} at step {step}");
-                assert_eq!(a, b, "scan trace of {count} from {key} at step {step}");
-            }
-            a.clear();
-            b.clear();
-            assert_eq!(new.lookup_trace(key, &mut a), old.lookup_trace(key, &mut b));
-            assert_eq!(a, b, "descent to {key} at step {step}");
+            pair.step(g, key_space, insert_weight, step);
         }
         assert_eq!(new_alloc.ordinals, old_alloc.ordinals, "alloc call sequence");
         assert_same_btree(&new, &old, key_space);
@@ -1148,6 +1243,41 @@ fn masstree_and_silo_indexes_match_oracle_builds() {
             n,
         );
     }
+}
+
+/// The op streams above, on two clones of the Masstree engine's index,
+/// as forks take them (DESIGN.md §18): interleaved steps, each clone
+/// against its own copy of the oracle build. The clones copy the nodes
+/// they write, so the engine's index must still be the untouched build.
+#[test]
+fn bplus_tree_forks_match_oracle() {
+    let params = WorkloadParams::tiny_for_tests();
+    let n = params.num_records();
+    let engine = Masstree::new(&params, 4);
+    let built = oracle_engine_index(&params, 4 ^ 0x3AE);
+    prop_check!(cases: 6, |g| {
+        let mut forks = [engine.tree().clone(), engine.tree().clone()];
+        let mut oracles = [built.clone(), built.clone()];
+        let mut allocs: [[LoggedAlloc; 2]; 2] = Default::default();
+        let insert_weight = g.u32_in(1..8);
+        for step in 0..g.usize_in(1..3_000) {
+            let side = g.usize_in(0..2);
+            let [new_alloc, old_alloc] = &mut allocs[side];
+            BTreePair {
+                new: &mut forks[side],
+                old: &mut oracles[side],
+                new_alloc,
+                old_alloc,
+            }
+            .step(g, n, insert_weight, step);
+        }
+        for side in 0..2 {
+            let [new_alloc, old_alloc] = &allocs[side];
+            assert_eq!(new_alloc.ordinals, old_alloc.ordinals, "alloc call sequence");
+            assert_same_btree(&forks[side], &oracles[side], n);
+        }
+    });
+    assert_same_btree(engine.tree(), &built, n);
 }
 
 /// The engine's job stream (both the flat and the legacy path) equals the

@@ -19,6 +19,19 @@ cargo test -q --workspace
 echo "==> cargo test --release (full-scale goldens included)"
 cargo test -q --release --workspace
 
+echo "==> fig9 at full scale, byte-identical at 1 and 4 sweep threads"
+# Cells of one workload share a dataset build only while they overlap
+# in time (DESIGN.md §18), and the worker count decides which overlap.
+# Pin both extremes against the committed figure and CSV.
+fig9_tmp=$(mktemp -d)
+cp results/csv/fig9.csv "$fig9_tmp/committed.csv"
+for threads in 1 4; do
+  ASTRIFLASH_THREADS=$threads ./target/release/fig9 > "$fig9_tmp/fig9.txt"
+  diff results/fig9.txt "$fig9_tmp/fig9.txt"
+  diff "$fig9_tmp/committed.csv" results/csv/fig9.csv
+done
+rm -r "$fig9_tmp"
+
 echo "==> benchmark package tests (unit tests + --smoke of all five workloads)"
 # benchmark/ is a cargo workspace of its own, so --workspace never
 # builds it; its smoke test drives the workloads crate's public API.
