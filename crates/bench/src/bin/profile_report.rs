@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use astriflash_bench::selfprofile::{profile_cell, MeasuredProfile};
+use astriflash_bench::profile::{profile_cell, MeasuredProfile};
 
 /// Attribute heap allocations to the innermost active scope: the
 /// counting allocator is installed in this binary (not in the figure

@@ -5,11 +5,7 @@
 
 #![warn(missing_docs)]
 
-pub mod gate;
-pub mod harness;
-pub mod micro;
-pub mod selfprofile;
-pub mod timing;
+pub mod profile;
 
 use astriflash_core::config::SystemConfig;
 

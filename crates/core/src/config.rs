@@ -119,19 +119,13 @@ pub struct SystemConfig {
     /// Second-level TLB geometry: (entries, ways). The paper leans on
     /// large translation reach (§IV-A); this knob quantifies it.
     pub tlb_geometry: (usize, usize),
-    /// Per-phase miss-latency attribution (DESIGN.md §11). Always on by
-    /// default — recording is per-miss and never affects timing
-    /// decisions; the knob exists so `perf_report` can measure the
-    /// accounting overhead against a true baseline.
-    pub phase_attribution: bool,
     /// Batched hit-run interpreter (DESIGN.md §15): consume leading
     /// TLB-hit+L1-hit runs of a job's contiguous access slab in one
     /// pass instead of one interpreter step per access. On by default —
     /// the batched path is decision-identical to the scalar path
     /// (proven by the differential suite in
     /// `crates/core/tests/hit_run_differential.rs`); the knob retains
-    /// the scalar interpreter as the in-tree reference and lets
-    /// `perf_report` pair the two.
+    /// the scalar interpreter as that suite's reference.
     pub batched_hit_runs: bool,
     /// Use the in-order stall model ([`astriflash_cpu::OooTiming::in_order`])
     /// instead of the default OoO overlap model: every memory latency is
@@ -235,16 +229,9 @@ impl SystemConfig {
         }
     }
 
-    /// Builder-style: toggle per-phase miss-latency attribution (on by
-    /// default; `perf_report` turns it off to measure its overhead).
-    pub fn with_phase_attribution(mut self, enabled: bool) -> Self {
-        self.phase_attribution = enabled;
-        self
-    }
-
     /// Builder-style: toggle the batched hit-run interpreter (on by
-    /// default; the differential suite and `perf_report` turn it off to
-    /// run the retained scalar reference path).
+    /// default; the differential suite turns it off to run the scalar
+    /// reference path).
     pub fn with_batched_hit_runs(mut self, enabled: bool) -> Self {
         self.batched_hit_runs = enabled;
         self
@@ -325,7 +312,6 @@ impl Default for SystemConfig {
             msr_geometry: (64, 8),
             aging_multiplier: 2.0,
             tlb_geometry: (1536, 6),
-            phase_attribution: true,
             batched_hit_runs: true,
             in_order_timing: false,
             telemetry: None,

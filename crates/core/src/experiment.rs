@@ -102,7 +102,7 @@ impl Experiment {
 
     /// Builds the [`SystemSim`] (allocation-heavy: cache arrays, DRAM
     /// prewarm replay) without running it, so callers that time the
-    /// simulation — the perf harness above all — can keep construction
+    /// simulation — the benchmark above all — can keep construction
     /// cost out of the measured region. [`Experiment::run`] is exactly
     /// `prepare().run()`, so prepared and direct runs are bit-identical.
     ///
@@ -194,14 +194,13 @@ pub struct RunReport {
     pub response_hist: Histogram,
     /// Discrete events the simulation kernel processed during the run.
     /// Deliberately a plain field (not a [`MetricSet`] entry) so rendered
-    /// reports and golden figures are unaffected; the perf harness uses
-    /// it to compute events/sec.
+    /// reports and golden figures are unaffected; the benchmark uses it
+    /// to compute events/sec.
     pub events_processed: u64,
     /// Per-phase miss-latency attribution (DESIGN.md §11). Like
     /// [`RunReport::events_processed`], a plain field rather than a
     /// [`MetricSet`] entry so every previously rendered report stays
-    /// byte-identical. Empty when `phase_attribution` was off or the run
-    /// never missed in the DRAM cache.
+    /// byte-identical. Empty when the run never missed in the DRAM cache.
     pub phases: PhaseSet,
     /// Time-resolved telemetry (DESIGN.md §13); `Some` iff the run's
     /// `SystemConfig::telemetry` was set. Like

@@ -97,7 +97,7 @@ impl Cell {
     }
 
     /// Builds this cell's simulation without running it (see
-    /// [`Experiment::prepare`]): the perf harness prepares outside the
+    /// [`Experiment::prepare`]): the benchmark prepares outside the
     /// timed region and times only [`PreparedRun::run`].
     pub fn prepare(&self) -> PreparedRun {
         Experiment::new(self.cfg.clone(), self.configuration)

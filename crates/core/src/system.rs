@@ -296,8 +296,7 @@ pub struct SystemStats {
     /// TLB misses summed over cores.
     pub tlb_misses: u64,
     /// Per-phase latency attribution of completed miss lifecycles
-    /// (DESIGN.md §11); empty when `SystemConfig::phase_attribution` is
-    /// off or the run never missed.
+    /// (DESIGN.md §11); empty when the run never missed.
     pub phases: PhaseSet,
     /// Time-resolved telemetry (DESIGN.md §13); `Some` iff the run was
     /// configured with `SystemConfig::telemetry`. Collection never
@@ -382,8 +381,6 @@ pub struct SystemSim {
     waiter_scratch: Vec<Waiter>,
     /// Per-phase histograms of completed miss lifecycles.
     phases: PhaseSet,
-    /// Copy of `cfg.phase_attribution` (hot-path gate).
-    phase_attr: bool,
     /// Copy of `cfg.batched_hit_runs` (hot-path gate): when set, the
     /// interpreter consumes leading TLB+L1 hit runs in one pass
     /// (DESIGN.md §15); when clear it runs the retained scalar
@@ -508,7 +505,6 @@ impl SystemSim {
         let walker = PageTableWalker::new(pt_base, cfg.page_table_region_bytes() / 4096);
         let hierarchy = CacheHierarchy::new(cfg.cores, cfg.hierarchy.clone());
         let max_time = SimTime::from_ms(cfg.max_sim_time_ms);
-        let phase_attr = cfg.phase_attribution;
         let batch_runs = cfg.batched_hit_runs;
 
         SystemSim {
@@ -546,7 +542,6 @@ impl SystemSim {
             inflight_spans: PageMap::with_capacity(msr_sets * msr_ways),
             waiter_scratch: Vec::new(),
             phases: PhaseSet::new(),
-            phase_attr,
             batch_runs,
             telem_windows,
             gauge_prev: GaugeWindow::default(),
@@ -642,15 +637,13 @@ impl SystemSim {
         // whose page arrived count (resume delay runs to end-of-run, as
         // in the force-closed span the analyzer sees); the rest — pages
         // still in flight — are discarded on both sides.
-        if self.phase_attr {
-            let end = self.queue.now().as_ns();
-            for core in &mut self.cores {
-                for slot in 0..core.threads.len() {
-                    if core.threads[slot].is_some() {
-                        let attr = std::mem::take(&mut core.cold[slot].attr);
-                        if attr.active && attr.arrived {
-                            attr.flush(end, &mut self.phases);
-                        }
+        let end = self.queue.now().as_ns();
+        for core in &mut self.cores {
+            for slot in 0..core.threads.len() {
+                if core.threads[slot].is_some() {
+                    let attr = std::mem::take(&mut core.cold[slot].attr);
+                    if attr.active && attr.arrived {
+                        attr.flush(end, &mut self.phases);
                     }
                 }
             }
@@ -922,7 +915,7 @@ impl SystemSim {
             // resume synchronously below.
             let mut done_attr: Option<MissAttr> = None;
             let attr = &mut self.cores[core].cold[thread].attr;
-            if self.phase_attr && attr.active {
+            if attr.active {
                 if !attr.arrived {
                     attr.arrived = true;
                     attr.arrived_ns = installed.as_ns();
@@ -1058,7 +1051,7 @@ impl SystemSim {
                 // since arrival is its resume delay); an aged promotion
                 // without arrival is discarded, like its span — the
                 // analyzer skips spans with no `page_arrived` too.
-                if self.phase_attr && core.cold[slot].attr.active {
+                if core.cold[slot].attr.active {
                     let attr = std::mem::take(&mut core.cold[slot].attr);
                     if attr.arrived {
                         attr.flush(now.as_ns(), &mut self.phases);
@@ -1524,7 +1517,7 @@ impl SystemSim {
                     self.tracer
                         .end_span(t.as_ns(), Track::Core(core_id as u32), "miss", span);
                 }
-                if self.phase_attr && self.cores[core_id].threads[slot].is_some() {
+                if self.cores[core_id].threads[slot].is_some() {
                     // The retried miss resolved as a hit: its lifecycle
                     // never saw a page arrival, so discard the scratch
                     // (the analyzer skips such spans as well).
@@ -1579,13 +1572,11 @@ impl SystemSim {
         } else {
             0
         };
-        if self.phase_attr {
-            // Open (or keep, across an MSR-stall retry) this miss's
-            // attribution scratch; the BC admission below resolves it.
-            let attr = &mut self.cores[core_id].cold[slot].attr;
-            if !attr.active {
-                *attr = MissAttr::begin(t.as_ns());
-            }
+        // Open (or keep, across an MSR-stall retry) this miss's
+        // attribution scratch; the BC admission below resolves it.
+        let attr = &mut self.cores[core_id].cold[slot].attr;
+        if !attr.active {
+            *attr = MissAttr::begin(t.as_ns());
         }
 
         // Admit to the backside controller (dedup via MSR, flash read).
@@ -1600,12 +1591,10 @@ impl SystemSim {
         match admission {
             BcAdmission::Duplicate { resolved_at } => {
                 // Read already in flight; the miss coalesces onto it.
-                if self.phase_attr {
-                    let attr = &mut self.cores[core_id].cold[slot].attr;
-                    attr.kind = MissKind::Coalesced;
-                    attr.admit_ns = resolved_at.as_ns().saturating_sub(attr.started_ns);
-                    attr.admit_end_ns = resolved_at.as_ns();
-                }
+                let attr = &mut self.cores[core_id].cold[slot].attr;
+                attr.kind = MissKind::Coalesced;
+                attr.admit_ns = resolved_at.as_ns().saturating_sub(attr.started_ns);
+                attr.admit_end_ns = resolved_at.as_ns();
             }
             BcAdmission::IssueFlashRead { issue_at } => {
                 let bitmap = self.dram_cache.predict_footprint(page, access.block);
@@ -1615,16 +1604,14 @@ impl SystemSim {
                     self.flash.read_bytes_timed(issue_at, page, bytes)
                 };
                 let done = timing.done;
-                if self.phase_attr {
-                    let attr = &mut self.cores[core_id].cold[slot].attr;
-                    attr.kind = MissKind::Issued;
-                    attr.admit_ns = issue_at.as_ns().saturating_sub(attr.started_ns);
-                    attr.admit_end_ns = issue_at.as_ns();
-                    attr.queue_ns = timing.queue_ns;
-                    attr.read_ns = timing.read_ns;
-                    attr.xfer_ns = timing.xfer_ns;
-                    attr.xfer_done_ns = timing.transfer_done.as_ns();
-                }
+                let attr = &mut self.cores[core_id].cold[slot].attr;
+                attr.kind = MissKind::Issued;
+                attr.admit_ns = issue_at.as_ns().saturating_sub(attr.started_ns);
+                attr.admit_end_ns = issue_at.as_ns();
+                attr.queue_ns = timing.queue_ns;
+                attr.read_ns = timing.read_ns;
+                attr.xfer_ns = timing.xfer_ns;
+                attr.xfer_done_ns = timing.transfer_done.as_ns();
                 self.inflight_footprints.insert(page, bitmap);
                 if miss_span != 0 {
                     self.inflight_spans.insert(page, miss_span);

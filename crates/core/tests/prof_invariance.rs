@@ -1,4 +1,5 @@
-//! The host-side profiler must never change a `RunReport`.
+//! The host-side profiler must never change a `RunReport`, and its call
+//! counts must tie exactly to the run's own counts.
 //!
 //! The profiler reads the host monotonic clock on scope enter/exit; nothing
 //! it observes may feed back into simulation decisions. These tests mirror
@@ -84,5 +85,26 @@ fn profiling_a_prepared_run_changes_nothing() {
             + report.totals(Scope::EvSample).calls,
         profiled.events_processed,
         "per-event scopes must tile the event loop exactly"
+    );
+    let count = |name: &str| profiled.metrics.count(name).unwrap_or(0);
+    let misses = count("dram_cache_misses");
+    assert!(misses > 0, "the run must exercise the miss path");
+    assert_eq!(
+        report.totals(Scope::MissPath).calls,
+        misses,
+        "handle_miss has one call site, entered once per DRAM-cache miss"
+    );
+    let (fills, jobs) = (report.totals(Scope::FillJob).calls, count("jobs_total"));
+    assert!(
+        fills >= jobs,
+        "every counted job was generated by fill_job ({fills} < {jobs})"
+    );
+    // The in-flight tail at shutdown is bounded by the closed loop's
+    // outstanding window (cores × threads), far under one extra fill
+    // per completed job.
+    assert!(
+        fills <= jobs * 2,
+        "fill_job fired {fills} times for {jobs} jobs — more than the \
+         in-flight tail can explain"
     );
 }

@@ -23,7 +23,6 @@ pub mod hierarchy;
 pub mod msr;
 pub mod page_cache;
 pub mod sram_cache;
-pub mod sram_cache_ref;
 
 pub use backside::{BacksideController, BcAdmission, MsrWindows, Waiter};
 pub use dram::{DramBanks, DramTimings};
@@ -33,4 +32,3 @@ pub use hierarchy::{CacheHierarchy, HierarchyConfig, HierarchyOutcome, LevelTota
 pub use msr::MissStatusRow;
 pub use page_cache::PageLru;
 pub use sram_cache::{AccessResult, SramCache};
-pub use sram_cache_ref::RefSramCache;

@@ -13,8 +13,8 @@
 //! operations on the order word. The order word replaces the previous
 //! ever-growing 64-bit per-line LRU tick: both encode the exact same
 //! recency *ordering*, so every hit/miss/victim decision is identical
-//! (see [`crate::sram_cache_ref::RefSramCache`], retained as the
-//! differential-test reference).
+//! (`tests/memory_path_differential.rs` checks it against a tick-LRU
+//! model).
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -17,10 +17,8 @@ pub mod page_table;
 pub mod paging;
 pub mod shootdown;
 pub mod tlb;
-pub mod tlb_ref;
 
 pub use page_table::PageTableWalker;
 pub use paging::{OsPagingCosts, PageFaultBreakdown};
 pub use shootdown::ShootdownModel;
 pub use tlb::Tlb;
-pub use tlb_ref::RefTlb;

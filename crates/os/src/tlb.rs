@@ -5,8 +5,8 @@
 //! packed per-set recency-order word (4-bit way ids, MRU at nibble 0)
 //! replacing the historical per-entry 64-bit LRU tick. The encoding
 //! preserves the exact recency ordering, so every hit/miss/victim
-//! decision matches [`crate::tlb_ref::RefTlb`] — proven by the
-//! differential property test in `crates/os/tests/tlb_differential.rs`.
+//! decision matches a tick-LRU model — proven by the differential
+//! property test in `crates/os/tests/tlb_differential.rs`.
 
 /// TLB access outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,13 +1,75 @@
 //! Differential property tests proving the flat struct-of-arrays [`Tlb`]
-//! is decision-identical to the retained `Vec<Vec<TlbEntry>>` tick-LRU
-//! reference ([`RefTlb`]): every hit/miss outcome, every invalidation
+//! is decision-identical to a naive `Vec<Vec<(vpn, tick)>>` tick-LRU
+//! model ([`RefTlb`]): every hit/miss outcome, every invalidation
 //! result, and the running counters agree over randomized sequences,
 //! across both power-of-two (masked index) and non-power-of-two (modulo)
 //! set counts.
 
 use astriflash_os::tlb::TlbResult;
-use astriflash_os::{RefTlb, Tlb};
+use astriflash_os::Tlb;
 use astriflash_testkit::prop_check;
+
+/// True LRU over an ever-growing per-access tick, one `Vec` of
+/// `(vpn, last-touched tick)` per set: the TLB as it was before the
+/// flattening (DESIGN.md §10).
+struct RefTlb {
+    sets: Vec<Vec<(u64, u64)>>,
+    ways: usize,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    invalidations: u64,
+}
+
+impl RefTlb {
+    fn new(entries: usize, ways: usize) -> Self {
+        RefTlb {
+            sets: vec![Vec::new(); (entries / ways).max(1)],
+            ways,
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            invalidations: 0,
+        }
+    }
+
+    fn set_of(&mut self, vpn: u64) -> &mut Vec<(u64, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(vpn % n) as usize]
+    }
+
+    fn access(&mut self, vpn: u64) -> TlbResult {
+        self.tick += 1;
+        let (tick, ways) = (self.tick, self.ways);
+        let set = self.set_of(vpn);
+        if let Some(e) = set.iter_mut().find(|e| e.0 == vpn) {
+            e.1 = tick;
+            self.hits += 1;
+            return TlbResult::Hit;
+        }
+        if set.len() >= ways {
+            let (pos, _) = set
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.1)
+                .expect("full set");
+            set.swap_remove(pos);
+        }
+        set.push((vpn, tick));
+        self.misses += 1;
+        TlbResult::Miss
+    }
+
+    fn invalidate(&mut self, vpn: u64) -> bool {
+        let set = self.set_of(vpn);
+        let Some(pos) = set.iter().position(|e| e.0 == vpn) else {
+            return false;
+        };
+        set.swap_remove(pos);
+        self.invalidations += 1;
+        true
+    }
+}
 
 #[test]
 fn flat_tlb_matches_reference_on_random_sequences() {
@@ -37,9 +99,9 @@ fn flat_tlb_matches_reference_on_random_sequences() {
                 );
             }
         }
-        assert_eq!(flat.hits(), reference.hits());
-        assert_eq!(flat.misses(), reference.misses());
-        assert_eq!(flat.invalidations(), reference.invalidations());
+        assert_eq!(flat.hits(), reference.hits);
+        assert_eq!(flat.misses(), reference.misses);
+        assert_eq!(flat.invalidations(), reference.invalidations);
     });
 }
 
@@ -63,8 +125,8 @@ fn split_fast_path_matches_reference() {
             };
             assert_eq!(split, reference.access(vpn), "vpn {vpn} diverged");
         }
-        assert_eq!(flat.hits(), reference.hits());
-        assert_eq!(flat.misses(), reference.misses());
+        assert_eq!(flat.hits(), reference.hits);
+        assert_eq!(flat.misses(), reference.misses);
     });
 }
 
@@ -82,12 +144,12 @@ fn shipped_geometry_matches_reference() {
             assert_eq!(flat.access(vpn), reference.access(vpn), "i={i}");
         }
     }
-    assert_eq!(flat.hits(), reference.hits());
-    assert_eq!(flat.misses(), reference.misses());
-    assert_eq!(flat.invalidations(), reference.invalidations());
+    assert_eq!(flat.hits(), reference.hits);
+    assert_eq!(flat.misses(), reference.misses);
+    assert_eq!(flat.invalidations(), reference.invalidations);
     assert!((flat.miss_ratio() - {
-        let t = (reference.hits() + reference.misses()) as f64;
-        reference.misses() as f64 / t
+        let t = (reference.hits + reference.misses) as f64;
+        reference.misses as f64 / t
     })
     .abs()
         < 1e-12);

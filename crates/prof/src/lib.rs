@@ -13,8 +13,8 @@
 //!   `RunReport` byte-identical (integration-tested in `astriflash-core`).
 //! * **One branch when off.** [`scope`] loads one relaxed `AtomicBool` and
 //!   branches; the disabled path performs no clock read, no TLS access and
-//!   no allocation. The enabled/disabled overhead on the fig9 event loop is
-//!   measured by `perf_report` and gated by `perf_gate`.
+//!   no allocation. The enabled overhead is the benchmark's
+//!   `prof.overhead_pct`, which `perf_gate` caps (DESIGN.md §12).
 //! * **Allocation attribution.** [`CountingAlloc`] wraps the system
 //!   allocator and charges each allocation to the innermost active scope of
 //!   the allocating thread (feature `alloc-count`, default on). Binaries opt
@@ -249,8 +249,8 @@ pub fn parse_profile(raw: Option<&str>) -> (Option<EnvFormat>, Option<String>) {
 ///
 /// Created at the top of a binary's `main`; prints the report to stderr on
 /// drop so it never mixes with the figure/CSV output on stdout. Binaries
-/// that run their own sessions (`profile_report`, `perf_report --profile`)
-/// must not install this — nested sessions would deadlock on the session
+/// that run their own sessions (`profile_report`) must not install
+/// this — nested sessions would deadlock on the session
 /// lock.
 pub struct EnvSession {
     session: Option<Session>,

@@ -3,24 +3,16 @@
 //! Events are ordered by timestamp; ties are broken by insertion order so
 //! a simulation is a deterministic function of its inputs.
 //!
-//! Three implementations share the same contract:
-//!
-//! * [`EventQueue`] — a hierarchical timer wheel with **batched slot
-//!   dispatch**, the production queue. Scheduling and popping are O(1)
-//!   amortized regardless of how many events are pending, which matters
-//!   because the simulator's inner loop is dominated by queue traffic
-//!   (every core hop, flash read, and timer is an event). When the pop
-//!   path reaches a level-0 slot it drains the *whole* slot in one pass
-//!   into a pooled ready buffer (sorted by sequence number once), so the
-//!   per-level candidate scan and the FIFO tie-break are amortized over
-//!   every event sharing that timestamp instead of being paid per pop.
-//! * [`ScanEventQueue`] — the pre-batching timer wheel (per-pop candidate
-//!   scan and per-pop min-sequence selection), retained as the reference
-//!   the batched drain is differentially tested against and as the
-//!   baseline for the `slot_drain` perf pair.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` queue, kept as the
-//!   executable specification of the contract and as the baseline for
-//!   the `event_queue_churn` perf pair.
+//! [`EventQueue`] is a hierarchical timer wheel with **batched slot
+//! dispatch**. Scheduling and popping are O(1) amortized regardless of
+//! how many events are pending, which matters because the simulator's
+//! inner loop is dominated by queue traffic (every core hop, flash read,
+//! and timer is an event). When the pop path reaches a level-0 slot it
+//! drains the *whole* slot in one pass into a pooled ready buffer (sorted
+//! by sequence number once), so the per-level candidate scan and the FIFO
+//! tie-break are amortized over every event sharing that timestamp
+//! instead of being paid per pop. `tests/kernel_properties.rs` checks its
+//! pop stream against a `BinaryHeap` model of the contract.
 //!
 //! The wheel has [`LEVELS`] levels of [`SLOTS`] slots each; level `L`
 //! slots span `64^L` ns, so the wheel covers `64^7 = 2^42` ns (≈ 73
@@ -32,9 +24,6 @@
 //! FIFO order among same-timestamp events is preserved exactly: every
 //! entry carries its insertion sequence number, and a level-0 slot (which
 //! holds a single timestamp) pops its minimum-sequence entry first.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
@@ -386,368 +375,6 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// The pre-batching hierarchical timer wheel: per-pop candidate scan and
-/// per-pop min-sequence selection inside the level-0 slot.
-///
-/// Retained as the executable specification the batched [`EventQueue`]
-/// drain is differentially tested against (`tests/kernel_properties.rs`)
-/// and as the baseline of the `slot_drain` pair in `perf_report`. The
-/// algorithm is byte-for-byte the wheel as it shipped before batched
-/// dispatch; only the slot-drain/delivery mechanics differ from
-/// [`EventQueue`], so a divergence in their pop streams isolates the
-/// batching as the cause.
-#[derive(Debug)]
-pub struct ScanEventQueue<E> {
-    slots: Box<[Vec<Entry<E>>]>,
-    occupied: [u64; LEVELS],
-    overflow: Vec<Entry<E>>,
-    overflow_min: u64,
-    pending: usize,
-    seq: u64,
-    now: SimTime,
-    elapsed: u64,
-    scheduled_total: u64,
-    popped_total: u64,
-}
-
-impl<E> ScanEventQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    pub fn new() -> Self {
-        ScanEventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            pending: 0,
-            seq: 0,
-            now: SimTime::ZERO,
-            elapsed: 0,
-            scheduled_total: 0,
-            popped_total: 0,
-        }
-    }
-
-    /// Current simulated time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire at absolute time `at` (clamped to `now`).
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduled event in the past: at={at} now={}",
-            self.now
-        );
-        let at = at.max(self.now);
-        let entry = Entry {
-            at,
-            seq: self.seq,
-            payload,
-        };
-        self.seq += 1;
-        self.scheduled_total += 1;
-        self.insert(entry);
-    }
-
-    /// Schedules `payload` at `now + delay_ns`.
-    pub fn schedule_after_ns(&mut self, delay_ns: u64, payload: E) {
-        let at = self.now + crate::time::SimDuration::from_ns(delay_ns);
-        self.schedule(at, payload);
-    }
-
-    /// Removes and returns the earliest event, advancing the clock to its
-    /// timestamp. Per-pop scan (the pre-batching algorithm).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.pending == 0 {
-            return None;
-        }
-        loop {
-            let candidate = self.next_candidate();
-            if self.overflow_min <= candidate.map_or(u64::MAX, |(_, _, start)| start) {
-                self.refill_from_overflow();
-                continue;
-            }
-            match candidate {
-                Some((0, slot, tick)) => {
-                    let bucket = &mut self.slots[slot];
-                    let mut best = 0;
-                    for i in 1..bucket.len() {
-                        if bucket[i].seq < bucket[best].seq {
-                            best = i;
-                        }
-                    }
-                    let entry = bucket.swap_remove(best);
-                    if bucket.is_empty() {
-                        self.occupied[0] &= !(1 << slot);
-                    }
-                    debug_assert_eq!(entry.at.as_ns(), tick);
-                    self.elapsed = tick;
-                    self.pending -= 1;
-                    self.popped_total += 1;
-                    self.now = entry.at;
-                    return Some((entry.at, entry.payload));
-                }
-                Some((level, slot, slot_start)) => {
-                    let bucket = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-                    self.occupied[level] &= !(1 << slot);
-                    self.elapsed = slot_start;
-                    self.pending -= bucket.len();
-                    for entry in bucket {
-                        self.insert(entry);
-                    }
-                }
-                None => unreachable!("pending events but empty wheel and overflow"),
-            }
-        }
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.slots
-            .iter()
-            .flatten()
-            .chain(self.overflow.iter())
-            .map(|e| e.at)
-            .min()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Total events ever popped.
-    pub fn popped_total(&self) -> u64 {
-        self.popped_total
-    }
-
-    /// Advances the clock without an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is before the current time.
-    pub fn advance_to(&mut self, to: SimTime) {
-        assert!(to >= self.now, "cannot advance clock backwards");
-        self.now = to;
-    }
-
-    fn insert(&mut self, entry: Entry<E>) {
-        let tick = entry.at.as_ns();
-        debug_assert!(tick >= self.elapsed);
-        let delta = tick - self.elapsed;
-        if delta >= WHEEL_SPAN {
-            self.overflow_min = self.overflow_min.min(tick);
-            self.overflow.push(entry);
-        } else {
-            let level = if delta < SLOTS as u64 {
-                0
-            } else {
-                ((63 - delta.leading_zeros()) / SLOT_BITS) as usize
-            };
-            let slot = ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            self.slots[level * SLOTS + slot].push(entry);
-            self.occupied[level] |= 1 << slot;
-        }
-        self.pending += 1;
-    }
-
-    fn next_candidate(&self) -> Option<(usize, usize, u64)> {
-        let mut best: Option<(usize, usize, u64)> = None;
-        for level in 0..LEVELS {
-            let occ = self.occupied[level];
-            if occ == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * level as u32;
-            let width = 1u64 << shift;
-            let range = width << SLOT_BITS;
-            let pos = ((self.elapsed >> shift) & SLOT_MASK) as u32;
-            let base = self.elapsed & !(range - 1);
-            let aligned = self.elapsed & (width - 1) == 0;
-            let ahead = if aligned {
-                occ & (u64::MAX << pos)
-            } else {
-                occ & ((u64::MAX << pos) << 1)
-            };
-            let (slot, start) = if ahead != 0 {
-                let s = ahead.trailing_zeros();
-                (s as usize, base + u64::from(s) * width)
-            } else {
-                let s = occ.trailing_zeros();
-                (s as usize, base + range + u64::from(s) * width)
-            };
-            if best.is_none_or(|(_, _, b)| start <= b) {
-                best = Some((level, slot, start));
-            }
-        }
-        best
-    }
-
-    fn refill_from_overflow(&mut self) {
-        let min_tick = self.overflow_min;
-        debug_assert!(min_tick >= self.elapsed && !self.overflow.is_empty());
-        self.elapsed = min_tick;
-        self.overflow_min = u64::MAX;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let tick = self.overflow[i].at.as_ns();
-            if tick - min_tick < WHEEL_SPAN {
-                let entry = self.overflow.swap_remove(i);
-                self.pending -= 1; // insert() re-counts it
-                self.insert(entry);
-            } else {
-                self.overflow_min = self.overflow_min.min(tick);
-                i += 1;
-            }
-        }
-    }
-}
-
-impl<E> Default for ScanEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue.
-///
-/// Kept as the executable specification of the queue contract: the
-/// differential property tests pop interleaved schedules from this and
-/// from [`EventQueue`] and require identical streams, and the perf
-/// benchmarks use it as the baseline the timer wheel is measured against.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<HeapEntry<E>>,
-    seq: u64,
-    now: SimTime,
-    scheduled_total: u64,
-}
-
-#[derive(Debug)]
-struct HeapEntry<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for HeapEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for HeapEntry<E> {}
-
-impl<E> PartialOrd for HeapEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for HeapEntry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first, and
-        // among equal timestamps the lowest sequence number (FIFO).
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Current simulated time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `payload` to fire at absolute time `at` (clamped to `now`).
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        debug_assert!(
-            at >= self.now,
-            "scheduled event in the past: at={at} now={}",
-            self.now
-        );
-        let at = at.max(self.now);
-        self.heap.push(HeapEntry {
-            at,
-            seq: self.seq,
-            payload,
-        });
-        self.seq += 1;
-        self.scheduled_total += 1;
-    }
-
-    /// Schedules `payload` at `now + delay_ns`.
-    pub fn schedule_after_ns(&mut self, delay_ns: u64, payload: E) {
-        let at = self.now + crate::time::SimDuration::from_ns(delay_ns);
-        self.schedule(at, payload);
-    }
-
-    /// Removes and returns the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some((entry.at, entry.payload))
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever scheduled.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Advances the clock without an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is before the current time.
-    pub fn advance_to(&mut self, to: SimTime) {
-        assert!(to >= self.now, "cannot advance clock backwards");
-        self.now = to;
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -911,86 +538,5 @@ mod tests {
         assert_eq!(q.len(), 4);
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(9)));
         assert_eq!(q.popped_total(), 1);
-    }
-
-    #[test]
-    fn scan_reference_matches_batched_wheel_on_dense_pattern() {
-        let mut batched = EventQueue::new();
-        let mut scan = ScanEventQueue::new();
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut tag = 0u64;
-        for round in 0..3_000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(round | 1);
-            // Bursts: several events at one delay to exercise the batch.
-            let delay = state >> 48;
-            let burst = 1 + (state >> 62);
-            for _ in 0..burst {
-                batched.schedule_after_ns(delay, tag);
-                scan.schedule_after_ns(delay, tag);
-                tag += 1;
-            }
-            let b = batched.pop();
-            let s = scan.pop();
-            assert_eq!(b, s);
-            assert_eq!(batched.now(), scan.now());
-            assert_eq!(batched.len(), scan.len());
-            assert_eq!(batched.popped_total(), scan.popped_total());
-        }
-        loop {
-            let b = batched.pop();
-            assert_eq!(b, scan.pop());
-            if b.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn heap_reference_queue_matches_contract() {
-        let mut q = HeapEventQueue::new();
-        q.schedule(SimTime::from_ns(5), "b");
-        q.schedule(SimTime::from_ns(5), "c");
-        q.schedule(SimTime::from_ns(1), "a");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn dense_interleaved_pattern_matches_heap() {
-        // A deterministic torture loop (no RNG needed here; the prop test
-        // in tests/ covers randomized schedules).
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut tag = 0u64;
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for round in 0..2_000u64 {
-            // Three pseudo-random schedules per round, then one pop.
-            for _ in 0..3 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(round | 1);
-                let delay = state >> 45; // 0..2^19 ns
-                wheel.schedule_after_ns(delay, tag);
-                heap.schedule_after_ns(delay, tag);
-                tag += 1;
-            }
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(
-                w.map(|(t, e)| (t.as_ns(), e)),
-                h.map(|(t, e)| (t.as_ns(), e))
-            );
-            assert_eq!(wheel.now(), heap.now());
-        }
-        // Drain fully.
-        loop {
-            let w = wheel.pop();
-            let h = heap.pop();
-            assert_eq!(
-                w.map(|(t, e)| (t.as_ns(), e)),
-                h.map(|(t, e)| (t.as_ns(), e))
-            );
-            if w.is_none() {
-                break;
-            }
-        }
     }
 }

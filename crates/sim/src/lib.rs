@@ -34,7 +34,7 @@ pub mod rng;
 pub mod time;
 
 pub use bandwidth::BandwidthLink;
-pub use event::{EventQueue, HeapEventQueue, ScanEventQueue};
+pub use event::EventQueue;
 pub use hash::{FastHashMap, FxHasher, PageMap};
 pub use queue::BoundedQueue;
 pub use rng::SimRng;

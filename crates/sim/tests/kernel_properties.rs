@@ -1,10 +1,51 @@
 //! Property tests of the simulation kernel primitives.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use astriflash_sim::{
-    BandwidthLink, BoundedQueue, EventQueue, HeapEventQueue, PageMap, ScanEventQueue, SimDuration,
-    SimRng, SimTime,
+    BandwidthLink, BoundedQueue, EventQueue, PageMap, SimDuration, SimRng, SimTime,
 };
 use astriflash_testkit::prop_check;
+
+/// The event-queue contract as a `BinaryHeap`: earliest timestamp first,
+/// insertion order among equal timestamps, and the clock at the last
+/// popped timestamp (or where `advance_to` moved it).
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    seq: u64,
+    now: SimTime,
+}
+
+impl HeapModel {
+    fn new() -> Self {
+        HeapModel {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: SimTime::ZERO,
+        }
+    }
+
+    fn schedule_after_ns(&mut self, delay_ns: u64, payload: u64) {
+        let at = self.now + SimDuration::from_ns(delay_ns);
+        self.heap.push(Reverse((at, self.seq, payload)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let Reverse((at, _, payload)) = self.heap.pop()?;
+        self.now = at;
+        Some((at, payload))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
+    }
+
+    fn advance_to(&mut self, to: SimTime) {
+        self.now = to;
+    }
+}
 
 /// Time arithmetic: (t + d) - t == d and ordering is preserved, for any
 /// values that do not overflow.
@@ -78,15 +119,15 @@ fn rng_bounded_covers() {
 }
 
 /// Differential test: the timer-wheel [`EventQueue`] must deliver the
-/// exact same `(timestamp, payload)` stream as the reference
-/// [`HeapEventQueue`] under randomized interleaved schedules and pops —
+/// exact same `(timestamp, payload)` stream as the [`HeapModel`] under
+/// randomized interleaved schedules and pops —
 /// including bursts of same-timestamp events (FIFO tie-breaks) and
 /// far-future events that land in the wheel's overflow level.
 #[test]
 fn event_queue_matches_heap_reference() {
     prop_check!(cases: 64, |g| {
         let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut heap = HeapModel::new();
         let rounds = g.usize_in(1..400);
         let mut tag = 0u64;
         for _ in 0..rounds {
@@ -109,8 +150,8 @@ fn event_queue_matches_heap_reference() {
             let pops = g.usize_in(0..6);
             for _ in 0..pops {
                 assert_eq!(wheel.pop(), heap.pop(), "pop stream diverged");
-                assert_eq!(wheel.now(), heap.now());
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.now(), heap.now);
+                assert_eq!(wheel.len(), heap.heap.len());
             }
         }
         // Drain both queues completely.
@@ -121,16 +162,15 @@ fn event_queue_matches_heap_reference() {
                 break;
             }
         }
-        assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+        assert_eq!(wheel.scheduled_total(), heap.seq);
     });
 }
 
 /// Differential test of **batched slot dispatch**: the production
 /// [`EventQueue`] (whole-slot drain into a pooled, seq-sorted ready
 /// buffer) must deliver the exact same `(timestamp, payload)` stream as
-/// the retained pre-batching [`ScanEventQueue`] *and* the
-/// [`HeapEventQueue`] specification, under randomized interleaved
-/// push/pop/advance schedules. The delay mix deliberately stresses the
+/// the [`HeapModel`], under randomized interleaved push/pop/advance
+/// schedules. The delay mix deliberately stresses the
 /// batching-specific cases:
 ///
 /// * same-tick ties — bursts of events at one exact timestamp, including
@@ -139,11 +179,10 @@ fn event_queue_matches_heap_reference() {
 /// * far-future rotations — delays beyond the 2^42 ns wheel horizon that
 ///   park in overflow and fold back in mid-drain.
 #[test]
-fn batched_drain_matches_scan_and_heap_references() {
+fn batched_drain_matches_heap_model() {
     prop_check!(cases: 64, |g| {
         let mut batched: EventQueue<u64> = EventQueue::new();
-        let mut scan: ScanEventQueue<u64> = ScanEventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut heap = HeapModel::new();
         let rounds = g.usize_in(1..300);
         let mut tag = 0u64;
         for _ in 0..rounds {
@@ -159,7 +198,6 @@ fn batched_drain_matches_scan_and_heap_references() {
                     let burst = g.usize_in(1..12);
                     for _ in 0..burst {
                         batched.schedule_after_ns(delay, tag);
-                        scan.schedule_after_ns(delay, tag);
                         heap.schedule_after_ns(delay, tag);
                         tag += 1;
                     }
@@ -171,49 +209,43 @@ fn batched_drain_matches_scan_and_heap_references() {
                         let span_bits = g.u32_in(1..44);
                         let delay = g.u64_in(0..1 << span_bits);
                         batched.schedule_after_ns(delay, tag);
-                        scan.schedule_after_ns(delay, tag);
                         heap.schedule_after_ns(delay, tag);
                         tag += 1;
                     }
                 }
-                // Pops, checked in lockstep across all three.
+                // Pops, checked in lockstep.
                 5..=6 => {
                     let pops = g.usize_in(1..10);
                     for _ in 0..pops {
-                        let b = batched.pop();
-                        assert_eq!(b, scan.pop(), "batched vs scan diverged");
-                        assert_eq!(b, heap.pop(), "batched vs heap diverged");
-                        assert_eq!(batched.now(), scan.now());
-                        assert_eq!(batched.now(), heap.now());
-                        assert_eq!(batched.len(), scan.len());
-                        assert_eq!(batched.peek_time(), scan.peek_time());
+                        assert_eq!(batched.pop(), heap.pop(), "batched vs heap diverged");
+                        assert_eq!(batched.now(), heap.now);
+                        assert_eq!(batched.len(), heap.heap.len());
+                        assert_eq!(batched.peek_time(), heap.peek_time());
                     }
                 }
                 // Event-free clock advance (statistics-window close).
                 _ => {
                     // Only legal when it does not step over pending
                     // events' delivery times moving `now` past them is
-                    // fine for the contract, but keep all three in
-                    // lockstep regardless.
+                    // fine for the contract, but keep both in lockstep
+                    // regardless.
                     let d = g.u64_in(0..10_000);
                     let to = batched.now() + SimDuration::from_ns(d);
                     batched.advance_to(to);
-                    scan.advance_to(to);
                     heap.advance_to(to);
                 }
             }
         }
-        // Drain fully; every queue must agree to the end.
+        // Drain fully; both must agree to the end.
         loop {
             let b = batched.pop();
-            assert_eq!(b, scan.pop(), "drain: batched vs scan diverged");
             assert_eq!(b, heap.pop(), "drain: batched vs heap diverged");
             if b.is_none() {
                 break;
             }
         }
-        assert_eq!(batched.scheduled_total(), scan.scheduled_total());
-        assert_eq!(batched.popped_total(), scan.popped_total());
+        assert_eq!(batched.scheduled_total(), heap.seq);
+        assert_eq!(batched.popped_total(), heap.seq);
     });
 }
 

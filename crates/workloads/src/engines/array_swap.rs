@@ -5,7 +5,7 @@ use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, PAGE_SIZE};
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -50,36 +50,6 @@ impl ArraySwap {
 }
 
 impl WorkloadEngine for ArraySwap {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let mut ops = Vec::with_capacity(self.swaps_per_job);
-        for _ in 0..self.swaps_per_job {
-            let i = self.chooser.next(rng);
-            let mut j = self.chooser.next(rng);
-            if j == i {
-                j = (i + 1) % self.chooser.n();
-            }
-            let mut accesses = Vec::with_capacity(2 * self.blocks_per_touch + 2);
-            // Read both elements...
-            touch_record(
-                &mut accesses,
-                self.element_addr(i),
-                self.blocks_per_touch,
-                false,
-            );
-            touch_record(
-                &mut accesses,
-                self.element_addr(j),
-                self.blocks_per_touch,
-                false,
-            );
-            // ...then write them back swapped.
-            accesses.push(MemoryAccess::write(self.element_addr(i)));
-            accesses.push(MemoryAccess::write(self.element_addr(j)));
-            ops.push(Operation::new(self.compute_ns, accesses));
-        }
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         for _ in 0..self.swaps_per_job {
@@ -130,8 +100,9 @@ mod tests {
     fn jobs_have_reads_and_writes() {
         let mut e = engine();
         let mut rng = SimRng::new(2);
-        let job = e.next_job(&mut rng);
-        assert_eq!(job.ops.len(), 6);
+        let mut job = JobBuf::new();
+        e.fill_job(&mut job, &mut rng);
+        assert_eq!(job.ops().len(), 6);
         assert!(job.total_writes() >= 12, "two writes per swap");
         assert!(job.total_accesses() > job.total_writes());
     }
@@ -141,8 +112,9 @@ mod tests {
         let params = WorkloadParams::tiny_for_tests();
         let mut e = ArraySwap::new(&params, 1);
         let mut rng = SimRng::new(3);
+        let mut job = JobBuf::new();
         for _ in 0..50 {
-            let job = e.next_job(&mut rng);
+            e.fill_job(&mut job, &mut rng);
             for a in job.accesses() {
                 assert!(a.addr < params.dataset_bytes);
             }
@@ -153,11 +125,12 @@ mod tests {
     fn swap_never_pairs_element_with_itself() {
         let mut e = engine();
         let mut rng = SimRng::new(4);
+        let mut job = JobBuf::new();
         for _ in 0..100 {
-            let job = e.next_job(&mut rng);
-            for op in &job.ops {
-                let writes: Vec<u64> = op
-                    .accesses
+            e.fill_job(&mut job, &mut rng);
+            for op in job.ops() {
+                let start = op.access_start as usize;
+                let writes: Vec<u64> = job.accesses()[start..start + op.access_len as usize]
                     .iter()
                     .filter(|a| a.is_write)
                     .map(|a| a.addr)

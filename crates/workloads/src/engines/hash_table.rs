@@ -14,7 +14,7 @@ use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, SimAlloc, BLOCK_SIZE, PAGE_SIZE};
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -159,8 +159,7 @@ impl HashTable {
         self.record_base + key * self.record_bytes
     }
 
-    /// Emits the access trace of one lookup into `out` (shared by the
-    /// legacy nested path and the flat `fill_job` path).
+    /// Emits the access trace of one lookup into `out`.
     fn lookup_trace(&self, key: u64, write: bool, out: &mut Vec<MemoryAccess>) {
         let bucket = bucket_of(key, self.num_buckets);
         // Bucket-head slot (64 B block containing the 8 B pointer).
@@ -177,13 +176,6 @@ impl HashTable {
         touch_record(out, self.record_addr(key), 2, write);
     }
 
-    /// Emits the access trace of one lookup and returns the operation.
-    fn lookup_op(&self, key: u64, write: bool) -> Operation {
-        let mut accesses = Vec::with_capacity(8);
-        self.lookup_trace(key, write, &mut accesses);
-        Operation::new(self.compute_ns, accesses)
-    }
-
     /// Mean chain length (for tests and reports).
     pub fn mean_chain_len(&self) -> f64 {
         self.chain.len() as f64 / self.num_buckets as f64
@@ -191,16 +183,6 @@ impl HashTable {
 }
 
 impl WorkloadEngine for HashTable {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let mut ops = Vec::with_capacity(self.lookups_per_job);
-        for _ in 0..self.lookups_per_job {
-            let key = self.chooser.next(rng);
-            let write = rng.gen_bool(self.write_fraction);
-            ops.push(self.lookup_op(key, write));
-        }
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         for _ in 0..self.lookups_per_job {
@@ -229,6 +211,13 @@ mod tests {
         HashTable::new(&WorkloadParams::tiny_for_tests(), 11)
     }
 
+    /// The access trace of one lookup.
+    fn trace(e: &HashTable, key: u64, write: bool) -> Vec<MemoryAccess> {
+        let mut accesses = Vec::new();
+        e.lookup_trace(key, write, &mut accesses);
+        accesses
+    }
+
     /// `key`'s own chain node.
     fn node_of(e: &HashTable, key: u64) -> ChainNode {
         *e.chain(bucket_of(key, e.num_buckets))
@@ -247,12 +236,12 @@ mod tests {
                 c.len() > 1 && u64::from(c[0].key) != k
             })
             .expect("some chain has length > 1");
-        let op = e.lookup_op(key, false);
+        let accesses = trace(&e, key, false);
         // The trace must include the key's own node.
         let own = node_of(&e, key).node_addr;
-        assert!(op.accesses.iter().any(|a| a.addr == own));
+        assert!(accesses.iter().any(|a| a.addr == own));
         // And at least: bucket slot + 2 nodes + 2 record blocks.
-        assert!(op.accesses.len() >= 5);
+        assert!(accesses.len() >= 5);
     }
 
     #[test]
@@ -263,9 +252,7 @@ mod tests {
             .find_map(|b| e.chain(b).first())
             .unwrap()
             .key as u64;
-        let op = e.lookup_op(head_key, false);
-        let node_accesses = op
-            .accesses
+        let node_accesses = trace(&e, head_key, false)
             .iter()
             .filter(|a| e.chain.iter().any(|c| c.node_addr == a.addr))
             .count();
@@ -275,10 +262,9 @@ mod tests {
     #[test]
     fn writes_only_on_update_ops() {
         let e = engine();
-        let read_op = e.lookup_op(3, false);
-        assert_eq!(read_op.accesses.iter().filter(|a| a.is_write).count(), 0);
-        let write_op = e.lookup_op(3, true);
-        assert_eq!(write_op.accesses.iter().filter(|a| a.is_write).count(), 1);
+        let writes = |write| trace(&e, 3, write).iter().filter(|a| a.is_write).count();
+        assert_eq!(writes(false), 0);
+        assert_eq!(writes(true), 1);
     }
 
     #[test]

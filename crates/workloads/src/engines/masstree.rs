@@ -6,7 +6,7 @@ use astriflash_sim::SimRng;
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
 use crate::engines::btree_index::BPlusTree;
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -67,47 +67,6 @@ impl Masstree {
 }
 
 impl WorkloadEngine for Masstree {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let mut ops = Vec::with_capacity(self.ops_per_job);
-        for _ in 0..self.ops_per_job {
-            let key = self.chooser.next(rng) % self.n;
-            let mut accesses = Vec::with_capacity(16);
-            let roll = rng.gen_f64();
-            if roll < 0.10 {
-                // Short range scan: 4–12 records.
-                let count = 4 + rng.gen_range(9) as usize;
-                let records = self.tree.scan_trace(key, count, &mut accesses);
-                for rec in records {
-                    touch_record(&mut accesses, rec, 1, false);
-                }
-            } else if roll > 0.97 {
-                // Index churn: remove + reinsert, exercising leaf
-                // borrow/merge and splits. Stores hit the touched leaf.
-                let record = self
-                    .tree
-                    .lookup_trace(key, &mut accesses)
-                    .expect("all keys inserted");
-                self.tree.remove(key);
-                let node_alloc = &mut self.node_alloc;
-                self.tree
-                    .insert(key, record, &mut |_| node_alloc.alloc(NODE_BYTES));
-                if let Some(leaf) = accesses.last().map(|a| a.addr) {
-                    accesses.push(MemoryAccess::write(leaf));
-                }
-                accesses.push(MemoryAccess::write(record));
-            } else {
-                let write = roll > 0.95;
-                let record = self
-                    .tree
-                    .lookup_trace(key, &mut accesses)
-                    .expect("all keys inserted");
-                touch_record(&mut accesses, record, 2, write);
-            }
-            ops.push(Operation::new(self.compute_ns, accesses));
-        }
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         for _ in 0..self.ops_per_job {
@@ -124,6 +83,8 @@ impl WorkloadEngine for Masstree {
                     touch_record(buf.accesses_mut(), self.scan_records[i], 1, false);
                 }
             } else if roll > 0.97 {
+                // Index churn: remove + reinsert, exercising leaf
+                // borrow/merge and splits. Stores hit the touched leaf.
                 let record = self
                     .tree
                     .lookup_trace(key, buf.accesses_mut())
@@ -176,11 +137,12 @@ mod tests {
         let mut rng = SimRng::new(23);
         let mut scan_seen = false;
         let mut point_seen = false;
+        let mut job = JobBuf::new();
         for _ in 0..50 {
-            let job = e.next_job(&mut rng);
-            for op in &job.ops {
+            e.fill_job(&mut job, &mut rng);
+            for op in job.ops() {
                 // Scans touch many more blocks than the tree height + 2.
-                if op.accesses.len() > e.tree.height() + 8 {
+                if op.access_len as usize > e.tree.height() + 8 {
                     scan_seen = true;
                 } else {
                     point_seen = true;
@@ -195,7 +157,13 @@ mod tests {
     fn some_jobs_write() {
         let mut e = Masstree::new(&WorkloadParams::tiny_for_tests(), 24);
         let mut rng = SimRng::new(25);
-        let writes: usize = (0..100).map(|_| e.next_job(&mut rng).total_writes()).sum();
+        let mut job = JobBuf::new();
+        let writes: usize = (0..100)
+            .map(|_| {
+                e.fill_job(&mut job, &mut rng);
+                job.total_writes()
+            })
+            .sum();
         assert!(writes > 0, "expected occasional updates");
     }
 }

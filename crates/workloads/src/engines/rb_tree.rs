@@ -13,7 +13,7 @@ use astriflash_sim::SimRng;
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
 use crate::engines::cow::CowVec;
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -695,46 +695,15 @@ impl RbTree {
 }
 
 impl WorkloadEngine for RbTree {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let mut ops = Vec::with_capacity(self.lookups_per_job);
-        for _ in 0..self.lookups_per_job {
-            let key = self.chooser.next(rng) % self.n;
-            let mut accesses = Vec::with_capacity(32);
-            if rng.gen_bool(self.churn_fraction) {
-                // Index churn: delete the key and reinsert it. The tree
-                // genuinely rebalances; the trace is the descent (reads)
-                // plus stores to the rewritten path tail and the record.
-                let record = self
-                    .arena
-                    .lookup_trace(key, &mut accesses)
-                    .expect("all keys resident");
-                self.arena.delete(key);
-                self.arena.insert(key);
-                let rewritten: Vec<u64> =
-                    accesses.iter().rev().take(3).map(|a| a.addr).collect();
-                for addr in rewritten {
-                    accesses.push(MemoryAccess::write(addr));
-                }
-                accesses.push(MemoryAccess::write(record));
-            } else {
-                let write = rng.gen_bool(self.write_fraction);
-                let record = self
-                    .arena
-                    .lookup_trace(key, &mut accesses)
-                    .expect("all keys were inserted");
-                touch_record(&mut accesses, record, 2, write);
-            }
-            ops.push(Operation::new(self.compute_ns, accesses));
-        }
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         for _ in 0..self.lookups_per_job {
             let key = self.chooser.next(rng) % self.n;
             let start = buf.mark();
             if rng.gen_bool(self.churn_fraction) {
+                // Index churn: delete the key and reinsert it. The tree
+                // genuinely rebalances; the trace is the descent (reads)
+                // plus stores to the rewritten path tail and the record.
                 let record = self
                     .arena
                     .lookup_trace(key, buf.accesses_mut())
@@ -925,10 +894,11 @@ mod tests {
         let mut e = RbTree::new(&WorkloadParams::tiny_for_tests(), 13);
         e.arena().validate();
         let mut rng = SimRng::new(14);
-        let job = e.next_job(&mut rng);
+        let mut job = JobBuf::new();
+        e.fill_job(&mut job, &mut rng);
         // Each lookup should touch at least a few nodes (tree of ~28k keys
         // has height ~15+) plus the record.
-        let per_op = job.total_accesses() / job.ops.len();
+        let per_op = job.total_accesses() / job.ops().len();
         assert!(per_op >= 8, "only {per_op} accesses per lookup");
     }
 

@@ -10,7 +10,7 @@ use astriflash_sim::SimRng;
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
 use crate::engines::btree_index::BPlusTree;
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -61,48 +61,6 @@ impl Silo {
 }
 
 impl WorkloadEngine for Silo {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let read_set = 2 + rng.gen_range(5) as usize; // 2..=6 reads
-        let write_set = rng.gen_range(3) as usize; // 0..=2 writes
-        let mut ops = Vec::with_capacity(read_set + write_set + 1);
-        let mut written_records = Vec::with_capacity(write_set);
-
-        for _ in 0..read_set {
-            let key = self.chooser.next(rng) % self.n;
-            let mut accesses = Vec::with_capacity(8);
-            let record = self
-                .tree
-                .lookup_trace(key, &mut accesses)
-                .expect("all keys inserted");
-            touch_record(&mut accesses, record, 2, false);
-            ops.push(Operation::new(self.compute_ns, accesses));
-        }
-        for _ in 0..write_set {
-            let key = self.chooser.next(rng) % self.n;
-            let mut accesses = Vec::with_capacity(8);
-            let record = self
-                .tree
-                .lookup_trace(key, &mut accesses)
-                .expect("all keys inserted");
-            // Buffered write: read the record now, install at commit.
-            touch_record(&mut accesses, record, 2, false);
-            written_records.push(record);
-            ops.push(Operation::new(self.compute_ns, accesses));
-        }
-
-        // Commit: validate the read set (compute), then install writes —
-        // one version-word store per written record (Silo's TID write).
-        let mut commit = Vec::with_capacity(write_set);
-        for record in written_records {
-            commit.push(MemoryAccess::write(record));
-        }
-        ops.push(Operation::new(
-            self.compute_ns * (1 + read_set as u64 / 2),
-            commit,
-        ));
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         let read_set = 2 + rng.gen_range(5) as usize; // 2..=6 reads
@@ -132,7 +90,8 @@ impl WorkloadEngine for Silo {
             buf.finish_op(self.compute_ns, start);
         }
 
-        // Commit: validate the read set (compute), then install writes.
+        // Commit: validate the read set (compute), then install writes —
+        // one version-word store per written record (Silo's TID write).
         let start = buf.mark();
         for &record in &written_records[..write_set] {
             buf.push(MemoryAccess::write(record));
@@ -163,11 +122,12 @@ mod tests {
     fn txns_have_read_and_commit_phases() {
         let mut e = Silo::new(&WorkloadParams::tiny_for_tests(), 52);
         let mut rng = SimRng::new(53);
-        let job = e.next_job(&mut rng);
+        let mut job = JobBuf::new();
+        e.fill_job(&mut job, &mut rng);
         // At least 2 reads + commit op.
-        assert!(job.ops.len() >= 3);
+        assert!(job.ops().len() >= 3);
         // Commit op is last and has the validation compute.
-        let commit = job.ops.last().unwrap();
+        let commit = job.ops().last().unwrap();
         assert!(commit.compute_ns >= e.compute_ns);
     }
 
@@ -175,15 +135,17 @@ mod tests {
     fn writes_only_at_commit() {
         let mut e = Silo::new(&WorkloadParams::tiny_for_tests(), 54);
         let mut rng = SimRng::new(55);
+        let mut job = JobBuf::new();
         for _ in 0..50 {
-            let job = e.next_job(&mut rng);
-            let (body, commit) = job.ops.split_at(job.ops.len() - 1);
+            e.fill_job(&mut job, &mut rng);
+            let commit = job.ops().last().unwrap().access_start as usize;
+            let (body, commit) = job.accesses().split_at(commit);
             assert!(
-                body.iter().all(|o| o.accesses.iter().all(|a| !a.is_write)),
+                body.iter().all(|a| !a.is_write),
                 "writes must be buffered until commit"
             );
             // Commit writes equal the write set size (possibly 0).
-            assert!(commit[0].accesses.iter().all(|a| a.is_write));
+            assert!(commit.iter().all(|a| a.is_write));
         }
     }
 
@@ -192,8 +154,8 @@ mod tests {
         let mut e = Silo::new(&WorkloadParams::tiny_for_tests(), 56);
         let height = e.tree().height();
         let mut rng = SimRng::new(57);
-        let job = e.next_job(&mut rng);
-        let first_read = &job.ops[0];
-        assert!(first_read.accesses.len() >= height + 2);
+        let mut job = JobBuf::new();
+        e.fill_job(&mut job, &mut rng);
+        assert!(job.op(0).access_len as usize >= height + 2);
     }
 }

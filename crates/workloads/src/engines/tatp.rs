@@ -11,7 +11,7 @@ use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -141,8 +141,7 @@ impl Tatp {
         self.call_forwarding_base + ((s_id * SF_PER_SUB + sf) * CF_PER_SF + cf) * self.row_bytes
     }
 
-    /// Emits one transaction's access trace into `out` (shared by the
-    /// legacy nested path and the flat `fill_job` path).
+    /// Emits one transaction's access trace into `out`.
     fn txn_trace(&self, txn: TatpTxn, s_id: u64, rng: &mut SimRng, out: &mut Vec<MemoryAccess>) {
         match txn {
             TatpTxn::GetSubscriberData => {
@@ -182,31 +181,15 @@ impl Tatp {
             }
         }
     }
-
-    /// Builds the access trace of one transaction.
-    pub fn txn_ops(&self, txn: TatpTxn, s_id: u64, rng: &mut SimRng) -> Vec<Operation> {
-        let mut ops = Vec::with_capacity(3);
-        let mut accesses = Vec::with_capacity(12);
-        self.txn_trace(txn, s_id, rng, &mut accesses);
-        // TATP transactions are short: parse/plan compute, the accesses,
-        // then commit compute.
-        ops.push(Operation::new(self.compute_ns * 2, accesses));
-        ops.push(Operation::compute(self.compute_ns));
-        ops
-    }
 }
 
 impl WorkloadEngine for Tatp {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let s_id = self.chooser.next(rng);
-        let txn = TatpTxn::sample(rng);
-        JobSpec::new(self.txn_ops(txn, s_id, rng))
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         let s_id = self.chooser.next(rng);
         let txn = TatpTxn::sample(rng);
+        // TATP transactions are short: parse/plan compute, the accesses,
+        // then commit compute.
         let start = buf.mark();
         self.txn_trace(txn, s_id, rng, buf.accesses_mut());
         buf.finish_op(self.compute_ns * 2, start);
@@ -261,10 +244,10 @@ mod tests {
                 TatpTxn::InsertCallForwarding,
                 TatpTxn::DeleteCallForwarding,
             ] {
-                for op in e.txn_ops(txn, s, &mut rng) {
-                    for a in &op.accesses {
-                        assert!(a.addr < params.dataset_bytes, "{txn:?} out of range");
-                    }
+                let mut trace = Vec::new();
+                e.txn_trace(txn, s, &mut rng, &mut trace);
+                for a in &trace {
+                    assert!(a.addr < params.dataset_bytes, "{txn:?} out of range");
                 }
             }
         }
@@ -274,10 +257,12 @@ mod tests {
     fn writes_match_txn_type() {
         let e = engine();
         let mut rng = SimRng::new(34);
-        let ops = e.txn_ops(TatpTxn::GetSubscriberData, 5, &mut rng);
-        assert!(ops.iter().all(|o| o.accesses.iter().all(|a| !a.is_write)));
-        let ops = e.txn_ops(TatpTxn::UpdateLocation, 5, &mut rng);
-        assert!(ops.iter().any(|o| o.accesses.iter().any(|a| a.is_write)));
+        let mut trace = Vec::new();
+        e.txn_trace(TatpTxn::GetSubscriberData, 5, &mut rng, &mut trace);
+        assert!(trace.iter().all(|a| !a.is_write));
+        trace.clear();
+        e.txn_trace(TatpTxn::UpdateLocation, 5, &mut rng, &mut trace);
+        assert!(trace.iter().any(|a| a.is_write));
     }
 
     #[test]
@@ -295,8 +280,9 @@ mod tests {
     fn jobs_are_short() {
         let mut e = engine();
         let mut rng = SimRng::new(35);
+        let mut job = JobBuf::new();
         for _ in 0..100 {
-            let job = e.next_job(&mut rng);
+            e.fill_job(&mut job, &mut rng);
             assert!(job.total_accesses() <= 16, "TATP txns are small");
         }
     }

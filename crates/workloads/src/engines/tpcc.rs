@@ -7,7 +7,7 @@ use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
 use crate::engines::touch_record;
-use crate::job::{JobBuf, JobSpec, MemoryAccess, Operation, WorkloadEngine};
+use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
 use crate::popularity::KeyChooser;
 
@@ -181,95 +181,7 @@ impl Tpcc {
         (w, d, global_c)
     }
 
-    fn new_order(&mut self, rng: &mut SimRng) -> Vec<Operation> {
-        let (w, d, c) = self.pick_customer(rng);
-        let mut ops = Vec::with_capacity(4);
-
-        let mut head = Vec::with_capacity(6);
-        head.push(MemoryAccess::read(self.warehouse_addr(w)));
-        touch_record(&mut head, self.district_addr(w, d), 1, true); // next_o_id++
-        touch_record(&mut head, self.customer_addr(c), 2, false);
-        ops.push(Operation::new(self.compute_ns * 3, head));
-
-        let ol_cnt = 5 + rng.gen_range(11); // 5..=15 items
-        for _ in 0..ol_cnt {
-            let i = self.item_chooser.next(rng);
-            let mut line = Vec::with_capacity(4);
-            line.push(MemoryAccess::read(self.item_addr(i)));
-            touch_record(&mut line, self.stock_addr(w, i), 1, true); // qty--
-            line.push(MemoryAccess::write(self.append_order_line()));
-            ops.push(Operation::new(self.compute_ns * 2, line));
-        }
-        ops.push(Operation::compute(self.compute_ns * 2)); // commit
-        ops
-    }
-
-    fn payment(&mut self, rng: &mut SimRng) -> Vec<Operation> {
-        let (w, d, c) = self.pick_customer(rng);
-        let mut accesses = Vec::with_capacity(8);
-        touch_record(&mut accesses, self.warehouse_addr(w), 1, true); // ytd
-        touch_record(&mut accesses, self.district_addr(w, d), 1, true);
-        touch_record(&mut accesses, self.customer_addr(c), 2, true); // balance
-        accesses.push(MemoryAccess::write(self.append_order_line())); // history
-        vec![
-            Operation::new(self.compute_ns * 3, accesses),
-            Operation::compute(self.compute_ns * 2),
-        ]
-    }
-
-    fn order_status(&mut self, rng: &mut SimRng) -> Vec<Operation> {
-        let (_, _, c) = self.pick_customer(rng);
-        let mut accesses = Vec::with_capacity(12);
-        touch_record(&mut accesses, self.customer_addr(c), 2, false);
-        // Read the customer's most recent order lines (a recent window of
-        // the circular log).
-        let recent = rng.gen_range(self.num_order_lines.min(1024)).min(self.next_order_line);
-        let start = self.next_order_line - recent;
-        for i in 0..8 {
-            let slot = (start + i) % self.num_order_lines;
-            accesses.push(MemoryAccess::read(
-                self.order_line_base + slot * ORDER_LINE_BYTES,
-            ));
-        }
-        vec![Operation::new(self.compute_ns * 2, accesses)]
-    }
-
-    fn delivery(&mut self, rng: &mut SimRng) -> Vec<Operation> {
-        let w = rng.gen_range(self.num_warehouses);
-        let mut ops = Vec::with_capacity(DISTRICTS_PER_WH as usize);
-        for d in 0..DISTRICTS_PER_WH {
-            let mut accesses = Vec::with_capacity(4);
-            touch_record(&mut accesses, self.district_addr(w, d), 1, false);
-            // Deliver the oldest order: write the order line + the
-            // customer's balance.
-            accesses.push(MemoryAccess::write(self.append_order_line()));
-            let c = w * DISTRICTS_PER_WH * self.customers_per_district
-                + d * self.customers_per_district
-                + rng.gen_range(self.customers_per_district);
-            touch_record(&mut accesses, self.customer_addr(c), 1, true);
-            ops.push(Operation::new(self.compute_ns * 2, accesses));
-        }
-        ops
-    }
-
-    fn stock_level(&mut self, rng: &mut SimRng) -> Vec<Operation> {
-        let w = rng.gen_range(self.num_warehouses);
-        let d = rng.gen_range(DISTRICTS_PER_WH);
-        let mut accesses = Vec::with_capacity(24);
-        touch_record(&mut accesses, self.district_addr(w, d), 1, false);
-        for _ in 0..20 {
-            let i = self.item_chooser.next(rng);
-            accesses.push(MemoryAccess::read(self.stock_addr(w, i)));
-        }
-        vec![Operation::new(self.compute_ns * 3, accesses)]
-    }
-
-    // Flat twins of the transaction builders. Each must draw from `rng`
-    // and advance the order-line log in the identical sequence as its
-    // nested counterpart above; the differential suite in
-    // crates/workloads/tests/flat_job_differential.rs enforces this.
-
-    fn new_order_flat(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
+    fn new_order(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
         let (w, d, c) = self.pick_customer(rng);
 
         let start = buf.mark();
@@ -291,7 +203,7 @@ impl Tpcc {
         buf.push_compute(self.compute_ns * 2); // commit
     }
 
-    fn payment_flat(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
+    fn payment(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
         let (w, d, c) = self.pick_customer(rng);
         let start = buf.mark();
         touch_record(buf.accesses_mut(), self.warehouse_addr(w), 1, true); // ytd
@@ -303,10 +215,12 @@ impl Tpcc {
         buf.push_compute(self.compute_ns * 2);
     }
 
-    fn order_status_flat(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
+    fn order_status(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
         let (_, _, c) = self.pick_customer(rng);
         let start = buf.mark();
         touch_record(buf.accesses_mut(), self.customer_addr(c), 2, false);
+        // Read the customer's most recent order lines (a recent window of
+        // the circular log).
         let recent = rng.gen_range(self.num_order_lines.min(1024)).min(self.next_order_line);
         let first = self.next_order_line - recent;
         for i in 0..8 {
@@ -318,11 +232,13 @@ impl Tpcc {
         buf.finish_op(self.compute_ns * 2, start);
     }
 
-    fn delivery_flat(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
+    fn delivery(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
         let w = rng.gen_range(self.num_warehouses);
         for d in 0..DISTRICTS_PER_WH {
             let start = buf.mark();
             touch_record(buf.accesses_mut(), self.district_addr(w, d), 1, false);
+            // Deliver the oldest order: write the order line + the
+            // customer's balance.
             let line = self.append_order_line();
             buf.push(MemoryAccess::write(line));
             let c = w * DISTRICTS_PER_WH * self.customers_per_district
@@ -333,7 +249,7 @@ impl Tpcc {
         }
     }
 
-    fn stock_level_flat(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
+    fn stock_level(&mut self, rng: &mut SimRng, buf: &mut JobBuf) {
         let w = rng.gen_range(self.num_warehouses);
         let d = rng.gen_range(DISTRICTS_PER_WH);
         let start = buf.mark();
@@ -347,32 +263,18 @@ impl Tpcc {
 }
 
 impl WorkloadEngine for Tpcc {
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        if !self.full_mix {
-            return JobSpec::new(self.new_order(rng));
-        }
-        let ops = match TpccTxn::sample(rng) {
-            TpccTxn::NewOrder => self.new_order(rng),
-            TpccTxn::Payment => self.payment(rng),
-            TpccTxn::OrderStatus => self.order_status(rng),
-            TpccTxn::Delivery => self.delivery(rng),
-            TpccTxn::StockLevel => self.stock_level(rng),
-        };
-        JobSpec::new(ops)
-    }
-
     fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
         buf.clear();
         if !self.full_mix {
-            self.new_order_flat(rng, buf);
+            self.new_order(rng, buf);
             return;
         }
         match TpccTxn::sample(rng) {
-            TpccTxn::NewOrder => self.new_order_flat(rng, buf),
-            TpccTxn::Payment => self.payment_flat(rng, buf),
-            TpccTxn::OrderStatus => self.order_status_flat(rng, buf),
-            TpccTxn::Delivery => self.delivery_flat(rng, buf),
-            TpccTxn::StockLevel => self.stock_level_flat(rng, buf),
+            TpccTxn::NewOrder => self.new_order(rng, buf),
+            TpccTxn::Payment => self.payment(rng, buf),
+            TpccTxn::OrderStatus => self.order_status(rng, buf),
+            TpccTxn::Delivery => self.delivery(rng, buf),
+            TpccTxn::StockLevel => self.stock_level(rng, buf),
         }
     }
 
@@ -410,16 +312,13 @@ mod tests {
     fn new_order_touches_items_and_stock() {
         let mut e = engine();
         let mut rng = SimRng::new(42);
-        let ops = e.new_order(&mut rng);
+        let mut job = JobBuf::new();
+        e.new_order(&mut rng, &mut job);
         // head + 5..15 lines + commit.
-        assert!(ops.len() >= 7 && ops.len() <= 17, "got {}", ops.len());
-        let writes: usize = ops
-            .iter()
-            .flat_map(|o| &o.accesses)
-            .filter(|a| a.is_write)
-            .count();
+        let ops = job.ops().len();
+        assert!((7..=17).contains(&ops), "got {ops}");
         // district + per-line (stock + order line).
-        assert!(writes > 2 * 5);
+        assert!(job.total_writes() > 2 * 5);
     }
 
     #[test]
@@ -437,8 +336,9 @@ mod tests {
     fn all_txn_types_stay_in_bounds() {
         let mut e = engine();
         let mut rng = SimRng::new(43);
+        let mut job = JobBuf::new();
         for _ in 0..300 {
-            let job = e.next_job(&mut rng);
+            e.fill_job(&mut job, &mut rng);
             for a in job.accesses() {
                 assert!(a.addr < 64 << 20, "access out of dataset: {:#x}", a.addr);
             }
@@ -449,7 +349,13 @@ mod tests {
     fn tpcc_is_compute_heavy() {
         let mut e = engine();
         let mut rng = SimRng::new(44);
-        let total: u64 = (0..100).map(|_| e.next_job(&mut rng).total_compute_ns()).sum();
+        let mut job = JobBuf::new();
+        let total: u64 = (0..100)
+            .map(|_| {
+                e.fill_job(&mut job, &mut rng);
+                job.total_compute_ns()
+            })
+            .sum();
         let mean = total / 100;
         // Heavier than the base per-op compute by construction.
         assert!(mean > 500, "mean compute {mean}ns");

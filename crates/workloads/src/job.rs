@@ -1,9 +1,9 @@
 //! Job and operation model shared by all workload engines.
 //!
 //! A *job* is one client request (one TATP transaction, one hash lookup,
-//! …). It decomposes into [`Operation`]s, each contributing compute time
-//! and a handful of block-granular memory accesses. The core model
-//! executes operations in order; the memory hierarchy decides which
+//! …). It decomposes into operations ([`FlatOp`]s), each contributing
+//! compute time and a handful of block-granular memory accesses. The core
+//! model executes operations in order; the memory hierarchy decides which
 //! accesses stall the core or trigger thread switches.
 
 use crate::address_space::{BLOCK_SIZE, PAGE_SIZE};
@@ -51,78 +51,12 @@ impl MemoryAccess {
     }
 }
 
-/// A unit of work: compute time followed by memory references.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Operation {
-    /// Pure compute preceding the accesses, in nanoseconds. Includes the
-    /// cost of core-private cache hits not modeled individually.
-    pub compute_ns: u64,
-    /// Memory references issued by this operation, in program order.
-    pub accesses: Vec<MemoryAccess>,
-}
-
-impl Operation {
-    /// An operation with compute time only.
-    pub fn compute(ns: u64) -> Self {
-        Operation {
-            compute_ns: ns,
-            accesses: Vec::new(),
-        }
-    }
-
-    /// An operation with compute time and accesses.
-    pub fn new(compute_ns: u64, accesses: Vec<MemoryAccess>) -> Self {
-        Operation {
-            compute_ns,
-            accesses,
-        }
-    }
-}
-
-/// A complete job: an ordered list of operations.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JobSpec {
-    /// Operations in program order.
-    pub ops: Vec<Operation>,
-}
-
-impl JobSpec {
-    /// Creates a job from operations.
-    pub fn new(ops: Vec<Operation>) -> Self {
-        JobSpec { ops }
-    }
-
-    /// Total compute time across operations.
-    pub fn total_compute_ns(&self) -> u64 {
-        self.ops.iter().map(|o| o.compute_ns).sum()
-    }
-
-    /// Total number of memory accesses.
-    pub fn total_accesses(&self) -> usize {
-        self.ops.iter().map(|o| o.accesses.len()).sum()
-    }
-
-    /// Number of write accesses.
-    pub fn total_writes(&self) -> usize {
-        self.ops
-            .iter()
-            .flat_map(|o| &o.accesses)
-            .filter(|a| a.is_write)
-            .count()
-    }
-
-    /// Iterates all accesses in program order.
-    pub fn accesses(&self) -> impl Iterator<Item = &MemoryAccess> {
-        self.ops.iter().flat_map(|o| o.accesses.iter())
-    }
-}
-
 /// One operation in flat encoding: compute time plus a span into the
 /// job's contiguous access slab (DESIGN.md §14).
 ///
 /// 16 bytes; a job's ops sit contiguously in [`JobBuf::ops`], so the
-/// run loop's op fetch is one indexed load instead of a `Vec<Operation>`
-/// pointer chase into per-op `Vec<MemoryAccess>` heads.
+/// run loop's op fetch is one indexed load, not a pointer chase into
+/// per-op `Vec<MemoryAccess>` heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlatOp {
     /// Pure compute preceding the accesses, in nanoseconds.
@@ -243,35 +177,6 @@ impl JobBuf {
     pub fn total_writes(&self) -> usize {
         self.accesses.iter().filter(|a| a.is_write).count()
     }
-
-    /// Flattens a nested `JobSpec` into this buffer (overwrites it).
-    /// Used by the default [`WorkloadEngine::fill_job`] and by tests.
-    pub fn load_spec(&mut self, spec: &JobSpec) {
-        self.clear();
-        for op in &spec.ops {
-            let start = self.mark();
-            self.accesses.extend_from_slice(&op.accesses);
-            self.finish_op(op.compute_ns, start);
-        }
-    }
-
-    /// Expands back to the nested representation. Test-path only — the
-    /// differential suites compare `decode()` against the retained
-    /// legacy `next_job` output.
-    pub fn decode(&self) -> JobSpec {
-        JobSpec {
-            ops: self
-                .ops
-                .iter()
-                .map(|o| Operation {
-                    compute_ns: o.compute_ns,
-                    accesses: self.accesses
-                        [o.access_start as usize..(o.access_start + o.access_len) as usize]
-                        .to_vec(),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// A per-core pool of [`JobBuf`] slots with a free-list.
@@ -353,26 +258,12 @@ impl JobArena {
 /// A source of jobs: one per workload.
 ///
 /// Engines are deterministic given the construction seed and the `SimRng`
-/// passed to [`WorkloadEngine::next_job`].
+/// passed to [`WorkloadEngine::fill_job`].
 pub trait WorkloadEngine: Send {
-    /// Generates the next job.
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec;
-
-    /// Generates the next job directly into a recycled flat buffer
-    /// (overwriting it) — the allocation-free twin of
-    /// [`WorkloadEngine::next_job`].
-    ///
-    /// Contract: for engines in the same state, `fill_job` must draw
-    /// from `rng` in the identical sequence as `next_job` and produce a
-    /// buffer that [`JobBuf::decode`]s to the identical `JobSpec`; the
-    /// differential suites in `crates/workloads/tests` enforce this per
-    /// engine. The default implementation flattens `next_job` (correct
-    /// but allocating); hot engines override it to write the slab
-    /// directly.
-    fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
-        let spec = self.next_job(rng);
-        buf.load_spec(&spec);
-    }
+    /// Generates the next job into a recycled flat buffer, overwriting
+    /// it. `crates/workloads/tests/flat_job_differential.rs` pins every
+    /// engine's job stream by digest.
+    fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng);
 
     /// Short workload name (used in reports).
     fn name(&self) -> &'static str;
@@ -389,43 +280,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn job_spec_aggregates() {
-        let job = JobSpec::new(vec![
-            Operation::new(100, vec![MemoryAccess::read(0), MemoryAccess::write(64)]),
-            Operation::compute(50),
-            Operation::new(25, vec![MemoryAccess::write(128)]),
-        ]);
-        assert_eq!(job.total_compute_ns(), 175);
-        assert_eq!(job.total_accesses(), 3);
-        assert_eq!(job.total_writes(), 2);
-        let addrs: Vec<u64> = job.accesses().map(|a| a.addr).collect();
-        assert_eq!(addrs, vec![0, 64, 128]);
-    }
-
-    #[test]
     fn access_constructors() {
         assert!(!MemoryAccess::read(5).is_write);
         assert!(MemoryAccess::write(5).is_write);
-    }
-
-    #[test]
-    fn job_buf_round_trips_a_spec() {
-        let spec = JobSpec::new(vec![
-            Operation::new(100, vec![MemoryAccess::read(0), MemoryAccess::write(64)]),
-            Operation::compute(50),
-            Operation::new(25, vec![MemoryAccess::write(128)]),
-        ]);
-        let mut buf = JobBuf::new();
-        buf.load_spec(&spec);
-        assert_eq!(buf.op_count(), 3);
-        assert_eq!(buf.total_compute_ns(), spec.total_compute_ns());
-        assert_eq!(buf.total_accesses(), spec.total_accesses());
-        assert_eq!(buf.total_writes(), spec.total_writes());
-        assert_eq!(buf.decode(), spec);
-        // Refill overwrites: the previous contents must not leak through.
-        let other = JobSpec::new(vec![Operation::new(7, vec![MemoryAccess::read(4096)])]);
-        buf.load_spec(&other);
-        assert_eq!(buf.decode(), other);
     }
 
     #[test]
@@ -468,26 +325,6 @@ mod tests {
         arena.release(c);
         arena.release(d);
         assert_eq!(arena.free_len(), 3);
-    }
-
-    #[test]
-    fn default_fill_job_matches_next_job() {
-        struct Fixed;
-        impl WorkloadEngine for Fixed {
-            fn next_job(&mut self, _rng: &mut SimRng) -> JobSpec {
-                JobSpec::new(vec![
-                    Operation::new(10, vec![MemoryAccess::read(64), MemoryAccess::write(4096)]),
-                    Operation::compute(5),
-                ])
-            }
-            fn name(&self) -> &'static str {
-                "fixed"
-            }
-        }
-        let mut rng = SimRng::new(1);
-        let mut buf = JobBuf::new();
-        Fixed.fill_job(&mut buf, &mut rng);
-        assert_eq!(buf.decode(), Fixed.next_job(&mut rng));
     }
 
     #[test]

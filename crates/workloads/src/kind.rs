@@ -160,18 +160,20 @@ impl std::fmt::Display for WorkloadKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobBuf;
     use astriflash_sim::SimRng;
 
     #[test]
     fn all_engines_build_and_generate() {
         let params = WorkloadParams::tiny_for_tests();
         let mut rng = SimRng::new(1);
+        let mut job = JobBuf::new();
         for kind in WorkloadKind::all() {
             let mut engine = kind.build(&params, 7);
             assert_eq!(engine.name(), kind.name());
             for _ in 0..10 {
-                let job = engine.next_job(&mut rng);
-                assert!(!job.ops.is_empty(), "{kind} produced empty job");
+                engine.fill_job(&mut job, &mut rng);
+                assert!(!job.is_empty(), "{kind} produced empty job");
                 assert!(job.total_accesses() > 0, "{kind} produced no accesses");
             }
             assert!(engine.threads_per_core_hint() >= 32);
@@ -204,8 +206,11 @@ mod tests {
             let mut e2 = kind.build(&params, 3);
             let mut r1 = SimRng::new(5);
             let mut r2 = SimRng::new(5);
+            let (mut j1, mut j2) = (JobBuf::new(), JobBuf::new());
             for _ in 0..5 {
-                assert_eq!(e1.next_job(&mut r1), e2.next_job(&mut r2), "{kind}");
+                e1.fill_job(&mut j1, &mut r1);
+                e2.fill_job(&mut j2, &mut r2);
+                assert_eq!(j1, j2, "{kind}");
             }
         }
     }

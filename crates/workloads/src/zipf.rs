@@ -273,7 +273,7 @@ impl ZipfGenerator {
 
     /// The exact inverse CDF: maps a uniform draw `u ∈ [0, 1)` to its
     /// rank. This is the reference the table fast path must agree with;
-    /// public for boundary regression tests and the perf harness.
+    /// public for boundary regression tests.
     pub fn rank_for(&self, u: f64) -> u64 {
         let uz = u * self.zetan;
         if uz < 1.0 {

@@ -16,9 +16,7 @@ use astriflash_workloads::address_space::{AddressSpace, SimAlloc, BLOCK_SIZE, PA
 use astriflash_workloads::engines::btree_index::BPlusTree;
 use astriflash_workloads::engines::rb_tree::{RbArena, RbLayout};
 use astriflash_workloads::engines::{HashTable, Masstree, RbTree, Silo};
-use astriflash_workloads::{
-    JobBuf, JobSpec, KeyChooser, MemoryAccess, Operation, WorkloadEngine, WorkloadParams,
-};
+use astriflash_workloads::{JobBuf, KeyChooser, MemoryAccess, WorkloadEngine, WorkloadParams};
 
 /// The insertion-ordered red-black tree the key-indexed `RbArena`
 /// replaced: 40 B nodes carrying their key and both addresses, slots
@@ -901,29 +899,29 @@ impl OldHashTable {
         }
     }
 
-    fn next_job(&mut self, rng: &mut SimRng) -> JobSpec {
-        let mut ops = Vec::new();
+    fn fill_job(&mut self, buf: &mut JobBuf, rng: &mut SimRng) {
+        buf.clear();
         for _ in 0..8 {
             let key = self.chooser.next(rng);
             let write = rng.gen_bool(0.10);
             let (bucket, _, record) = self.key_info[key as usize];
             let slot_addr = self.bucket_array_base + bucket as u64 * 8;
-            let mut accesses = vec![MemoryAccess::read(slot_addr / BLOCK_SIZE * BLOCK_SIZE)];
+            let start = buf.mark();
+            buf.push(MemoryAccess::read(slot_addr / BLOCK_SIZE * BLOCK_SIZE));
             for &k in &self.chains[bucket as usize] {
-                accesses.push(MemoryAccess::read(self.key_info[k as usize].1));
+                buf.push(MemoryAccess::read(self.key_info[k as usize].1));
                 if k as u64 == key {
                     break;
                 }
             }
-            accesses.push(if write {
+            buf.push(if write {
                 MemoryAccess::write(record)
             } else {
                 MemoryAccess::read(record)
             });
-            accesses.push(MemoryAccess::read(record + BLOCK_SIZE));
-            ops.push(Operation::new(self.compute_ns, accesses));
+            buf.push(MemoryAccess::read(record + BLOCK_SIZE));
+            buf.finish_op(self.compute_ns, start);
         }
-        JobSpec::new(ops)
     }
 }
 
@@ -1280,9 +1278,9 @@ fn bplus_tree_forks_match_oracle() {
     assert_same_btree(engine.tree(), &built, n);
 }
 
-/// The engine's job stream (both the flat and the legacy path) equals the
-/// oracle engine's. Every lookup walks its chain up to its key, so this
-/// covers the chains' order and node addresses.
+/// The engine's job stream equals the oracle engine's. Every lookup walks
+/// its chain up to its key, so this covers the chains' order and node
+/// addresses.
 #[test]
 fn hash_table_matches_vec_chain_oracle() {
     for params in [
@@ -1291,14 +1289,12 @@ fn hash_table_matches_vec_chain_oracle() {
     ] {
         let mut old = OldHashTable::new(&params);
         let mut new = HashTable::new(&params, 5);
-        let mut legacy = HashTable::new(&params, 5);
-        let (mut r_old, mut r_new, mut r_legacy) = (SimRng::new(9), SimRng::new(9), SimRng::new(9));
-        let mut buf = JobBuf::new();
+        let (mut r_old, mut r_new) = (SimRng::new(9), SimRng::new(9));
+        let (mut want, mut got) = (JobBuf::new(), JobBuf::new());
         for i in 0..300 {
-            let want = old.next_job(&mut r_old);
-            new.fill_job(&mut buf, &mut r_new);
-            assert_eq!(buf.decode(), want, "flat job {i}");
-            assert_eq!(legacy.next_job(&mut r_legacy), want, "legacy job {i}");
+            old.fill_job(&mut want, &mut r_old);
+            new.fill_job(&mut got, &mut r_new);
+            assert_eq!(got, want, "job {i}");
         }
     }
 }

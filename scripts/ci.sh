@@ -87,16 +87,24 @@ for sys in astriflash os_swap flash_sync; do
 done
 test -s results/profile_trace.json
 
-echo "==> perf lane: perf_report (full, release) + perf_gate"
-# Variance-controlled measurement (DESIGN.md §12): warmup-discard,
-# adaptive reps to a CV target, medians + baseline-relative ratios into
-# results/BENCH_10.json. perf_gate then checks every pinned floor in
-# results/perf_baseline.json (with its explicit noise margins) and the
-# host-profiler overhead ceiling (DESIGN.md §16), exiting non-zero on
-# any violation, printing the offenders — perf regressions are
-# un-mergeable, not merely recorded.
-cargo run --release -q -p astriflash-bench --bin perf_report
-test -s results/BENCH_10.json
-cargo run --release -q -p astriflash-bench --bin perf_gate
+echo "==> perf lane: benchmark runs + perf_gate"
+# DESIGN.md §12. Five runs of the benchmark package at seed 1, ~17 s
+# each at its default --seconds: the four steady workloads, then
+# hashtable_flash with the host profiler on (--trace 1). A run that
+# fails one of its own checks exits non-zero here. perf_gate then checks
+# every result against the floors and the ceiling pinned in
+# results/perf_baseline.json and exits non-zero on any violation,
+# printing the offenders. The results stay in target/perf-results.
+perf_dir=target/perf-results
+rm -rf "$perf_dir"
+mkdir -p "$perf_dir"
+bench() {
+  cargo run --release -q --manifest-path benchmark/Cargo.toml -- --seed 1 "$@"
+}
+for workload in tatp_steady hashtable_flash hashtable_dram tatp_open_telemetry; do
+  bench --workload "$workload" > "$perf_dir/$workload.seed1.json"
+done
+bench --workload hashtable_flash --trace 1 > "$perf_dir/hashtable_flash.trace1.json"
+cargo run --release -q -p astriflash-bench --bin perf_gate -- "$perf_dir"
 
 echo "CI green."

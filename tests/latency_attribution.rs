@@ -59,16 +59,6 @@ fn attribution_is_identical_with_and_without_tracing() {
 }
 
 #[test]
-fn disabling_attribution_changes_no_timing() {
-    let on = Cell::closed(cfg(), Configuration::AstriFlash, 3, 80).run();
-    let off_cfg = cfg().with_phase_attribution(false);
-    let off = Cell::closed(off_cfg, Configuration::AstriFlash, 3, 80).run();
-    assert!(off.phases.is_empty());
-    assert!(!on.phases.is_empty());
-    assert_eq!(on.render(), off.render(), "attribution must be observe-only");
-}
-
-#[test]
 fn breakdown_has_the_expected_shape() {
     let report = Cell::closed(cfg(), Configuration::AstriFlash, 1, 120).run();
     let p = &report.phases;
