@@ -21,7 +21,7 @@
 
 use std::process::ExitCode;
 
-use astriflash_analyze::{dom, reconstruct_json};
+use astriflash_analyze::{parse, reconstruct_json};
 use astriflash_stats::{Phase, PhaseSet, TextTable};
 
 fn main() -> ExitCode {
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let doc = match dom::parse(&raw) {
+    let doc = match parse(&raw) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: parsing {json_path}: {e}");

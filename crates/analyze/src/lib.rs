@@ -25,10 +25,9 @@
 
 #![warn(missing_docs)]
 
-pub mod dom;
 pub mod reconstruct;
 
-pub use dom::{parse, parse_ts_us, Value};
+pub use astriflash_trace::json::{parse, Value};
 pub use reconstruct::{
-    cross_validate, reconstruct, reconstruct_json, NormEvent, NormKind, Reconstruction,
+    cross_validate, parse_ts_us, reconstruct, reconstruct_json, NormEvent, NormKind, Reconstruction,
 };

@@ -27,9 +27,8 @@
 use std::collections::HashMap;
 
 use astriflash_stats::{Phase, PhaseSet, PHASE_QUANTILES};
+use astriflash_trace::json::Value;
 use astriflash_trace::{EventKind, TraceEvent};
-
-use crate::dom::{parse_ts_us, Value};
 
 /// A trace record reduced to what reconstruction needs, format-neutral
 /// between in-memory [`TraceEvent`] lists and parsed Perfetto JSON.
@@ -94,6 +93,30 @@ fn normalize(ev: &TraceEvent) -> Option<NormEvent> {
         name: ev.name.to_string(),
         kind,
     })
+}
+
+/// Parses a fixed-point microsecond literal (`"1234.567"`) into exact
+/// nanoseconds. Accepts up to three decimals (missing digits are
+/// low-order zeros); rejects anything that would lose precision.
+pub fn parse_ts_us(literal: &str) -> Result<u64, String> {
+    let (whole, frac) = match literal.split_once('.') {
+        Some((w, f)) => (w, f),
+        None => (literal, ""),
+    };
+    let whole: u64 = whole
+        .parse()
+        .map_err(|_| format!("bad ts literal {literal:?}"))?;
+    if frac.len() > 3 || frac.chars().any(|c| !c.is_ascii_digit()) {
+        return Err(format!("ts literal {literal:?} is not whole nanoseconds"));
+    }
+    let mut frac_ns = 0u64;
+    for (i, c) in frac.chars().enumerate() {
+        frac_ns += (c as u64 - '0' as u64) * 10u64.pow(2 - i as u32);
+    }
+    whole
+        .checked_mul(1_000)
+        .and_then(|w| w.checked_add(frac_ns))
+        .ok_or_else(|| format!("ts literal {literal:?} overflows u64 nanoseconds"))
 }
 
 /// Reconstructs the phase breakdown from a parsed Perfetto `trace_event`
@@ -324,6 +347,17 @@ mod tests {
     use super::*;
     use astriflash_trace::{export, Track, Tracer};
 
+    #[test]
+    fn ts_parsing_is_exact_nanoseconds() {
+        assert_eq!(parse_ts_us("0.000").unwrap(), 0);
+        assert_eq!(parse_ts_us("0.001").unwrap(), 1);
+        assert_eq!(parse_ts_us("1234.567").unwrap(), 1_234_567);
+        assert_eq!(parse_ts_us("5").unwrap(), 5_000);
+        assert_eq!(parse_ts_us("5.2").unwrap(), 5_200);
+        assert!(parse_ts_us("1.2345").is_err());
+        assert!(parse_ts_us("x").is_err());
+    }
+
     /// Emits one issued + one coalesced lifecycle the way the simulator
     /// does, returning the events and the expected phase set.
     fn synthetic_trace() -> (Vec<TraceEvent>, PhaseSet) {
@@ -376,7 +410,7 @@ mod tests {
     fn json_and_memory_frontends_agree() {
         let (events, _) = synthetic_trace();
         let from_mem = reconstruct(&events);
-        let doc = crate::dom::parse(&export::perfetto_json_with_meta(&events, 3)).unwrap();
+        let doc = astriflash_trace::json::parse(&export::perfetto_json(&events, 3, &[])).unwrap();
         let (from_json, dropped) = reconstruct_json(&doc).unwrap();
         assert_eq!(dropped, 3);
         assert_eq!(from_mem, from_json);
@@ -395,7 +429,7 @@ mod tests {
 
     #[test]
     fn missing_trace_events_key_is_an_error() {
-        let doc = crate::dom::parse("{}").unwrap();
+        let doc = astriflash_trace::json::parse("{}").unwrap();
         assert!(reconstruct_json(&doc).is_err());
     }
 }

@@ -12,19 +12,14 @@
 //! ```text
 //! cargo run --release -p astriflash-bench --bin latency_breakdown [--quick]
 //! ```
-//!
-//! One cell (default 0, `ASTRIFLASH_TRACE_CELL` to change) runs with
-//! the tracer attached, which perturbs nothing — reports are
-//! bit-identical traced or untraced.
 
 use std::process::ExitCode;
 
 use astriflash_bench::HarnessOpts;
 use astriflash_core::config::Configuration;
 use astriflash_core::experiment::RunReport;
-use astriflash_core::sweep::{traced_cell_from_env, Cell, Sweep};
+use astriflash_core::sweep::{Cell, Sweep};
 use astriflash_stats::{CsvDoc, Phase, TextTable};
-use astriflash_trace::Tracer;
 
 /// The configurations whose miss anatomy the paper contrasts: the ideal
 /// baseline, the OS path, synchronous flash, and AstriFlash itself.
@@ -45,8 +40,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|&conf| Cell::closed(base.clone(), conf, opts.seed, opts.jobs_per_core()))
         .collect();
-    let reports =
-        Sweep::from_env().run_with_traced_cell(&cells, Tracer::ring(1 << 20), traced_cell_from_env());
+    let reports = Sweep::from_env().run(&cells);
 
     let mut text = String::new();
     let mut csv = CsvDoc::new(&[

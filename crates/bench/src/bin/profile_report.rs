@@ -16,8 +16,8 @@
 //! the profiler attached and writes `results/profile_trace.json`: the
 //! simulation's own Perfetto trace with the host-profile tracks merged
 //! alongside (one timeline, two processes). Every JSON artifact is
-//! validated in-process by the hand-rolled RFC 8259 recognizer before
-//! the process exits 0.
+//! parsed back in-process (`astriflash_trace::json`) before the
+//! process exits 0.
 //!
 //! ```text
 //! cargo run --release -p astriflash-bench --bin profile_report -- --quick
@@ -31,7 +31,7 @@
 
 use std::process::ExitCode;
 
-use astriflash_bench::profile::{profile_cell, MeasuredProfile};
+use astriflash_bench::profile::{flame_objects, profile_cell, MeasuredProfile};
 
 /// Attribute heap allocations to the innermost active scope: the
 /// counting allocator is installed in this binary (not in the figure
@@ -115,8 +115,9 @@ fn run() -> Result<(), ExitCode> {
 
         write(&format!("results/profile_{slug}.folded"), &m.profile.folded())?;
 
-        let perfetto = m.profile.perfetto_json(&format!("astriflash-prof: {name}"));
-        if let Err(e) = json::validate(&perfetto) {
+        let flame = flame_objects(&m.profile, PROF_PID, &format!("astriflash-prof: {name}"));
+        let perfetto = export::perfetto_json(&[], 0, &flame);
+        if let Err(e) = json::parse(&perfetto) {
             eprintln!("error: profile_{slug}.perfetto.json failed validation: {e}");
             return Err(ExitCode::FAILURE);
         }
@@ -140,9 +141,9 @@ fn run() -> Result<(), ExitCode> {
     let profile = session.finish();
     let dropped = tracer.dropped();
     let events = tracer.finish();
-    let extra = profile.perfetto_objects(PROF_PID, "astriflash-host-prof");
-    let merged = export::perfetto_json_with_extra(&events, dropped, &extra);
-    if let Err(e) = json::validate(&merged) {
+    let flame = flame_objects(&profile, PROF_PID, "astriflash-host-prof");
+    let merged = export::perfetto_json(&events, dropped, &flame);
+    if let Err(e) = json::parse(&merged) {
         eprintln!("error: profile_trace.json failed validation: {e}");
         return Err(ExitCode::FAILURE);
     }

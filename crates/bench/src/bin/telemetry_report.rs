@@ -147,8 +147,8 @@ fn main() -> ExitCode {
     let p99_txt = p99_figure(&telemetry, &scale);
     let health_csv = flash_health_csv(&telemetry);
     let health_txt = flash_health_figure(&telemetry);
-    let perfetto = export::perfetto_json_with_meta(&events, trace_dropped);
-    if let Err(e) = json::validate(&perfetto) {
+    let perfetto = export::perfetto_json(&events, trace_dropped, &[]);
+    if let Err(e) = json::parse(&perfetto) {
         eprintln!("error: generated trace JSON failed validation: {e}");
         return ExitCode::FAILURE;
     }

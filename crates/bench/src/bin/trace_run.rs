@@ -18,7 +18,7 @@
 //!
 //! The run's report is bit-identical to the same untraced cell, and the
 //! trace itself is byte-identical across repeated same-seed runs. The
-//! JSON is self-validated before the process exits 0. If the trace ring
+//! JSON is parsed back before the process exits 0. If the trace ring
 //! shed any events the process exits non-zero: a sheared trace would
 //! make the offline cross-validation meaningless.
 
@@ -55,8 +55,8 @@ fn main() -> ExitCode {
         .filter(|e| matches!(e.kind, EventKind::Gauge { .. }))
         .count();
 
-    let perfetto = export::perfetto_json_with_meta(&events, dropped);
-    if let Err(e) = json::validate(&perfetto) {
+    let perfetto = export::perfetto_json(&events, dropped, &[]);
+    if let Err(e) = json::parse(&perfetto) {
         eprintln!("error: generated trace JSON failed validation: {e}");
         return ExitCode::FAILURE;
     }
@@ -66,7 +66,7 @@ fn main() -> ExitCode {
         eprintln!("error: writing results/trace_run.json: {e}");
         return ExitCode::FAILURE;
     }
-    let csv = export::gauges_csv_with_meta(&events, dropped);
+    let csv = export::gauges_csv(&events, dropped);
     if let Err(e) = csv.write_to("results/trace_run_gauges.csv") {
         eprintln!("error: writing results/trace_run_gauges.csv: {e}");
         return ExitCode::FAILURE;

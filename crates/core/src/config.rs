@@ -107,9 +107,6 @@ pub struct SystemConfig {
     /// User-level threads per core (32–64 per workload, §V-A); `None`
     /// uses the workload's hint.
     pub threads_per_core: Option<usize>,
-    /// Pending-queue capacity per core (§IV-D1); defaults to the thread
-    /// count minus one.
-    pub pending_queue_capacity: Option<usize>,
     /// DRAM-cache miss-status-row geometry: (sets, ways).
     pub msr_geometry: (usize, usize),
     /// Aging-threshold multiplier for the priority scheduler (the
@@ -308,7 +305,6 @@ impl Default for SystemConfig {
             os_costs: OsPagingCosts::default(),
             switch_cost_ns: 100,
             threads_per_core: None,
-            pending_queue_capacity: None,
             msr_geometry: (64, 8),
             aging_multiplier: 2.0,
             tlb_geometry: (1536, 6),

@@ -134,58 +134,6 @@ pub fn threads_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Reads the traced-cell override from `ASTRIFLASH_TRACE_CELL`; falls
-/// back to cell 0 (the historical `run_with_cell0_trace` behaviour).
-/// Malformed values warn on stderr, like `ASTRIFLASH_THREADS`.
-pub fn traced_cell_from_env() -> usize {
-    let (cell, warning) =
-        parse_traced_cell(std::env::var("ASTRIFLASH_TRACE_CELL").ok().as_deref());
-    if let Some(w) = warning {
-        eprintln!("{w}");
-    }
-    cell
-}
-
-/// Pure parse of an `ASTRIFLASH_TRACE_CELL` value (`None` = unset):
-/// returns the cell index plus the stderr warning a malformed value
-/// produces, so the warning text is testable without mutating process
-/// environment.
-fn parse_traced_cell(raw: Option<&str>) -> (usize, Option<String>) {
-    if let Some(v) = raw {
-        match v.trim().parse::<usize>() {
-            Ok(n) => return (n, None),
-            _ => {
-                return (
-                    0,
-                    Some(format!(
-                        "warning: ignoring ASTRIFLASH_TRACE_CELL={v:?} (expected an integer \
-                         >= 0); falling back to cell 0"
-                    )),
-                )
-            }
-        }
-    }
-    (0, None)
-}
-
-/// Pure range check of a traced-cell index against the grid size:
-/// returns the effective index plus the stderr warning an out-of-range
-/// value produces (testable counterpart of the clamping inside
-/// [`Sweep::run_with_traced_cell`]).
-fn clamp_traced_cell(traced: usize, num_cells: usize) -> (usize, Option<String>) {
-    if traced < num_cells || num_cells == 0 {
-        (traced, None)
-    } else {
-        (
-            0,
-            Some(format!(
-                "warning: traced cell {traced} out of range (grid has {num_cells} cells); \
-                 tracing cell 0 instead"
-            )),
-        )
-    }
-}
-
 /// The parallel sweep runner. Cheap to construct; holds only the worker
 /// count.
 #[derive(Debug, Clone, Copy)]
@@ -223,26 +171,14 @@ impl Sweep {
         self.map_described(cells, |_, cell| cell.run(), describe_cell)
     }
 
-    /// Like [`Sweep::run`], but attaches `tracer` to the single cell at
-    /// `traced` (out-of-range indices warn and clamp to cell 0): figure
-    /// harnesses can opt into a trace of any one cell without perturbing
-    /// any cell's report (traced and untraced runs produce bit-identical
-    /// reports). Pick the index from [`traced_cell_from_env`] to honour
-    /// `ASTRIFLASH_TRACE_CELL`.
-    pub fn run_with_traced_cell(
-        &self,
-        cells: &[Cell],
-        tracer: Tracer,
-        traced: usize,
-    ) -> Vec<RunReport> {
-        let (traced, warning) = clamp_traced_cell(traced, cells.len());
-        if let Some(w) = warning {
-            eprintln!("{w}");
-        }
+    /// Like [`Sweep::run`], but attaches `tracer` to cell 0. Traced and
+    /// untraced runs produce bit-identical reports, so the trace
+    /// perturbs no cell.
+    pub fn run_with_cell0_trace(&self, cells: &[Cell], tracer: Tracer) -> Vec<RunReport> {
         self.map_described(
             cells,
             |i, cell| {
-                if i == traced {
+                if i == 0 {
                     cell.run_traced(tracer.clone())
                 } else {
                     cell.run()
@@ -250,12 +186,6 @@ impl Sweep {
             },
             describe_cell,
         )
-    }
-
-    /// Back-compat wrapper: [`Sweep::run_with_traced_cell`] pinned to
-    /// cell 0.
-    pub fn run_with_cell0_trace(&self, cells: &[Cell], tracer: Tracer) -> Vec<RunReport> {
-        self.run_with_traced_cell(cells, tracer, 0)
     }
 
     /// Deterministic parallel map: applies `f(index, &item)` to every
@@ -485,64 +415,6 @@ mod tests {
         let msg = panic_message(result.expect_err("panic must propagate"));
         assert!(msg.contains("lone cell 0"), "missing context: {msg}");
         assert!(msg.contains("solo boom"), "missing original message: {msg}");
-    }
-
-    #[test]
-    fn traced_cell_parse_defaults_and_rejects_garbage() {
-        assert_eq!(parse_traced_cell(None), (0, None));
-        assert_eq!(parse_traced_cell(Some("3")), (3, None));
-        assert_eq!(parse_traced_cell(Some("  7 ")), (7, None));
-        assert_eq!(parse_traced_cell(Some("banana")).0, 0);
-        assert_eq!(parse_traced_cell(Some("-1")).0, 0);
-        assert_eq!(parse_traced_cell(Some("")).0, 0);
-    }
-
-    #[test]
-    fn traced_cell_malformed_values_warn_on_stderr() {
-        // Same convention as ASTRIFLASH_THREADS: a malformed value is
-        // ignored *loudly*, naming the variable, the offending value,
-        // and the fallback.
-        let (cell, warning) = parse_traced_cell(Some("banana"));
-        assert_eq!(cell, 0);
-        let warning = warning.expect("malformed value must warn");
-        assert!(warning.contains("ASTRIFLASH_TRACE_CELL"), "{warning}");
-        assert!(warning.contains("\"banana\""), "{warning}");
-        assert!(warning.contains("falling back to cell 0"), "{warning}");
-        // Valid and unset values stay silent.
-        assert_eq!(parse_traced_cell(Some("2")).1, None);
-        assert_eq!(parse_traced_cell(None).1, None);
-    }
-
-    #[test]
-    fn traced_cell_out_of_range_warns_and_clamps() {
-        let (cell, warning) = clamp_traced_cell(9, 2);
-        assert_eq!(cell, 0);
-        let warning = warning.expect("out-of-range index must warn");
-        assert!(warning.contains("traced cell 9 out of range"), "{warning}");
-        assert!(warning.contains("2 cells"), "{warning}");
-        // In-range indices and empty grids stay silent.
-        assert_eq!(clamp_traced_cell(1, 2), (1, None));
-        assert_eq!(clamp_traced_cell(5, 0), (5, None));
-    }
-
-    #[test]
-    fn traced_cell_choice_does_not_change_reports() {
-        let cells = vec![
-            Cell::closed(cfg(), Configuration::AstriFlash, 5, 15),
-            Cell::closed(cfg(), Configuration::FlashSync, 5, 15),
-        ];
-        let plain = Sweep::with_threads(2).run(&cells);
-        let traced =
-            Sweep::with_threads(2).run_with_traced_cell(&cells, Tracer::ring(1 << 16), 1);
-        // Out-of-range clamps to 0 rather than panicking.
-        let clamped =
-            Sweep::with_threads(2).run_with_traced_cell(&cells, Tracer::ring(1 << 16), 9);
-        for (a, b) in plain.iter().zip(traced.iter()) {
-            assert_eq!(a.render(), b.render());
-        }
-        for (a, b) in plain.iter().zip(clamped.iter()) {
-            assert_eq!(a.render(), b.render());
-        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ struct Thread {
     access_idx: u32,
     arrived_at: SimTime,
     started_at: SimTime,
-    /// When the thread was parked (for park-delay accounting).
+    /// When the thread parked or blocked (for blocked-time accounting).
     parked_at: SimTime,
     /// Page the core is blocked on; valid iff `state` is `BlockedOnPage`.
     blocked_page: u64,
@@ -195,8 +195,9 @@ struct CoreStats {
     blocked_ns: u64,
     forced_synchronous: u64,
     pt_walk_flash_reads: u64,
+    /// Time the core spent executing slices (ns); read by the
+    /// `core_util` gauge.
     busy_ns: u64,
-    idle_picks: u64,
 }
 
 struct Core {
@@ -267,14 +268,6 @@ pub struct SystemStats {
     /// Streaming moments of service time (for CV reporting; §III-A's
     /// queueing model assumes near-memoryless service).
     pub service_stats: OnlineStats,
-    /// Distribution of park→resume delays (ns).
-    pub park_ns: Histogram,
-    /// Distribution of flash read latencies as observed by the BC (ns).
-    pub flash_read_ns: Histogram,
-    /// Aggregate core busy time (ns) across cores.
-    pub busy_ns: u64,
-    /// Scheduler picks that found nothing runnable.
-    pub idle_picks: u64,
     /// Backside-controller admissions stalled on a full MSR set.
     pub msr_stalls: u64,
     /// High-water mark of concurrent DRAM-cache misses in the MSR.
@@ -364,8 +357,6 @@ pub struct SystemSim {
     service_ns: Histogram,
     response_ns: Histogram,
     service_stats: OnlineStats,
-    park_ns: Histogram,
-    flash_read_ns: Histogram,
     /// Footprint bitmap of each in-flight flash read (footprint mode).
     /// Bounded by the MSR capacity, so the map is pre-sized and never
     /// rehashes.
@@ -416,9 +407,9 @@ impl SystemSim {
         let mut engine = cfg.workload.fork(&cfg.workload_params, seed ^ 0xE17);
         let threads_per_core =
             cfg.effective_threads_per_core(engine.threads_per_core_hint());
-        let pending_cap = cfg
-            .pending_queue_capacity
-            .unwrap_or_else(|| threads_per_core.saturating_sub(1).max(1));
+        // Pending-queue capacity per core (§IV-D1): the thread count
+        // minus one, at least one.
+        let pending_cap = threads_per_core.saturating_sub(1).max(1);
 
         let policy = match configuration {
             Configuration::AstriFlashNoPS => Policy::Fifo,
@@ -531,8 +522,6 @@ impl SystemSim {
             service_ns: Histogram::new(),
             response_ns: Histogram::new(),
             service_stats: OnlineStats::new(),
-            park_ns: Histogram::new(),
-            flash_read_ns: Histogram::new(),
             // In-flight reads are capped by the MSR, so sizing both maps
             // to its capacity makes rehashing impossible at runtime.
             inflight_footprints: PageMap::with_capacity(msr_sets * msr_ways),
@@ -684,8 +673,6 @@ impl SystemSim {
             blocked_ns: 0,
             forced_synchronous: 0,
             pt_walk_flash_reads: 0,
-            busy_ns: 0,
-            idle_picks: 0,
             msr_stalls: self.bc.stats().stalls,
             msr_max_occupancy: self.bc.msr().max_occupancy(),
             flash_reads: self.flash.stats().reads,
@@ -693,8 +680,6 @@ impl SystemSim {
             flash_writebacks: self.bc.stats().writebacks,
             events_processed: self.queue.popped_total(),
             service_stats: self.service_stats,
-            park_ns: self.park_ns,
-            flash_read_ns: self.flash_read_ns,
             level_totals: self.hierarchy.level_totals(),
             tlb_hits: 0,
             tlb_misses: 0,
@@ -710,8 +695,6 @@ impl SystemSim {
             stats.blocked_ns += c.stats.blocked_ns;
             stats.forced_synchronous += c.stats.forced_synchronous;
             stats.pt_walk_flash_reads += c.stats.pt_walk_flash_reads;
-            stats.busy_ns += c.stats.busy_ns;
-            stats.idle_picks += c.stats.idle_picks;
         }
         stats
     }
@@ -1029,7 +1012,6 @@ impl SystemSim {
                     .as_mut()
                     .expect("pending thread exists");
                 t.state = ThreadState::Running;
-                let parked_at = t.parked_at;
                 // Forward progress: a rescheduled pending thread must
                 // retire its access even if the page was evicted again
                 // (§IV-C3). The bit also covers not-ready aged threads.
@@ -1057,16 +1039,11 @@ impl SystemSim {
                         attr.flush(now.as_ns(), &mut self.phases);
                     }
                 }
-                let park_delay = now.saturating_since(parked_at).as_ns();
-                self.park_ns.record(park_delay);
                 core.arch.force_forward_progress();
                 core.running = Some(slot);
                 true
             }
-            Pick::Idle => {
-                core.stats.idle_picks += 1;
-                false
-            }
+            Pick::Idle => false,
         }
     }
 
@@ -1616,8 +1593,6 @@ impl SystemSim {
                 if miss_span != 0 {
                     self.inflight_spans.insert(page, miss_span);
                 }
-                self.flash_read_ns
-                    .record(done.saturating_since(issue_at).as_ns());
                 self.queue.schedule(done, Event::PageArrived { page });
             }
             BcAdmission::Stalled => {

@@ -1,7 +1,7 @@
 //! The assembled SSD: planes + FTL + channel links + garbage collection.
 
 use astriflash_sim::{BandwidthLink, SimDuration, SimRng, SimTime};
-use astriflash_stats::{Histogram, WindowSeries};
+use astriflash_stats::WindowSeries;
 use astriflash_trace::{Track, Tracer};
 
 use crate::config::FlashConfig;
@@ -177,7 +177,6 @@ pub struct FlashDevice {
     ftl: Ftl,
     channels: Vec<BandwidthLink>,
     stats: FlashStats,
-    read_latency_hist: Histogram,
     rng: SimRng,
     tracer: Tracer,
     windows: Option<Box<FlashWindows>>,
@@ -204,7 +203,6 @@ impl FlashDevice {
             ftl,
             channels,
             stats: FlashStats::default(),
-            read_latency_hist: Histogram::new(),
             rng: SimRng::new(seed ^ 0xF1A5_11DE),
             tracer: Tracer::off(),
             windows: None,
@@ -295,8 +293,6 @@ impl FlashDevice {
             w.chan_busy_ns[channel_idx].add_span(start.as_ns(), transfer_done.as_ns());
         }
         let done = transfer_done + SimDuration::from_ns(self.cfg.controller_overhead_ns);
-        self.read_latency_hist
-            .record(done.saturating_since(now).as_ns());
         if self.tracer.enabled() {
             let track = Track::FlashChannel(channel_idx as u32);
             self.tracer
@@ -429,11 +425,6 @@ impl FlashDevice {
     /// Device statistics.
     pub fn stats(&self) -> &FlashStats {
         &self.stats
-    }
-
-    /// Read-latency distribution (ns).
-    pub fn read_latency_hist(&self) -> &Histogram {
-        &self.read_latency_hist
     }
 
     /// The configuration in use.

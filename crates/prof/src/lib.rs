@@ -227,7 +227,7 @@ pub enum EnvFormat {
 ///
 /// Returns the selected format (or `None` for disabled) plus an optional
 /// warning for malformed input. Pure so the warning path is unit-testable,
-/// mirroring `ASTRIFLASH_THREADS` / `ASTRIFLASH_TRACE_CELL`.
+/// mirroring `ASTRIFLASH_THREADS`.
 pub fn parse_profile(raw: Option<&str>) -> (Option<EnvFormat>, Option<String>) {
     let Some(raw) = raw else { return (None, None) };
     let value = raw.trim();

@@ -1,4 +1,4 @@
-//! Merged profile reports and their three export formats.
+//! Merged profile reports and their two text exports.
 //!
 //! A [`Report`] is an immutable snapshot of the merged scope tree: nodes in
 //! depth-first order with children sorted by scope id, so the same workload
@@ -7,10 +7,11 @@
 //! * [`Report::render_tree`] — indented text with inclusive/exclusive
 //!   percents, call counts and allocation attribution;
 //! * [`Report::folded`] — `a;b;c value` folded stacks (exclusive
-//!   nanoseconds) for standard flamegraph tooling;
-//! * [`Report::perfetto_json`] / [`Report::perfetto_objects`] — synthetic
-//!   flame-chart tracks in the Chrome/Perfetto trace-event format, either
-//!   standalone or as raw event objects for merging into an existing trace.
+//!   nanoseconds) for standard flamegraph tooling.
+//!
+//! The Perfetto flame layout of a report lives with its one consumer,
+//! `profile_report` (`astriflash_bench::profile`), which writes it
+//! through the trace crate's single Perfetto writer.
 
 use crate::tree::{Node, NONE};
 use crate::Scope;
@@ -189,81 +190,6 @@ impl Report {
         parts.reverse();
         parts.join(";")
     }
-
-    /// Raw Perfetto trace-event objects (one JSON object per string) laying
-    /// the merged tree out as a synthetic flame chart: each node spans its
-    /// inclusive time, children packed sequentially from the parent's start.
-    /// Includes process/thread metadata, so callers can splice the objects
-    /// into an existing trace-event array under a distinct `pid`.
-    pub fn perfetto_objects(&self, pid: u32, process_name: &str) -> Vec<String> {
-        let tid = 1u32;
-        let mut objs = vec![
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(process_name)
-            ),
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"host scopes (synthetic flame)\"}}}}"
-            ),
-        ];
-        // starts[i]: synthetic start offset in ns of node i.
-        let mut starts = vec![0u64; self.nodes.len()];
-        let mut cursor = vec![0u64; self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate().skip(1) {
-            let p = n.parent;
-            starts[i] = starts[p] + cursor[p];
-            cursor[p] += n.incl_ns;
-            cursor[i] = 0;
-            objs.push(format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\
-                 \"name\":\"{}\",\"args\":{{\"calls\":{},\"excl_ns\":{},\
-                 \"alloc_calls\":{},\"alloc_bytes\":{}}}}}",
-                format_us(starts[i]),
-                format_us(n.incl_ns),
-                n.name(),
-                n.calls,
-                n.excl_ns,
-                n.alloc_calls,
-                n.alloc_bytes,
-            ));
-        }
-        objs
-    }
-
-    /// Standalone Perfetto JSON document for this profile.
-    pub fn perfetto_json(&self, process_name: &str) -> String {
-        let objs = self.perfetto_objects(2, process_name);
-        let mut out = String::from("{\"traceEvents\":[");
-        for (i, o) in objs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(o);
-        }
-        out.push_str("],\"displayTimeUnit\":\"ns\"}");
-        out
-    }
-}
-
-/// Nanoseconds rendered as microseconds with fixed 3-decimal precision,
-/// matching the in-tree trace exporter's timestamp convention.
-fn format_us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1000.0)
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -312,27 +238,5 @@ mod tests {
             assert!(path.starts_with("event_loop"));
             assert!(value.parse::<u64>().is_ok());
         }
-    }
-
-    #[test]
-    fn perfetto_json_passes_the_in_tree_validator() {
-        let report = sample_report();
-        let json = report.perfetto_json("astriflash host profile");
-        astriflash_trace::json::validate(&json)
-            .unwrap_or_else(|e| panic!("invalid profile JSON: {e}\n{json}"));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"do_access\""));
-    }
-
-    #[test]
-    fn perfetto_children_nest_inside_parent_spans() {
-        let report = sample_report();
-        // ev_resume and ev_page_arrived are both children of event_loop:
-        // their synthetic spans must tile from the parent's start without
-        // exceeding the parent's inclusive duration.
-        let loop_incl = report.totals(Scope::EventLoop).incl_ns;
-        let child_sum = report.totals(Scope::EvResume).incl_ns
-            + report.totals(Scope::EvPageArrived).incl_ns;
-        assert!(child_sum <= loop_incl);
     }
 }

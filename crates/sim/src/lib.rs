@@ -1,8 +1,8 @@
 //! Discrete-event simulation kernel for the AstriFlash reproduction.
 //!
 //! This crate provides the time base, deterministic random-number
-//! generation, event queue, and shared-resource helpers (bounded queues,
-//! bandwidth links) that every other simulation crate builds on.
+//! generation, event queue, page-keyed hash maps and bandwidth links that
+//! every other simulation crate builds on.
 //!
 //! The design is deliberately *passive*: components are plain state
 //! machines advanced by a system composer that owns the single
@@ -29,13 +29,11 @@
 pub mod bandwidth;
 pub mod event;
 pub mod hash;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use bandwidth::BandwidthLink;
 pub use event::EventQueue;
 pub use hash::{FastHashMap, FxHasher, PageMap};
-pub use queue::BoundedQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

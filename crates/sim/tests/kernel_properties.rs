@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use astriflash_sim::{
-    BandwidthLink, BoundedQueue, EventQueue, PageMap, SimDuration, SimRng, SimTime,
+    BandwidthLink, EventQueue, PageMap, SimDuration, SimRng, SimTime,
 };
 use astriflash_testkit::prop_check;
 
@@ -81,27 +81,6 @@ fn bandwidth_link_is_causal() {
     });
 }
 
-/// Bounded queues preserve FIFO order and never exceed capacity.
-#[test]
-fn bounded_queue_fifo() {
-    prop_check!(cases: 128, |g| {
-        let items = g.vec(1..200, |g| g.any_u32());
-        let capacity = g.usize_in(1..64);
-        let mut q = BoundedQueue::new(capacity);
-        let mut accepted = Vec::new();
-        for &item in &items {
-            if q.push(SimTime::ZERO, item).is_ok() {
-                accepted.push(item);
-            }
-            assert!(q.len() <= capacity);
-        }
-        let drained: Vec<u32> = std::iter::from_fn(|| q.pop(SimTime::ZERO)).collect();
-        assert_eq!(drained, accepted);
-    });
-}
-
-/// The RNG's bounded generation is uniform enough that every residue
-/// class of a small modulus is hit.
 #[test]
 fn rng_bounded_covers() {
     prop_check!(cases: 128, |g| {

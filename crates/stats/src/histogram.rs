@@ -1,19 +1,25 @@
-//! Log-bucketed histogram for latency distributions.
+//! Log-linear histograms for latency distributions.
 //!
-//! Values are bucketed with 64 linear sub-buckets per power of two, giving
-//! a worst-case relative error under 1.6 % — more than enough to resolve
-//! the paper's p99 comparisons — while covering the full `u64` range in
-//! ~64 KiB per histogram.
+//! [`LogHistogram<BITS>`] splits every power of two into `2^BITS` linear
+//! sub-buckets, so the worst-case relative error is `2^-BITS` while the
+//! full `u64` range fits in a fixed bucket array. The workspace uses two
+//! instantiations of the one implementation:
+//!
+//! * [`Histogram`] (`BITS = 6`): 64 sub-buckets per octave, relative
+//!   error under 1.6 %, ~30 KiB — run-level service and response times;
+//! * [`crate::PhaseHist`] (`BITS = 5`): 32 sub-buckets, ~3 %, ~15 KiB —
+//!   the seven per-phase histograms of a [`crate::PhaseSet`] and every
+//!   telemetry window, where the halved footprint matters.
 
 use crate::percentile::Percentile;
 
-const SUB_BUCKET_BITS: u32 = 6; // 64 sub-buckets per octave
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-
-/// A fixed-memory, mergeable latency histogram.
+/// A fixed-memory, mergeable log-linear histogram with `2^BITS` linear
+/// sub-buckets per power of two.
 ///
 /// Records `u64` values (nanoseconds by convention) and answers
-/// percentile, mean, min and max queries.
+/// percentile, mean, min and max queries. All storage is allocated at
+/// construction; [`LogHistogram::record`] touches one bucket and four
+/// scalars and never allocates. `u64::MAX` lands in the last bucket.
 ///
 /// # Example
 ///
@@ -25,45 +31,53 @@ const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 /// assert_eq!(h.count(), 2);
 /// assert!(h.mean() > 100.0 && h.mean() < 210.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogHistogram<const BITS: u32> {
+    buckets: Box<[u64]>,
     count: u64,
     sum: u128,
     min: u64,
     max: u64,
 }
 
-fn bucket_index(value: u64) -> usize {
-    if value < SUB_BUCKETS as u64 {
-        return value as usize;
+/// The run-level latency histogram: 64 sub-buckets per octave.
+pub type Histogram = LogHistogram<6>;
+
+impl<const BITS: u32> LogHistogram<BITS> {
+    /// Linear sub-buckets per octave.
+    pub(crate) const SUB_BUCKETS: usize = 1 << BITS;
+    /// `SUB_BUCKETS` exact slots below `2^BITS`, then one row of
+    /// `SUB_BUCKETS` per remaining octave.
+    pub(crate) const NUM_BUCKETS: usize =
+        Self::SUB_BUCKETS + (64 - BITS as usize) * Self::SUB_BUCKETS;
+
+    pub(crate) fn bucket_index(value: u64) -> usize {
+        if value < Self::SUB_BUCKETS as u64 {
+            return value as usize;
+        }
+        let octave = 63 - value.leading_zeros(); // >= BITS here
+        let shift = octave - BITS;
+        let sub = ((value >> shift) as usize) & (Self::SUB_BUCKETS - 1);
+        // Octave BITS starts right after the SUB_BUCKETS linear slots.
+        Self::SUB_BUCKETS + ((octave - BITS) as usize) * Self::SUB_BUCKETS + sub
     }
-    let octave = 63 - value.leading_zeros(); // >= SUB_BUCKET_BITS here
-    let shift = octave - SUB_BUCKET_BITS;
-    let sub = ((value >> shift) as usize) & (SUB_BUCKETS - 1);
-    // Octave SUB_BUCKET_BITS starts right after the SUB_BUCKETS linear slots.
-    SUB_BUCKETS + ((octave - SUB_BUCKET_BITS) as usize) * SUB_BUCKETS + sub
-}
 
-fn bucket_upper_bound(index: usize) -> u64 {
-    if index < SUB_BUCKETS {
-        return index as u64;
+    pub(crate) fn bucket_upper_bound(index: usize) -> u64 {
+        if index < Self::SUB_BUCKETS {
+            return index as u64;
+        }
+        let rel = index - Self::SUB_BUCKETS;
+        let octave = BITS + (rel / Self::SUB_BUCKETS) as u32;
+        let sub = (rel % Self::SUB_BUCKETS) as u64;
+        let shift = octave - BITS;
+        // Highest value that maps to this bucket.
+        (((1u64 << BITS) + sub) << shift) + ((1u64 << shift) - 1)
     }
-    let rel = index - SUB_BUCKETS;
-    let octave = SUB_BUCKET_BITS + (rel / SUB_BUCKETS) as u32;
-    let sub = (rel % SUB_BUCKETS) as u64;
-    let shift = octave - SUB_BUCKET_BITS;
-    // Highest value that maps to this bucket.
-    (((1u64 << SUB_BUCKET_BITS) + sub) << shift) + ((1u64 << shift) - 1)
-}
 
-const NUM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS;
-
-impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram (the only allocation this type does).
     pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; NUM_BUCKETS],
+        LogHistogram {
+            buckets: vec![0; Self::NUM_BUCKETS].into_boxed_slice(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -73,7 +87,11 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.record_n(value, 1);
+        self.buckets[Self::bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum += value as u128;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Records `n` identical observations.
@@ -81,7 +99,7 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.buckets[bucket_index(value)] += n;
+        self.buckets[Self::bucket_index(value)] += n;
         self.count += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -96,6 +114,11 @@ impl Histogram {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// Sum of all recorded values.
+    pub fn sum(&self) -> u128 {
+        self.sum
     }
 
     /// Arithmetic mean of observations (0 if empty).
@@ -130,7 +153,8 @@ impl Histogram {
         self.value_at_quantile(p.as_fraction())
     }
 
-    /// Value at an arbitrary quantile `q ∈ [0, 1]`.
+    /// Value at an arbitrary quantile `q ∈ [0, 1]`: the bucket's upper
+    /// bound clamped to the observed `[min, max]`.
     pub fn value_at_quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -141,15 +165,17 @@ impl Histogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return bucket_upper_bound(i).min(self.max).max(self.min);
+                return Self::bucket_upper_bound(i).min(self.max).max(self.min);
             }
         }
         self.max
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+    /// Merges another histogram into this one. Bucket-wise addition, so
+    /// merging is associative and commutative and the result is
+    /// independent of how observations were sharded.
+    pub fn merge(&mut self, other: &Self) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
         self.count += other.count;
@@ -168,19 +194,9 @@ impl Histogram {
         self.min = u64::MAX;
         self.max = 0;
     }
-
-    /// Fraction of observations at or below `value`.
-    pub fn fraction_at_or_below(&self, value: u64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let idx = bucket_index(value);
-        let below: u64 = self.buckets[..=idx].iter().sum();
-        below as f64 / self.count as f64
-    }
 }
 
-impl Default for Histogram {
+impl<const BITS: u32> Default for LogHistogram<BITS> {
     fn default() -> Self {
         Self::new()
     }
@@ -193,15 +209,16 @@ mod tests {
     #[test]
     fn bucket_roundtrip_bounds() {
         for value in [0u64, 1, 63, 64, 65, 100, 1000, 1 << 20, u64::MAX / 2] {
-            let idx = bucket_index(value);
-            let ub = bucket_upper_bound(idx);
+            let idx = Histogram::bucket_index(value);
+            let ub = Histogram::bucket_upper_bound(idx);
             assert!(ub >= value, "value {value} idx {idx} ub {ub}");
             // Upper bound itself maps to the same bucket.
-            assert_eq!(bucket_index(ub), idx, "value {value}");
+            assert_eq!(Histogram::bucket_index(ub), idx, "value {value}");
             // Relative error bounded by one sub-bucket width.
-            if value >= SUB_BUCKETS as u64 {
+            if value >= Histogram::SUB_BUCKETS as u64 {
                 assert!(
-                    (ub - value) as f64 / value as f64 <= 1.0 / SUB_BUCKETS as f64 + 1e-12,
+                    (ub - value) as f64 / value as f64
+                        <= 1.0 / Histogram::SUB_BUCKETS as f64 + 1e-12,
                     "value {value} ub {ub}"
                 );
             }
@@ -283,16 +300,6 @@ mod tests {
         h.clear();
         assert!(h.is_empty());
         assert_eq!(h.value_at_quantile(0.5), 0);
-    }
-
-    #[test]
-    fn fraction_at_or_below() {
-        let mut h = Histogram::new();
-        for v in [1u64, 2, 3, 4] {
-            h.record(v);
-        }
-        assert!((h.fraction_at_or_below(2) - 0.5).abs() < 1e-9);
-        assert!((h.fraction_at_or_below(100) - 1.0).abs() < 1e-9);
     }
 
     #[test]

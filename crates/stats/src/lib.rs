@@ -1,9 +1,10 @@
-//! Measurement substrate: histograms, percentiles, counters, and run
-//! summaries used by every AstriFlash experiment.
+//! Measurement substrate: histograms, percentiles, windowed series and
+//! report tables used by every AstriFlash experiment.
 //!
-//! The core type is [`Histogram`], a log-bucketed latency histogram
-//! (HDR-style) giving ~1 % relative error across ns-to-seconds ranges in a
-//! few KiB of memory — exactly what tail-latency experiments need.
+//! The core type is [`LogHistogram`], a log-linear latency histogram
+//! (HDR-style) with a fixed relative error across the whole `u64` range.
+//! [`Histogram`] (64 sub-buckets per octave, under 1.6 % error) and
+//! [`PhaseHist`] (32, ~3 %) are its two instantiations.
 //!
 //! # Example
 //!
@@ -20,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod counter;
 pub mod csv;
 pub mod histogram;
 pub mod moments;
@@ -28,16 +28,13 @@ pub mod percentile;
 pub mod phase;
 pub mod summary;
 pub mod table;
-pub mod timeseries;
 pub mod window;
 
-pub use counter::{Counter, RateMeter};
 pub use csv::CsvDoc;
-pub use histogram::Histogram;
+pub use histogram::{Histogram, LogHistogram};
 pub use moments::OnlineStats;
 pub use percentile::Percentile;
 pub use phase::{Phase, PhaseHist, PhaseSet, PHASE_QUANTILES};
 pub use summary::MetricSet;
 pub use table::TextTable;
-pub use timeseries::{series_to_csv, TimeSeries};
 pub use window::{window_index, WindowSeries, WindowedHist, DEFAULT_MAX_WINDOWS};

@@ -26,13 +26,7 @@
 //! assert!(p.share(Phase::FlashRead) > 0.9);
 //! ```
 
-/// Sub-buckets per power of two. 32 gives a worst-case relative error
-/// of ~3 % — enough to resolve per-phase p99s — in half the memory of
-/// the 64-sub-bucket [`crate::Histogram`], which matters because a
-/// [`PhaseSet`] carries seven of these.
-const SUB_BUCKET_BITS: u32 = 5;
-const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
-const NUM_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS;
+use crate::histogram::LogHistogram;
 
 /// The phases of a DRAM-cache miss lifecycle, in wall-clock order.
 ///
@@ -123,147 +117,11 @@ impl std::fmt::Display for Phase {
     }
 }
 
-fn bucket_index(value: u64) -> usize {
-    if value < SUB_BUCKETS as u64 {
-        return value as usize;
-    }
-    let octave = 63 - value.leading_zeros(); // >= SUB_BUCKET_BITS here
-    let shift = octave - SUB_BUCKET_BITS;
-    let sub = ((value >> shift) as usize) & (SUB_BUCKETS - 1);
-    SUB_BUCKETS + ((octave - SUB_BUCKET_BITS) as usize) * SUB_BUCKETS + sub
-}
-
-fn bucket_upper_bound(index: usize) -> u64 {
-    if index < SUB_BUCKETS {
-        return index as u64;
-    }
-    let rel = index - SUB_BUCKETS;
-    let octave = SUB_BUCKET_BITS + (rel / SUB_BUCKETS) as u32;
-    let sub = (rel % SUB_BUCKETS) as u64;
-    let shift = octave - SUB_BUCKET_BITS;
-    (((1u64 << SUB_BUCKET_BITS) + sub) << shift) + ((1u64 << shift) - 1)
-}
-
-/// A fixed-size log-linear histogram for one lifecycle phase.
-///
-/// Same geometry family as [`crate::Histogram`] but with 32 sub-buckets
-/// per octave (~15 KiB). All storage is allocated at construction; the
-/// hot-path [`PhaseHist::record`] touches one bucket and four scalars
-/// and never allocates. Covers the full `u64` range, so `u64::MAX`
-/// saturates into the last bucket rather than panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseHist {
-    buckets: Box<[u64]>,
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl PhaseHist {
-    /// Creates an empty histogram (the only allocation this type does).
-    pub fn new() -> Self {
-        PhaseHist {
-            buckets: vec![0u64; NUM_BUCKETS].into_boxed_slice(),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one observation (nanoseconds by convention).
-    pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Sum of all recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Smallest recorded value (0 if empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded value (0 if empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Value at quantile `q ∈ [0, 1]`: the bucket's upper bound clamped
-    /// to the observed `[min, max]`, matching [`crate::Histogram`]'s
-    /// semantics. Returns 0 for an empty histogram.
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return bucket_upper_bound(i).min(self.max).max(self.min);
-            }
-        }
-        self.max
-    }
-
-    /// Value at a named percentile.
-    pub fn value_at(&self, p: crate::Percentile) -> u64 {
-        self.value_at_quantile(p.as_fraction())
-    }
-
-    /// Merges another histogram into this one. Bucket-wise addition, so
-    /// merging is associative and commutative and the result is
-    /// independent of how observations were sharded.
-    pub fn merge(&mut self, other: &PhaseHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-}
-
-impl Default for PhaseHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The per-phase histogram: the 5-bit [`LogHistogram`] (32 sub-buckets
+/// per octave, ~3 % worst-case relative error, ~15 KiB). Half the
+/// memory of the 6-bit [`crate::Histogram`] matters because a
+/// [`PhaseSet`] carries seven of these and every telemetry window one.
+pub type PhaseHist = LogHistogram<5>;
 
 /// The reporting percentiles for phase breakdowns: p50 / p95 / p99 /
 /// p99.9 as fractions.
@@ -352,13 +210,16 @@ mod tests {
     #[test]
     fn bucket_roundtrip_bounds() {
         for value in [0u64, 1, 31, 32, 33, 100, 1000, 1 << 20, u64::MAX / 3, u64::MAX] {
-            let idx = bucket_index(value);
-            let ub = bucket_upper_bound(idx);
+            let idx = PhaseHist::bucket_index(value);
+            let ub = PhaseHist::bucket_upper_bound(idx);
             assert!(ub >= value, "value {value} idx {idx} ub {ub}");
-            assert_eq!(bucket_index(ub), idx, "value {value}");
-            assert!(idx < NUM_BUCKETS);
+            assert_eq!(PhaseHist::bucket_index(ub), idx, "value {value}");
+            assert!(idx < PhaseHist::NUM_BUCKETS);
         }
-        assert_eq!(bucket_index(u64::MAX), NUM_BUCKETS - 1);
+        assert_eq!(
+            PhaseHist::bucket_index(u64::MAX),
+            PhaseHist::NUM_BUCKETS - 1
+        );
     }
 
     #[test]

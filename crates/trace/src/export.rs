@@ -6,7 +6,7 @@
 //! with fixed formatting (`ts` in microseconds, three decimals = exact
 //! nanoseconds) to keep the bytes stable.
 
-use astriflash_stats::{series_to_csv, CsvDoc, TimeSeries};
+use astriflash_stats::CsvDoc;
 
 use crate::event::{EventKind, Track, TraceEvent};
 use crate::json::escape;
@@ -18,74 +18,45 @@ use crate::json::escape;
 /// keyed by the span id, so selecting one id shows the whole miss
 /// timeline across core, controller, and flash tracks. Slices become
 /// complete (`X`) events, gauges become counter (`C`) events.
-pub fn perfetto_json(events: &[TraceEvent]) -> String {
-    perfetto_json_with_meta(events, 0)
-}
-
-/// [`perfetto_json_with_meta`] plus caller-supplied extra trace-event
-/// objects appended to the `traceEvents` array — the merge point for
-/// sibling producers (e.g. `astriflash-prof`'s host-profile tracks,
-/// which render under their own `pid` so they sit alongside the
-/// simulation's tracks in one timeline). Each `extra` string must be a
-/// complete JSON object; the result still passes
-/// [`crate::json::validate`].
-pub fn perfetto_json_with_extra(events: &[TraceEvent], dropped: u64, extra: &[String]) -> String {
-    let mut out = perfetto_json_with_meta(events, dropped);
-    if extra.is_empty() {
-        return out;
-    }
-    // The document ends "…\n]}\n"; splice before the array close. An
-    // empty event list still renders the metadata object, so a comma is
-    // always correct.
-    let tail = "\n]}\n";
-    debug_assert!(out.ends_with(tail));
-    out.truncate(out.len() - tail.len());
-    for obj in extra {
-        out.push_str(",\n");
-        out.push_str(obj);
-    }
-    out.push_str(tail);
-    out
-}
-
-/// [`perfetto_json`] plus ring-overflow metadata: `dropped` (from
-/// [`crate::Tracer::dropped`]) is emitted as a top-level
-/// `"droppedEvents"` key so a sheared trace is detectable from the
-/// artifact alone.
-pub fn perfetto_json_with_meta(events: &[TraceEvent], dropped: u64) -> String {
+///
+/// `dropped` (from [`crate::Tracer::dropped`]) is emitted as a
+/// top-level `"droppedEvents"` key so a sheared trace is detectable from
+/// the artifact alone. `extra` holds complete trace-event objects from
+/// other producers (the host profiler's flame tracks, under their own
+/// `pid`), appended after the simulation's events so both sit in one
+/// timeline.
+pub fn perfetto_json(events: &[TraceEvent], dropped: u64, extra: &[String]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 1024);
     out.push_str(&format!(
         "{{\"displayTimeUnit\":\"ns\",\"droppedEvents\":{dropped},\"traceEvents\":[\n"
     ));
     let mut first = true;
-    let mut push = |out: &mut String, obj: String| {
+    let mut push = |obj: &str| {
         if !first {
             out.push_str(",\n");
         }
         first = false;
-        out.push_str(&obj);
+        out.push_str(obj);
     };
 
-    // Track-name metadata first, for every track that appears.
+    // Process and track-name metadata first, for every track that
+    // appears; a document of `extra` objects alone names no simulation.
+    if !events.is_empty() {
+        push(
+            "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
+             \"args\":{\"name\":\"astriflash-sim\"}}",
+        );
+    }
     let mut tracks: Vec<Track> = events.iter().map(|e| e.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
-    push(
-        &mut out,
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"astriflash-sim\"}}"
-            .to_string(),
-    );
     for tr in tracks {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                tr.tid(),
-                escape(&tr.label())
-            ),
-        );
+        push(&format!(
+            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            tr.tid(),
+            escape(&tr.label())
+        ));
     }
 
     for ev in events {
@@ -126,47 +97,45 @@ pub fn perfetto_json_with_meta(events: &[TraceEvent], dropped: u64) -> String {
                 format_float(value)
             ),
         };
-        push(&mut out, obj);
+        push(&obj);
+    }
+    for obj in extra {
+        push(obj);
     }
     out.push_str("\n]}\n");
     out
 }
 
-/// Groups gauge samples into [`TimeSeries`], one per `(name, lane)`, in
-/// first-appearance order.
-pub fn gauge_series(events: &[TraceEvent]) -> Vec<TimeSeries> {
-    let mut series: Vec<TimeSeries> = Vec::new();
+/// Renders all gauge samples as a long-form CSV (`t_ns,gauge,lane,value`):
+/// one series per `(name, lane)` in order of first appearance, each
+/// series' samples in recording order. When `dropped > 0` a final
+/// in-band `trace_dropped_events` row records the ring's loss (lane 0,
+/// value = count), so readers of the artifact see it without a side
+/// channel.
+pub fn gauges_csv(events: &[TraceEvent], dropped: u64) -> CsvDoc {
+    let mut series: Vec<(&str, u32)> = Vec::new();
+    let mut rows: Vec<(usize, &TraceEvent, u32, f64)> = Vec::new();
     for ev in events {
         if let EventKind::Gauge { lane, value } = ev.kind {
-            let slot = series
-                .iter()
-                .position(|s| s.name() == ev.name && s.lane() == lane);
-            let idx = match slot {
-                Some(i) => i,
-                None => {
-                    series.push(TimeSeries::new(ev.name, lane));
-                    series.len() - 1
-                }
-            };
-            series[idx].push(ev.t_ns, value);
+            let key = (ev.name, lane);
+            let idx = series.iter().position(|s| *s == key).unwrap_or_else(|| {
+                series.push(key);
+                series.len() - 1
+            });
+            rows.push((idx, ev, lane, value));
         }
     }
-    series
-}
-
-/// Renders all gauge samples as a long-form CSV
-/// (`t_ns,gauge,lane,value`).
-pub fn gauges_csv(events: &[TraceEvent]) -> CsvDoc {
-    gauges_csv_with_meta(events, 0)
-}
-
-/// [`gauges_csv`] plus ring-overflow metadata: when `dropped > 0` a
-/// final in-band `trace_dropped_events` row records the loss (lane 0,
-/// value = count), so downstream readers of the artifact see it without
-/// a side channel. With `dropped == 0` the output is byte-identical to
-/// [`gauges_csv`].
-pub fn gauges_csv_with_meta(events: &[TraceEvent], dropped: u64) -> CsvDoc {
-    let mut doc = series_to_csv(&gauge_series(events));
+    // Stable: samples of one series keep their recording order.
+    rows.sort_by_key(|&(idx, ..)| idx);
+    let mut doc = CsvDoc::new(&["t_ns", "gauge", "lane", "value"]);
+    for (_, ev, lane, value) in rows {
+        doc.row_owned(vec![
+            ev.t_ns.to_string(),
+            ev.name.to_string(),
+            lane.to_string(),
+            format!("{value}"),
+        ]);
+    }
     if dropped > 0 {
         doc.row_owned(vec![
             "0".to_string(),
@@ -180,7 +149,7 @@ pub fn gauges_csv_with_meta(events: &[TraceEvent], dropped: u64) -> CsvDoc {
 
 /// `ts` in microseconds with exactly three decimals (= whole
 /// nanoseconds), so formatting is bit-stable.
-fn format_ts(t_ns: u64) -> String {
+pub fn format_ts(t_ns: u64) -> String {
     format!("{}.{:03}", t_ns / 1_000, t_ns % 1_000)
 }
 
@@ -197,8 +166,8 @@ fn format_float(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate;
-    use crate::sink::Tracer;
+    use crate::json::parse;
+    use crate::tracer::Tracer;
 
     fn sample_events() -> Vec<TraceEvent> {
         let t = Tracer::ring(64);
@@ -214,8 +183,8 @@ mod tests {
 
     #[test]
     fn perfetto_json_is_valid_and_carries_all_phases() {
-        let json = perfetto_json(&sample_events());
-        validate(&json).expect("exporter must emit parseable JSON");
+        let json = perfetto_json(&sample_events(), 0, &[]);
+        parse(&json).expect("exporter must emit parseable JSON");
         for needle in [
             "\"ph\":\"b\"",
             "\"ph\":\"n\"",
@@ -232,12 +201,66 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let a = perfetto_json(&sample_events());
-        let b = perfetto_json(&sample_events());
+        let a = perfetto_json(&sample_events(), 0, &[]);
+        let b = perfetto_json(&sample_events(), 0, &[]);
         assert_eq!(a, b);
         assert_eq!(
-            gauges_csv(&sample_events()).render(),
-            gauges_csv(&sample_events()).render()
+            gauges_csv(&sample_events(), 0).render(),
+            gauges_csv(&sample_events(), 0).render()
+        );
+    }
+
+    /// The exact bytes of both exporters on [`sample_events`], pinned so
+    /// a change to either writer shows up as a diff, not only as a
+    /// change of the committed artifacts.
+    #[test]
+    fn exporters_match_pinned_bytes() {
+        let events = sample_events();
+        let body = "\"traceEvents\":[\n\
+{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"astriflash-sim\"}},\n\
+{\"ph\":\"M\",\"pid\":1,\"tid\":100,\"name\":\"thread_name\",\"args\":{\"name\":\"core0\"}},\n\
+{\"ph\":\"M\",\"pid\":1,\"tid\":10,\"name\":\"thread_name\",\"args\":{\"name\":\"backside-controller\"}},\n\
+{\"ph\":\"M\",\"pid\":1,\"tid\":301,\"name\":\"thread_name\",\"args\":{\"name\":\"flash-ch1\"}},\n\
+{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":\"gauges\"}},\n\
+{\"ph\":\"b\",\"cat\":\"miss\",\"id\":\"1\",\"name\":\"miss\",\"ts\":1.000,\"pid\":1,\"tid\":100,\"args\":{\"arg\":42}},\n\
+{\"ph\":\"n\",\"cat\":\"miss\",\"id\":\"1\",\"name\":\"bc_admit\",\"ts\":1.010,\"pid\":1,\"tid\":10,\"args\":{\"arg\":42}},\n\
+{\"ph\":\"X\",\"name\":\"flash_read\",\"ts\":1.020,\"dur\":50.000,\"pid\":1,\"tid\":301,\"args\":{\"arg\":42,\"span\":1}},\n\
+{\"ph\":\"C\",\"name\":\"msr_occupancy[0]\",\"ts\":2.000,\"pid\":1,\"tid\":1,\"args\":{\"value\":3}},\n\
+{\"ph\":\"C\",\"name\":\"msr_occupancy[0]\",\"ts\":3.000,\"pid\":1,\"tid\":1,\"args\":{\"value\":5}},\n\
+{\"ph\":\"C\",\"name\":\"runq_len[2]\",\"ts\":3.000,\"pid\":1,\"tid\":1,\"args\":{\"value\":1}},\n\
+{\"ph\":\"e\",\"cat\":\"miss\",\"id\":\"1\",\"name\":\"miss\",\"ts\":60.000,\"pid\":1,\"tid\":100}\n\
+]}\n";
+        assert_eq!(
+            perfetto_json(&events, 0, &[]),
+            format!("{{\"displayTimeUnit\":\"ns\",\"droppedEvents\":0,{body}")
+        );
+        assert_eq!(
+            perfetto_json(&events, 17, &[]),
+            format!("{{\"displayTimeUnit\":\"ns\",\"droppedEvents\":17,{body}")
+        );
+        let csv = "t_ns,gauge,lane,value\n\
+                   2000,msr_occupancy,0,3\n\
+                   3000,msr_occupancy,0,5\n\
+                   3000,runq_len,2,1\n";
+        assert_eq!(gauges_csv(&events, 0).render(), csv);
+        assert_eq!(
+            gauges_csv(&events, 17).render(),
+            format!("{csv}0,trace_dropped_events,0,17\n")
+        );
+    }
+
+    #[test]
+    fn gauge_rows_group_by_series_in_first_appearance_order() {
+        let t = Tracer::ring(64);
+        t.gauge(1, "a", 0, 1.0);
+        t.gauge(2, "b", 0, 2.0);
+        t.gauge(3, "a", 0, 3.0);
+        t.instant(3, Track::Bc, "x", 0);
+        t.gauge(4, "a", 1, 4.0);
+        t.gauge(5, "b", 0, 5.5);
+        assert_eq!(
+            gauges_csv(&t.finish(), 0).render(),
+            "t_ns,gauge,lane,value\n1,a,0,1\n3,a,0,3\n2,b,0,2\n5,b,0,5.5\n4,a,1,4\n"
         );
     }
 
@@ -249,21 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn gauge_series_group_by_name_and_lane() {
-        let series = gauge_series(&sample_events());
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].name(), "msr_occupancy");
-        assert_eq!(series[0].len(), 2);
-        assert_eq!(series[1].lane(), 2);
-        let csv = gauges_csv(&sample_events()).render();
-        assert!(csv.starts_with("t_ns,gauge,lane,value\n"));
-        assert!(csv.contains("2000,msr_occupancy,0,3"));
-    }
-
-    #[test]
     fn empty_event_list_still_exports_valid_json() {
-        let json = perfetto_json(&[]);
-        validate(&json).unwrap();
+        let json = perfetto_json(&[], 0, &[]);
+        parse(&json).unwrap();
         assert!(json.contains("traceEvents"));
     }
 
@@ -276,32 +287,26 @@ mod tests {
                 .to_string(),
         ];
         for events in [sample_events(), Vec::new()] {
-            let json = perfetto_json_with_extra(&events, 3, &extra);
-            validate(&json).expect("merged export must stay valid JSON");
+            let json = perfetto_json(&events, 3, &extra);
+            parse(&json).expect("merged export must stay valid JSON");
             assert!(json.contains("host-prof"), "{json}");
             assert!(json.contains("\"droppedEvents\":3"), "{json}");
         }
-        // No extras = byte-identical to the plain exporter.
-        assert_eq!(
-            perfetto_json_with_extra(&sample_events(), 0, &[]),
-            perfetto_json(&sample_events())
-        );
     }
 
     #[test]
     fn dropped_counts_surface_in_both_exporters() {
         let events = sample_events();
-        let json = perfetto_json_with_meta(&events, 17);
-        validate(&json).unwrap();
+        let json = perfetto_json(&events, 17, &[]);
+        parse(&json).unwrap();
         assert!(json.contains("\"droppedEvents\":17"), "{json}");
-        assert!(perfetto_json(&events).contains("\"droppedEvents\":0"));
+        assert!(perfetto_json(&events, 0, &[]).contains("\"droppedEvents\":0"));
 
-        let csv = gauges_csv_with_meta(&events, 17).render();
+        let csv = gauges_csv(&events, 17).render();
         assert!(csv.ends_with("0,trace_dropped_events,0,17\n"), "{csv}");
-        // Zero drops must not perturb the artifact bytes.
-        assert_eq!(
-            gauges_csv_with_meta(&events, 0).render(),
-            gauges_csv(&events).render()
-        );
+        // Zero drops add no row.
+        assert!(!gauges_csv(&events, 0)
+            .render()
+            .contains("trace_dropped_events"));
     }
 }

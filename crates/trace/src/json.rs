@@ -1,162 +1,293 @@
-//! A minimal JSON syntax checker.
+//! JSON for every document the workspace writes or reads: one
+//! recursive-descent parser for the full RFC 8259 grammar and one
+//! string escaper.
 //!
-//! The CI gate must validate that the emitted Perfetto trace parses
-//! without any network-fetched JSON crate, so we carry a ~100-line
-//! recursive-descent recognizer. It checks syntax only (RFC 8259
-//! grammar); it does not build a DOM.
+//! No JSON crate is available offline. Writers (`trace_run`,
+//! `telemetry_report`, `profile_report`) check each document by parsing
+//! it before they exit 0; the analyzer walks the parsed tree. Numbers
+//! keep their literal text ([`Value::Num`]) so exact fixed-point
+//! timestamps (`ts` in microseconds with three decimals = whole
+//! nanoseconds) survive the round-trip without any float in the path.
 
-/// Validates that `s` is exactly one well-formed JSON value.
-///
-/// # Errors
-///
-/// Returns a message naming the byte offset of the first syntax error.
-pub fn validate(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    pos = value(b, pos)?;
-    pos = skip_ws(b, pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+/// A parsed JSON value. Object keys keep insertion order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, kept as its literal text for exact reparsing.
+    Num(String),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Value>),
+    /// An object, as ordered key/value pairs.
+    Obj(Vec<(String, Value)>),
 }
 
-fn err(pos: usize, what: &str) -> String {
-    format!("{what} at byte {pos}")
-}
-
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while pos < b.len() && matches!(b[pos], b' ' | b'\t' | b'\n' | b'\r') {
-        pos += 1;
-    }
-    pos
-}
-
-fn value(b: &[u8], pos: usize) -> Result<usize, String> {
-    match b.get(pos) {
-        None => Err(err(pos, "expected a value, found end of input")),
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => number(b, pos),
-        Some(c) => Err(err(pos, &format!("unexpected byte {:?}", *c as char))),
-    }
-}
-
-fn literal(b: &[u8], pos: usize, lit: &[u8]) -> Result<usize, String> {
-    if b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit {
-        Ok(pos + lit.len())
-    } else {
-        Err(err(pos, "malformed literal"))
-    }
-}
-
-fn object(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // past '{'
-    if b.get(pos) == Some(&b'}') {
-        return Ok(pos + 1);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(err(pos, "expected object key"));
+impl Value {
+    /// Object member lookup (first match); `None` on non-objects.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
         }
-        pos = string(b, pos)?;
-        pos = skip_ws(b, pos);
-        if b.get(pos) != Some(&b':') {
-            return Err(err(pos, "expected ':'"));
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
         }
-        pos = skip_ws(b, pos + 1);
-        pos = value(b, pos)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or '}'")),
+    }
+
+    /// The literal number text, if this is a number.
+    pub fn as_num(&self) -> Option<&str> {
+        match self {
+            Value::Num(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The number as a non-negative integer, if it has integer form.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_num().and_then(|s| s.parse::<u64>().ok())
+    }
+
+    /// The array elements, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Value]> {
+        match self {
+            Value::Arr(items) => Some(items),
+            _ => None,
         }
     }
 }
 
-fn array(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos = skip_ws(b, pos + 1); // past '['
-    if b.get(pos) == Some(&b']') {
-        return Ok(pos + 1);
+/// Parses a JSON document. Exactly one top-level value is allowed.
+pub fn parse(input: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        text: input,
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.text.len() {
+        return Err(p.err("trailing data after top-level value"));
     }
-    loop {
-        pos = value(b, pos)?;
-        pos = skip_ws(b, pos);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(pos + 1),
-            _ => return Err(err(pos, "expected ',' or ']'")),
-        }
-    }
+    Ok(v)
 }
 
-fn string(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    pos += 1; // past opening quote
-    while let Some(&c) = b.get(pos) {
-        match c {
-            b'"' => return Ok(pos + 1),
-            b'\\' => match b.get(pos + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => pos += 2,
-                Some(b'u') => {
-                    let hex = b.get(pos + 2..pos + 6).ok_or_else(|| {
-                        err(pos, "truncated \\u escape")
-                    })?;
-                    if !hex.iter().all(u8::is_ascii_hexdigit) {
-                        return Err(err(pos, "bad \\u escape"));
-                    }
-                    pos += 6;
-                }
-                _ => return Err(err(pos, "bad escape")),
-            },
-            0x00..=0x1F => return Err(err(pos, "raw control character in string")),
-            _ => pos += 1,
-        }
-    }
-    Err(err(pos, "unterminated string"))
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn number(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    let start = pos;
-    if b.get(pos) == Some(&b'-') {
-        pos += 1;
+impl<'a> Parser<'a> {
+    fn err(&self, msg: &str) -> String {
+        format!("json parse error at byte {}: {msg}", self.pos)
     }
-    match b.get(pos) {
-        Some(b'0') => pos += 1,
-        Some(b'1'..=b'9') => {
-            while matches!(b.get(pos), Some(b'0'..=b'9')) {
-                pos += 1;
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek();
+        if b.is_some() {
+            self.pos += 1;
+        }
+        b
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected {word}")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            members.push((key, val));
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b'}') => return Ok(Value::Obj(members)),
+                _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
-        _ => return Err(err(pos, "expected digit")),
     }
-    if b.get(pos) == Some(&b'.') {
-        pos += 1;
-        if !matches!(b.get(pos), Some(b'0'..=b'9')) {
-            return Err(err(pos, "expected fraction digit"));
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
         }
-        while matches!(b.get(pos), Some(b'0'..=b'9')) {
-            pos += 1;
-        }
-    }
-    if matches!(b.get(pos), Some(b'e' | b'E')) {
-        pos += 1;
-        if matches!(b.get(pos), Some(b'+' | b'-')) {
-            pos += 1;
-        }
-        if !matches!(b.get(pos), Some(b'0'..=b'9')) {
-            return Err(err(pos, "expected exponent digit"));
-        }
-        while matches!(b.get(pos), Some(b'0'..=b'9')) {
-            pos += 1;
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.bump() {
+                Some(b',') => continue,
+                Some(b']') => return Ok(Value::Arr(items)),
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
         }
     }
-    debug_assert!(pos > start);
-    Ok(pos)
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Copy the run of plain characters in one slice. It ends at
+            // an ASCII byte, so it is whole UTF-8 characters of the input.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            match self.bump() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => match self.bump() {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{0008}'),
+                    Some(b'f') => out.push('\u{000C}'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'u') => {
+                        let cp = self.hex4()?;
+                        // Surrogate pairs: a high surrogate must be
+                        // followed by an escaped low surrogate.
+                        let ch = if (0xD800..0xDC00).contains(&cp) {
+                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                                return Err(self.err("unpaired surrogate"));
+                            }
+                            let low = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err(self.err("invalid low surrogate"));
+                            }
+                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                            char::from_u32(combined)
+                        } else {
+                            char::from_u32(cp)
+                        };
+                        out.push(ch.ok_or_else(|| self.err("invalid unicode escape"))?);
+                    }
+                    _ => return Err(self.err("invalid escape")),
+                },
+                Some(_) => return Err(self.err("control character in string")),
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let mut v = 0u32;
+        for _ in 0..4 {
+            let d = match self.bump() {
+                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
+                Some(b @ b'a'..=b'f') => (b - b'a') as u32 + 10,
+                Some(b @ b'A'..=b'F') => (b - b'A') as u32 + 10,
+                _ => return Err(self.err("expected 4 hex digits")),
+            };
+            v = v * 16 + d;
+        }
+        Ok(v)
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        // RFC 8259: the integer part is `0` or starts with 1-9, so a
+        // leading zero ends it ("01" leaves trailing data and fails).
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                    self.pos += 1;
+                }
+            }
+            _ => return Err(self.err("expected digits")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            let frac_start = self.pos;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+            if self.pos == frac_start {
+                return Err(self.err("expected fraction digits"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            let exp_start = self.pos;
+            while matches!(self.peek(), Some(b'0'..=b'9')) {
+                self.pos += 1;
+            }
+            if self.pos == exp_start {
+                return Err(self.err("expected exponent digits"));
+            }
+        }
+        Ok(Value::Num(self.text[start..self.pos].to_string()))
+    }
 }
 
 /// Escapes `s` for embedding in a JSON string literal.
@@ -187,12 +318,13 @@ mod tests {
             "[]",
             "null",
             "true",
+            "0",
             "-0.5e+10",
             r#"{"a":[1,2,{"b":"c\n"}],"d":null}"#,
             "  [1, 2, 3]  ",
             r#""é""#,
         ] {
-            assert!(validate(ok).is_ok(), "should accept {ok:?}");
+            assert!(parse(ok).is_ok(), "should accept {ok:?}");
         }
     }
 
@@ -205,21 +337,46 @@ mod tests {
             "{\"a\":}",
             "{\"a\" 1}",
             "01",
+            "-01",
+            "[01]",
             "1.",
             "1e",
             "\"unterminated",
             "[1] []",
             "{'a':1}",
             "nul",
+            "tru",
+            "1 2",
+            "\"\\q\"",
         ] {
-            assert!(validate(bad).is_err(), "should reject {bad:?}");
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn parses_scalars_and_containers() {
+        let v = parse(r#"{"a":[1,2.5,null,true,"x\n\u0041"],"b":{"c":-3}}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 5);
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
+        assert_eq!(
+            v.get("a").unwrap().as_arr().unwrap()[4].as_str(),
+            Some("x\nA")
+        );
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_num(), Some("-3"));
+    }
+
+    #[test]
+    fn surrogate_pairs_round_trip() {
+        let v = parse("\"\\uD83D\\uDE00\"").unwrap();
+        assert_eq!(v.as_str(), Some("😀"));
     }
 
     #[test]
     fn escape_covers_quotes_and_control_chars() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
-        assert!(validate(&format!("\"{}\"", escape("x\"\n\\\u{2}"))).is_ok());
+        let raw = "x\"\n\\\u{2}";
+        let v = parse(&format!("\"{}\"", escape(raw))).unwrap();
+        assert_eq!(v.as_str(), Some(raw));
     }
 }

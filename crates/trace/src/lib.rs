@@ -16,8 +16,8 @@
 //!   disabled state is a `None`; every emit method short-circuits on one
 //!   branch, and golden outputs are unchanged whether tracing is on or
 //!   off.
-//! * **Bounded memory.** The default [`RingSink`] keeps the most recent
-//!   N records and counts what it sheds.
+//! * **Bounded memory.** [`Tracer::ring`] keeps the most recent N
+//!   records and counts what it sheds.
 //!
 //! # Example
 //!
@@ -29,8 +29,8 @@
 //! tracer.span_instant(1_010, Track::Bc, "bc_admit", 42);
 //! tracer.end_span(55_000, Track::Core(0), "miss", span);
 //! let events = tracer.finish();
-//! let json = export::perfetto_json(&events);
-//! assert!(astriflash_trace::json::validate(&json).is_ok());
+//! let json = export::perfetto_json(&events, tracer.dropped(), &[]);
+//! assert!(astriflash_trace::json::parse(&json).is_ok());
 //! ```
 
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod sink;
+pub mod tracer;
 
 pub use event::{EventKind, Track, TraceEvent};
-pub use sink::{NullSink, RingSink, TraceSink, Tracer};
+pub use tracer::Tracer;

@@ -2,7 +2,7 @@
 //! §11): the simulator's in-line per-phase breakdown must match an
 //! independent reconstruction from the exported trace, bit for bit.
 
-use astriflash::analyze::{cross_validate, dom, reconstruct, reconstruct_json};
+use astriflash::analyze::{cross_validate, parse, reconstruct, reconstruct_json};
 use astriflash::core::config::{Configuration, SystemConfig};
 use astriflash::core::sweep::Cell;
 use astriflash::stats::Phase;
@@ -41,8 +41,8 @@ fn json_round_trip_preserves_the_breakdown() {
     let dropped = tracer.dropped();
     let events = tracer.finish();
 
-    let json = export::perfetto_json_with_meta(&events, dropped);
-    let doc = dom::parse(&json).expect("exported trace must parse");
+    let json = export::perfetto_json(&events, dropped, &[]);
+    let doc = parse(&json).expect("exported trace must parse");
     let (recon, dropped_meta) = reconstruct_json(&doc).expect("reconstruction");
     assert_eq!(dropped_meta, dropped);
     cross_validate(&report.phases, &recon.phases)

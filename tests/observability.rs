@@ -30,12 +30,12 @@ fn traced_run(seed: u64) -> (RunReport, Vec<TraceEvent>) {
 fn same_seed_runs_produce_byte_identical_traces() {
     let (_, a) = traced_run(11);
     let (_, b) = traced_run(11);
-    let ja = export::perfetto_json(&a);
-    let jb = export::perfetto_json(&b);
-    assert!(json::validate(&ja).is_ok());
+    let ja = export::perfetto_json(&a, 0, &[]);
+    let jb = export::perfetto_json(&b, 0, &[]);
+    assert!(json::parse(&ja).is_ok());
     assert_eq!(ja, jb, "same-seed traces must be byte-identical");
-    let ca = export::gauges_csv(&a).render();
-    let cb = export::gauges_csv(&b).render();
+    let ca = export::gauges_csv(&a, 0).render();
+    let cb = export::gauges_csv(&b, 0).render();
     assert_eq!(ca, cb, "same-seed gauge CSVs must be byte-identical");
 }
 
