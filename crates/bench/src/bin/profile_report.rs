@@ -16,7 +16,7 @@
 //! the profiler attached and writes `results/profile_trace.json`: the
 //! simulation's own Perfetto trace with the host-profile tracks merged
 //! alongside (one timeline, two processes). Every JSON artifact is
-//! parsed back in-process (`astriflash_trace::json`) before the
+//! checked in-process (`astriflash_trace::json::check`) before the
 //! process exits 0.
 //!
 //! ```text
@@ -117,7 +117,7 @@ fn run() -> Result<(), ExitCode> {
 
         let flame = flame_objects(&m.profile, PROF_PID, &format!("astriflash-prof: {name}"));
         let perfetto = export::perfetto_json(&[], 0, &flame);
-        if let Err(e) = json::parse(&perfetto) {
+        if let Err(e) = json::check(&perfetto) {
             eprintln!("error: profile_{slug}.perfetto.json failed validation: {e}");
             return Err(ExitCode::FAILURE);
         }
@@ -143,7 +143,7 @@ fn run() -> Result<(), ExitCode> {
     let events = tracer.finish();
     let flame = flame_objects(&profile, PROF_PID, "astriflash-host-prof");
     let merged = export::perfetto_json(&events, dropped, &flame);
-    if let Err(e) = json::parse(&merged) {
+    if let Err(e) = json::check(&merged) {
         eprintln!("error: profile_trace.json failed validation: {e}");
         return Err(ExitCode::FAILURE);
     }

@@ -148,7 +148,7 @@ fn main() -> ExitCode {
     let health_csv = flash_health_csv(&telemetry);
     let health_txt = flash_health_figure(&telemetry);
     let perfetto = export::perfetto_json(&events, trace_dropped, &[]);
-    if let Err(e) = json::parse(&perfetto) {
+    if let Err(e) = json::check(&perfetto) {
         eprintln!("error: generated trace JSON failed validation: {e}");
         return ExitCode::FAILURE;
     }

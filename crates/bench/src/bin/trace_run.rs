@@ -18,9 +18,10 @@
 //!
 //! The run's report is bit-identical to the same untraced cell, and the
 //! trace itself is byte-identical across repeated same-seed runs. The
-//! JSON is parsed back before the process exits 0. If the trace ring
-//! shed any events the process exits non-zero: a sheared trace would
-//! make the offline cross-validation meaningless.
+//! JSON is checked by the workspace's parser (`json::check`) before the
+//! process exits 0. If the trace ring shed any events the process exits
+//! non-zero: a sheared trace would make the offline cross-validation
+//! meaningless.
 
 use std::process::ExitCode;
 
@@ -56,7 +57,7 @@ fn main() -> ExitCode {
         .count();
 
     let perfetto = export::perfetto_json(&events, dropped, &[]);
-    if let Err(e) = json::parse(&perfetto) {
+    if let Err(e) = json::check(&perfetto) {
         eprintln!("error: generated trace JSON failed validation: {e}");
         return ExitCode::FAILURE;
     }

@@ -51,23 +51,6 @@ impl Configuration {
             Configuration::FlashSync => "Flash-Sync",
         }
     }
-
-    /// Whether this configuration uses the hardware-managed DRAM cache
-    /// (all flash-backed configurations do; DRAM-only does not).
-    pub fn uses_flash(&self) -> bool {
-        !matches!(self, Configuration::DramOnly)
-    }
-
-    /// Whether the configuration switches user-level threads on a miss.
-    pub fn switches_on_miss(&self) -> bool {
-        matches!(
-            self,
-            Configuration::AstriFlash
-                | Configuration::AstriFlashIdeal
-                | Configuration::AstriFlashNoPS
-                | Configuration::AstriFlashNoDP
-        )
-    }
 }
 
 impl std::fmt::Display for Configuration {
@@ -116,20 +99,6 @@ pub struct SystemConfig {
     /// Second-level TLB geometry: (entries, ways). The paper leans on
     /// large translation reach (§IV-A); this knob quantifies it.
     pub tlb_geometry: (usize, usize),
-    /// Batched hit-run interpreter (DESIGN.md §15): consume leading
-    /// TLB-hit+L1-hit runs of a job's contiguous access slab in one
-    /// pass instead of one interpreter step per access. On by default —
-    /// the batched path is decision-identical to the scalar path
-    /// (proven by the differential suite in
-    /// `crates/core/tests/hit_run_differential.rs`); the knob retains
-    /// the scalar interpreter as that suite's reference.
-    pub batched_hit_runs: bool,
-    /// Use the in-order stall model ([`astriflash_cpu::OooTiming::in_order`])
-    /// instead of the default OoO overlap model: every memory latency is
-    /// fully exposed as stall. An ablation knob; it also gives the
-    /// differential suite a configuration whose per-access L1 stall is
-    /// nonzero, so hit runs can be truncated by the slice budget.
-    pub in_order_timing: bool,
     /// Time-resolved telemetry (DESIGN.md §13): when set, the run
     /// collects windowed latency/SLO, cache, MSR, and flash-health
     /// series into a `TelemetryReport`. `None` (default) compiles the
@@ -153,18 +122,6 @@ impl SystemConfig {
     /// Builder-style: set the workload.
     pub fn with_workload(mut self, workload: WorkloadKind) -> Self {
         self.workload = workload;
-        self
-    }
-
-    /// Builder-style: set workload parameters.
-    pub fn with_workload_params(mut self, params: WorkloadParams) -> Self {
-        self.workload_params = params;
-        self
-    }
-
-    /// Builder-style: set the DRAM-cache fraction of the dataset.
-    pub fn with_dram_cache_fraction(mut self, fraction: f64) -> Self {
-        self.dram_cache_fraction = fraction;
         self
     }
 
@@ -224,21 +181,6 @@ impl SystemConfig {
             footprint: self.footprint_cache,
             ..defaults
         }
-    }
-
-    /// Builder-style: toggle the batched hit-run interpreter (on by
-    /// default; the differential suite turns it off to run the scalar
-    /// reference path).
-    pub fn with_batched_hit_runs(mut self, enabled: bool) -> Self {
-        self.batched_hit_runs = enabled;
-        self
-    }
-
-    /// Builder-style: run cores with the fully exposed in-order stall
-    /// model (ablation; default is the OoO overlap model).
-    pub fn with_in_order_timing(mut self, enabled: bool) -> Self {
-        self.in_order_timing = enabled;
-        self
     }
 
     /// Builder-style: attach windowed telemetry (DESIGN.md §13).
@@ -308,8 +250,6 @@ impl Default for SystemConfig {
             msr_geometry: (64, 8),
             aging_multiplier: 2.0,
             tlb_geometry: (1536, 6),
-            batched_hit_runs: true,
-            in_order_timing: false,
             telemetry: None,
             max_sim_time_ms: 200,
             warmup_fraction: 0.1,
@@ -346,10 +286,6 @@ mod tests {
 
     #[test]
     fn configuration_properties() {
-        assert!(!Configuration::DramOnly.uses_flash());
-        assert!(Configuration::FlashSync.uses_flash());
-        assert!(!Configuration::FlashSync.switches_on_miss());
-        assert!(Configuration::AstriFlashNoPS.switches_on_miss());
         assert_eq!(Configuration::all().len(), 7);
         assert_eq!(Configuration::OsSwap.to_string(), "OS-Swap");
     }

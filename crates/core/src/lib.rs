@@ -1,8 +1,8 @@
 //! AstriFlash full-system composition — the paper's primary contribution
 //! assembled from the substrate crates.
 //!
-//! The [`system::SystemSim`] event loop wires cores (ROB, store buffer,
-//! architectural state, TLB), the on-chip cache hierarchy, the
+//! The [`system::SystemSim`] event loop wires cores (ROB flush, OoO
+//! overlap, TLB), the on-chip cache hierarchy, the
 //! hardware-managed DRAM cache (frontside + backside controllers, Miss
 //! Status Row), flash, the user-level thread scheduler, and the OS
 //! baseline models into the seven evaluated configurations (§V-B):
@@ -36,6 +36,7 @@
 pub mod config;
 pub mod experiment;
 pub mod experiments;
+mod hit_run;
 pub mod queueing;
 pub mod sweep;
 pub mod system;

@@ -123,13 +123,6 @@ impl QueueModel {
         }
         0.5 * (lo + hi)
     }
-
-    /// Mean response time in µs (Erlang-C waiting formula).
-    pub fn mean_response(&self, lambda: f64) -> f64 {
-        let mu = 1.0 / self.service_us;
-        let c = self.erlang_c(lambda);
-        self.service_us + c / (self.k as f64 * mu - lambda)
-    }
 }
 
 /// Convenience: p99 response time of an M/M/1 with the given service

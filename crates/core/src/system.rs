@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use astriflash_cpu::{ArchState, OooTiming, Privilege, Rob, StoreBuffer};
+use astriflash_cpu::{OooTiming, Rob};
 use astriflash_flash::FlashDevice;
 use astriflash_mem::{
     BacksideController, BcAdmission, CacheHierarchy, DramBanks, DramCache, DramTimings,
@@ -40,10 +40,11 @@ use astriflash_workloads::{
 };
 
 use crate::config::{Configuration, SystemConfig};
+use crate::hit_run::{self, RunStop};
 use crate::telemetry::{CoreWindows, TelemetryReport};
 
 /// Execution-slice lookahead bound.
-const SLICE_NS: u64 = 4_000;
+pub(crate) const SLICE_NS: u64 = 4_000;
 /// Retry delay when the MSR rejects an admission (set full).
 const MSR_RETRY_NS: u64 = 2_000;
 /// Gauge sampling period when tracing is enabled. Sample events only
@@ -207,8 +208,6 @@ struct Core {
     notifications: NotificationQueue,
     tlb: Tlb,
     rob: Rob,
-    sb: StoreBuffer,
-    arch: ArchState,
     timing: OooTiming,
     threads: Vec<Option<Thread>>,
     /// Cold halves of the thread slots, parallel to `threads`.
@@ -372,11 +371,6 @@ pub struct SystemSim {
     waiter_scratch: Vec<Waiter>,
     /// Per-phase histograms of completed miss lifecycles.
     phases: PhaseSet,
-    /// Copy of `cfg.batched_hit_runs` (hot-path gate): when set, the
-    /// interpreter consumes leading TLB+L1 hit runs in one pass
-    /// (DESIGN.md §15); when clear it runs the retained scalar
-    /// reference path, one `do_access` per access.
-    batch_runs: bool,
     /// Core-layer windowed telemetry (latency/completions/SLO); `Some`
     /// iff `cfg.telemetry` is set. Component-layer windows live inside
     /// the DRAM cache, BC, and flash device.
@@ -415,27 +409,15 @@ impl SystemSim {
             Configuration::AstriFlashNoPS => Policy::Fifo,
             _ => Policy::PriorityAging,
         };
-        let timing = if cfg.in_order_timing {
-            OooTiming::in_order()
-        } else {
-            OooTiming::default()
-        };
         let mut cores = Vec::with_capacity(cfg.cores);
         for _ in 0..cfg.cores {
-            let mut arch = ArchState::new();
-            // The runtime installs the scheduler handler via a verifying
-            // syscall at startup (§IV-C2).
-            arch.set_handler(0xFFFF_8000_0000_0000, Privilege::Kernel)
-                .expect("kernel installs the handler");
             cores.push(Core {
                 scheduler: Scheduler::new(policy, pending_cap)
                     .with_aging_multiplier(cfg.aging_multiplier),
                 notifications: NotificationQueue::new(2 * threads_per_core),
                 tlb: Tlb::new(cfg.tlb_geometry.0, cfg.tlb_geometry.1),
                 rob: Rob::a76(),
-                sb: StoreBuffer::a76_aso(),
-                arch,
-                timing,
+                timing: OooTiming::default(),
                 threads: (0..threads_per_core).map(|_| None).collect(),
                 cold: (0..threads_per_core).map(|_| ThreadCold::default()).collect(),
                 arena: JobArena::with_capacity(threads_per_core),
@@ -496,7 +478,6 @@ impl SystemSim {
         let walker = PageTableWalker::new(pt_base, cfg.page_table_region_bytes() / 4096);
         let hierarchy = CacheHierarchy::new(cfg.cores, cfg.hierarchy.clone());
         let max_time = SimTime::from_ms(cfg.max_sim_time_ms);
-        let batch_runs = cfg.batched_hit_runs;
 
         SystemSim {
             cfg,
@@ -531,7 +512,6 @@ impl SystemSim {
             inflight_spans: PageMap::with_capacity(msr_sets * msr_ways),
             waiter_scratch: Vec::new(),
             phases: PhaseSet::new(),
-            batch_runs,
             telem_windows,
             gauge_prev: GaugeWindow::default(),
         }
@@ -1039,7 +1019,6 @@ impl SystemSim {
                         attr.flush(now.as_ns(), &mut self.phases);
                     }
                 }
-                core.arch.force_forward_progress();
                 core.running = Some(slot);
                 true
             }
@@ -1091,9 +1070,8 @@ impl SystemSim {
             // Fetch the next step of the job without holding the borrow.
             enum Step {
                 Compute(u64),
-                /// Scalar fallback: one access through `do_access` (the
-                /// forced-progress path, and the reference interpreter
-                /// when `batch_runs` is off).
+                /// One access through `do_access`: the forced-progress
+                /// path, which must retire its access even on a miss.
                 Access(MemoryAccess),
                 /// The op's remaining contiguous slab span, consumed as
                 /// a TLB+L1 hit run (DESIGN.md §15). Only fetched when
@@ -1104,7 +1082,6 @@ impl SystemSim {
                 JobDone,
             }
             let step = {
-                let batch_runs = self.batch_runs;
                 let core = &mut self.cores[core_id];
                 let th = core.threads[slot].as_mut().expect("running thread");
                 let buf = core.arena.buf(th.job_slot);
@@ -1116,7 +1093,7 @@ impl SystemSim {
                         th.compute_done = true;
                         Step::Compute(op.compute_ns)
                     } else if th.access_idx < op.access_len {
-                        if th.forced || !batch_runs {
+                        if th.forced {
                             Step::Access(buf.access(op.access_start + th.access_idx))
                         } else {
                             Step::AccessRun {
@@ -1279,23 +1256,18 @@ impl SystemSim {
 
     /// Batched hit-run interpreter step (DESIGN.md §15): consumes the
     /// leading TLB-hit+L1-hit run of the running thread's remaining
-    /// accesses (`run_len` slab entries starting at `run_start`) in one
-    /// pass, then hands the first non-hit access — if it falls inside
-    /// the slice budget — to the scalar miss machinery.
+    /// accesses (`run_len` slab entries starting at `run_start`) with
+    /// [`hit_run::scan`], then hands the first non-hit access — if it
+    /// falls inside the slice budget — to the scalar miss machinery.
     ///
-    /// Decision-identity with `run_len` scalar [`SystemSim::do_access`]
-    /// steps (proven by `crates/core/tests/hit_run_differential.rs`)
-    /// rests on four invariants:
+    /// The result equals `run_len` per-access steps of
+    /// [`SystemSim::do_access`] because:
     ///
-    /// * the run is pre-capped to the number of accesses the slice
-    ///   budget admits, so probes the scalar loop would never issue are
-    ///   never issued here;
-    /// * the TLB and L1 probes of a hit access commute (disjoint
-    ///   structures), so probing one page-segment's TLB repeats after
-    ///   its L1 scan leaves the same final state as the scalar
-    ///   per-access interleave — and segment boundaries keep the *set*
-    ///   of probes identical, including the TLB hit the scalar path
-    ///   pays on an L1-missing access;
+    /// * the run is capped by [`hit_run::run_cap`] to the accesses the
+    ///   slice budget admits, so no probe is issued that a per-access
+    ///   loop would not issue;
+    /// * [`hit_run::scan`] leaves the TLB and L1 exactly as a per-access
+    ///   probe loop does (checked by its unit test);
     /// * every hit charges the same `effective_stall_ns(l1_latency)`,
     ///   so one multiply advances time exactly as N scalar additions;
     /// * the caller only fetches a run when the thread is not in
@@ -1314,73 +1286,18 @@ impl SystemSim {
         debug_assert!(run_len > 0, "zero-length spans never reach the run step");
         let timing = self.cores[core_id].timing;
         let per = timing.effective_stall_ns(self.hierarchy.config().l1_latency_ns);
-        // Cap the run to the slice budget: the scalar loop re-checks the
-        // budget before every access, so access `i` (0-based, stalls of
-        // `per` each) is only reached while `elapsed + i*per <= SLICE_NS`.
-        let elapsed = t.saturating_since(slice_start).as_ns();
-        debug_assert!(elapsed <= SLICE_NS, "caller checked the budget");
-        let cap = match (SLICE_NS - elapsed).checked_div(per) {
-            // per == 0: hits are free, the whole span fits the budget.
-            None => run_len,
-            Some(q) => ((q + 1).min(run_len as u64)) as u32,
-        };
-
-        enum RunStop {
-            /// Budget or end-of-span: nothing left to probe.
-            Exhausted,
-            /// TLB missed the next access; nothing was probed for it.
-            TlbMiss,
-            /// TLB hit but L1 missed the next access; its TLB probe is
-            /// already accounted, the L1 is untouched.
-            L1Miss,
-        }
+        let cap = hit_run::run_cap(t.saturating_since(slice_start).as_ns(), per, run_len);
         let job_slot = self.cores[core_id].threads[slot]
             .as_ref()
             .expect("running thread")
             .job_slot;
-        let mut consumed: u32 = 0;
-        let (stop, stop_access) = {
-            let hier = &mut self.hierarchy;
+        let (consumed, stop, stop_access) = {
             let core = &mut self.cores[core_id];
             let slab = &core.arena.buf(job_slot).accesses()
                 [run_start as usize..(run_start + run_len) as usize];
-            let tlb = &mut core.tlb;
-            let stop = loop {
-                if consumed >= cap {
-                    break RunStop::Exhausted;
-                }
-                // Leading same-page segment of the remaining budgeted
-                // accesses (read-only scan).
-                let vpn = slab[consumed as usize].vpn;
-                let mut seg: u32 = 1;
-                while consumed + seg < cap && slab[(consumed + seg) as usize].vpn == vpn {
-                    seg += 1;
-                }
-                // One real TLB probe decides the whole segment; a miss
-                // touches nothing and falls to the scalar walk.
-                if !tlb.probe(vpn) {
-                    break RunStop::TlbMiss;
-                }
-                let l1n = hier.l1_probe_run(
-                    core_id,
-                    slab[consumed as usize..(consumed + seg) as usize]
-                        .iter()
-                        .map(|a| (a.addr, a.is_write)),
-                ) as u32;
-                if l1n < seg {
-                    // The scalar loop probes the TLB of the L1-missing
-                    // access too (a repeat hit of this segment's page)
-                    // before discovering the L1 miss: l1n repeats cover
-                    // accesses 1..l1n plus that one.
-                    tlb.probe_run(std::iter::repeat_n(vpn, l1n as usize));
-                    consumed += l1n;
-                    break RunStop::L1Miss;
-                }
-                // Whole segment hit: one probe done, seg-1 repeats.
-                tlb.probe_run(std::iter::repeat_n(vpn, seg as usize - 1));
-                consumed += seg;
-            };
-            (stop, slab.get(consumed as usize).copied())
+            let (consumed, stop) =
+                hit_run::scan(&mut core.tlb, &mut self.hierarchy, core_id, slab, cap);
+            (consumed, stop, slab.get(consumed as usize).copied())
         };
 
         // Retire the hit run: advance the cursor once and charge the
@@ -1463,12 +1380,8 @@ impl SystemSim {
     }
 
     fn clear_forced(&mut self, core_id: usize, slot: usize) {
-        let core = &mut self.cores[core_id];
-        if let Some(th) = core.threads[slot].as_mut() {
-            if th.forced {
-                th.forced = false;
-                core.arch.clear_forward_progress();
-            }
+        if let Some(th) = self.cores[core_id].threads[slot].as_mut() {
+            th.forced = false;
         }
     }
 
@@ -1525,12 +1438,7 @@ impl SystemSim {
         t: SimTime,
     ) -> AccessResult {
         let _prof = prof_scope(ProfScope::MissPath);
-        let MemoryAccess {
-            addr,
-            vpn: page,
-            is_write,
-            ..
-        } = access;
+        let page = access.vpn;
         // Open (or re-enter after an MSR-stall retry) this miss's trace
         // span; BC and flash emissions below attribute to it.
         let miss_span = if self.tracer.enabled() {
@@ -1627,24 +1535,17 @@ impl SystemSim {
                     self.cores[core_id].stats.forced_synchronous += 1;
                     return self.block_on_page(core_id, slot, page, t);
                 }
-                // Switch-on-miss: abort a committed store if needed,
-                // flush the ROB, save context, invoke the handler.
-                let mut overhead = 0;
-                {
+                // Switch-on-miss: flush the ROB and switch to the
+                // handler (§IV-C2).
+                let overhead = {
                     let core = &mut self.cores[core_id];
-                    if is_write {
-                        if let (_, Some(id)) = core.sb.push(addr) {
-                            core.sb.abort(id);
-                        }
-                    }
-                    overhead += core.rob.flush();
-                    core.arch.record_miss_pc(addr);
-                    overhead += self.cfg.switch_cost_ns * u64::from(
-                        self.configuration != Configuration::AstriFlashIdeal,
-                    );
+                    let overhead = core.rob.flush()
+                        + self.cfg.switch_cost_ns
+                            * u64::from(self.configuration != Configuration::AstriFlashIdeal);
                     core.stats.thread_switches += 1;
                     core.stats.switch_overhead_ns += overhead;
-                }
+                    overhead
+                };
                 let t = t + SimDuration::from_ns(overhead);
                 self.tracer.span_instant(
                     t.as_ns(),

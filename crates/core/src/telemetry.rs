@@ -24,11 +24,6 @@
 //! Unlike the post-warmup aggregates, the windowed series **include
 //! warmup-phase completions**: the warm-up transient is precisely what
 //! a time-resolved view exists to show (`time_to_steady`).
-//!
-//! All series merge element-wise (bucket-wise for histograms), which is
-//! associative and commutative — merged timelines are shard-order
-//! invariant, the same argument that keeps sweep output byte-identical
-//! at any `ASTRIFLASH_THREADS` value.
 
 use astriflash_flash::FlashWindows;
 use astriflash_mem::{CacheWindows, MsrWindows};
@@ -153,9 +148,9 @@ impl ViolationInterval {
     }
 }
 
-/// The assembled time-resolved telemetry of one run (or of several
-/// merged shards): every windowed series from the core, mem, and flash
-/// layers plus the SLO-monitor derivations on top.
+/// The assembled time-resolved telemetry of one run: every windowed
+/// series from the core, mem, and flash layers plus the SLO-monitor
+/// derivations on top.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
     /// The parameters the run collected under.
@@ -317,23 +312,6 @@ impl TelemetryReport {
             + self.flash.dropped()
     }
 
-    /// Merges another shard's report: histograms bucket-wise, counters
-    /// element-wise, peaks by maximum. Associative and commutative, so
-    /// the merged timeline is independent of shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes or channel counts differ.
-    pub fn merge(&mut self, other: &TelemetryReport) {
-        self.core.latency.merge(&other.core.latency);
-        self.core.completions.merge(&other.core.completions);
-        self.core.deadline_misses.merge(&other.core.deadline_misses);
-        self.cache.merge(&other.cache);
-        self.msr.merge(&other.msr);
-        self.flash.merge(&other.flash);
-        self.end_ns = self.end_ns.max(other.end_ns);
-    }
-
     /// Emits every window as Perfetto counter-track gauges (one sample
     /// per window, stamped at the window's end), so the timeline shows
     /// up alongside the event trace in the trace viewer. No-op when the
@@ -490,18 +468,6 @@ mod tests {
         assert_eq!(r.time_to_steady_ns(0.2), None);
         assert!(r.violation_intervals(0.0).is_empty());
         assert_eq!(r.dropped(), 0);
-    }
-
-    #[test]
-    fn merge_is_order_invariant() {
-        let a = report_with(&[(100, 200), (1_200, 900)]);
-        let b = report_with(&[(150, 400), (2_300, 100)]);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.core.completions.total(), 4);
     }
 
     #[test]

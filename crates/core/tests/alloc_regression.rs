@@ -21,15 +21,18 @@ use astriflash_workloads::WorkloadKind;
 
 /// Scopes where the §14 claim is *strict*: more work must change
 /// nothing — not one allocation, not one byte. `scheduler_pick` is in this
-/// set because `NotificationQueue::drain` drains the ring in place.
-/// `msr_admit` is strict too, except for the kinds in
-/// [`MSR_PEAK_KINDS`].
-const STRICT_SCOPES: [Scope; 6] = [
+/// set because `NotificationQueue::drain` drains the ring in place, and
+/// `miss_path` because a switch-on-miss parks the thread without
+/// touching the heap. `msr_admit` is strict too, except for the kinds
+/// in [`MSR_PEAK_KINDS`]. `install` is not: `Ftl::remap` grows a
+/// block's reverse-index vector on a dirty writeback.
+const STRICT_SCOPES: [Scope; 7] = [
     Scope::SchedulerPick,
     Scope::CompleteJob,
     Scope::DoAccess,
     Scope::AccessRun,
     Scope::PtWalk,
+    Scope::MissPath,
     Scope::MsrAdmit,
 ];
 

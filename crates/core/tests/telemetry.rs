@@ -82,32 +82,6 @@ fn telemetry_series_identical_across_worker_counts() {
     }
 }
 
-/// Merging per-shard telemetry is shard-order invariant end-to-end
-/// (not just per series): full reports merged forward and in reverse
-/// agree exactly.
-#[test]
-fn telemetry_report_merge_is_order_invariant() {
-    let cfg = small_cfg().with_telemetry(small_telem());
-    let shards: Vec<_> = (0..3)
-        .map(|seed| {
-            Cell::open(cfg.clone(), Configuration::AstriFlash, seed + 1, 4_000.0, 300)
-                .run()
-                .telemetry
-                .expect("configured")
-        })
-        .collect();
-    let mut fwd = shards[0].clone();
-    for s in &shards[1..] {
-        fwd.merge(s);
-    }
-    let mut rev = shards[2].clone();
-    for s in shards[..2].iter().rev() {
-        rev.merge(s);
-    }
-    assert_eq!(fwd, rev);
-    assert_eq!(fwd.dropped(), 0);
-}
-
 /// Full-scale golden pinning the seed-1 AstriFlash cell that
 /// `telemetry_report` runs (60k jobs at 1M offered jobs/s, 1 ms
 /// windows, 250 us SLO): the complete per-window p99 series, the

@@ -1,29 +1,21 @@
-//! Core-side microarchitecture for the AstriFlash reproduction (§IV-C).
+//! Core-side timing for the AstriFlash reproduction (§IV-C, §VI-A).
 //!
-//! Models the pieces the paper adds to an OoO core:
+//! Models the two core effects that change a simulated time:
 //!
-//! * [`ArchState`] — the Handler Address Register (privileged) and Resume
-//!   Register with its forward-progress bit (§IV-C2, §IV-C3);
 //! * [`Rob`] — reorder-buffer occupancy and the pipeline-flush penalty
-//!   paid on every DRAM-cache miss (§VI-A);
-//! * [`StoreBuffer`] — post-retirement (ASO-style) speculation state that
-//!   lets committed stores be aborted on a DRAM-cache miss (§IV-C4),
-//!   including the extra physical-register budget;
+//!   paid on every switch-on-miss (§VI-A);
 //! * [`OooTiming`] — the memory-level-parallelism model translating
 //!   cache-hit latencies into effective stall time.
 //!
 //! The switch-on-miss control flow itself is composed in
-//! `astriflash-core`; these components keep the per-core state and
-//! account the costs.
+//! `astriflash-core`, which also keeps the forward-progress bit. The
+//! handler and resume registers (§IV-C2, §IV-C3) and the ASO store
+//! buffer (§IV-C4) change no timing here, so they are not simulated.
 
 #![warn(missing_docs)]
 
-pub mod arch_state;
 pub mod rob;
-pub mod store_buffer;
 pub mod timing;
 
-pub use arch_state::{ArchState, Privilege, ResumeRegister};
 pub use rob::Rob;
-pub use store_buffer::{SbPush, StoreBuffer};
 pub use timing::OooTiming;

@@ -6,15 +6,13 @@
 //! instructions issue and drains as they retire; a flush discards the
 //! in-flight window and charges the time the frontend needs to refill it.
 
-/// ROB occupancy and flush accounting for one core.
+/// ROB occupancy and flush penalty for one core.
 #[derive(Debug, Clone)]
 pub struct Rob {
     entries: u32,
     occupancy: f64,
     /// Sustained dispatch/retire width in instructions per ns.
     dispatch_per_ns: f64,
-    flushes: u64,
-    total_flush_penalty_ns: u64,
 }
 
 impl Rob {
@@ -31,8 +29,6 @@ impl Rob {
             entries,
             occupancy: 0.0,
             dispatch_per_ns: dispatch_width * freq_ghz,
-            flushes: 0,
-            total_flush_penalty_ns: 0,
         }
     }
 
@@ -51,40 +47,17 @@ impl Rob {
         self.occupancy = (self.occupancy + gain).min(target);
     }
 
-    /// A long stall (e.g. a synchronous DRAM-cache hit) lets the window
-    /// fill completely while the head is blocked.
-    pub fn stall_fill(&mut self) {
-        self.occupancy = self.entries as f64;
-    }
-
     /// Flushes the pipeline (miss signal → redirect to the handler,
     /// §IV-C2). Returns the refill penalty in ns and resets occupancy.
     pub fn flush(&mut self) -> u64 {
         let penalty = (self.occupancy / self.dispatch_per_ns).round() as u64;
         self.occupancy = 0.0;
-        self.flushes += 1;
-        self.total_flush_penalty_ns += penalty;
         penalty
     }
 
     /// Current occupancy estimate in entries.
     pub fn occupancy(&self) -> f64 {
         self.occupancy
-    }
-
-    /// ROB capacity.
-    pub fn entries(&self) -> u32 {
-        self.entries
-    }
-
-    /// Number of flushes taken.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Cumulative flush penalty in ns.
-    pub fn total_flush_penalty_ns(&self) -> u64 {
-        self.total_flush_penalty_ns
     }
 }
 
@@ -119,15 +92,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_resets_and_accounts() {
+    fn flush_resets_occupancy() {
         let mut rob = Rob::a76();
-        rob.stall_fill();
-        assert_eq!(rob.occupancy(), 128.0);
-        let p = rob.flush();
-        assert!(p >= 12, "full ROB flush penalty {p}");
+        rob.advance(1000);
+        assert!(rob.flush() > 0);
         assert_eq!(rob.occupancy(), 0.0);
-        assert_eq!(rob.flushes(), 1);
-        assert_eq!(rob.total_flush_penalty_ns(), p);
+        assert_eq!(rob.flush(), 0, "a second flush finds the window empty");
     }
 
     #[test]

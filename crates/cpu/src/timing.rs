@@ -29,16 +29,6 @@ impl Default for OooTiming {
 }
 
 impl OooTiming {
-    /// A model with no overlap (every latency fully exposed) — the
-    /// in-order baseline for ablations.
-    pub fn in_order() -> Self {
-        OooTiming {
-            l1_exposed: 1.0,
-            on_chip_exposed: 1.0,
-            dram_exposed: 1.0,
-        }
-    }
-
     /// Effective stall for a memory access of `latency_ns`.
     pub fn effective_stall_ns(&self, latency_ns: u64) -> u64 {
         let f = if latency_ns <= 2 {
@@ -73,13 +63,5 @@ mod tests {
         assert!(on_chip < dram);
         assert!(dram < flash);
         assert_eq!(flash, 1.0);
-    }
-
-    #[test]
-    fn in_order_exposes_everything() {
-        let t = OooTiming::in_order();
-        for lat in [1u64, 20, 200, 50_000] {
-            assert_eq!(t.effective_stall_ns(lat), lat);
-        }
     }
 }

@@ -41,8 +41,7 @@ impl FlashStats {
 ///
 /// Attached via [`FlashDevice::enable_windows`]; recording is pure
 /// bookkeeping and never changes device timing, so a run with windows
-/// enabled is bit-identical to one without. All series are element-wise
-/// mergeable, so merged timelines are shard-order invariant.
+/// enabled is bit-identical to one without.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlashWindows {
     /// Page reads issued per window.
@@ -126,27 +125,6 @@ impl FlashWindows {
                     .max()
                     .unwrap_or(0),
             )
-    }
-
-    /// Element-wise merge of another shard's windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if window sizes or channel counts differ.
-    pub fn merge(&mut self, other: &FlashWindows) {
-        assert_eq!(
-            self.chan_busy_ns.len(),
-            other.chan_busy_ns.len(),
-            "cannot merge flash windows with different channel counts"
-        );
-        self.reads.merge(&other.reads);
-        self.writes.merge(&other.writes);
-        self.gc_invocations.merge(&other.gc_invocations);
-        self.gc_erases.merge(&other.gc_erases);
-        self.gc_migrated_pages.merge(&other.gc_migrated_pages);
-        for (a, b) in self.chan_busy_ns.iter_mut().zip(other.chan_busy_ns.iter()) {
-            a.merge(b);
-        }
     }
 }
 

@@ -77,11 +77,6 @@ impl Plane {
         self.read_busy_until.max(self.gc_until)
     }
 
-    /// When the plane's write path is next idle.
-    pub fn write_ready_at(&self) -> SimTime {
-        self.write_busy_until
-    }
-
     /// Whether a request arriving at `now` would wait behind an
     /// in-progress garbage collection.
     pub fn blocked_by_gc(&self, now: SimTime) -> bool {

@@ -76,8 +76,7 @@ pub struct MsrWindows {
     pub occ_sum: WindowSeries,
     /// Number of occupancy samples per window.
     pub occ_samples: WindowSeries,
-    /// Peak sampled occupancy per window (merge with
-    /// [`WindowSeries::merge_max`], not addition).
+    /// Peak sampled occupancy per window.
     pub occ_peak: WindowSeries,
 }
 
@@ -110,14 +109,6 @@ impl MsrWindows {
     /// Observations dropped past the window cap, across all series.
     pub fn dropped(&self) -> u64 {
         self.occ_sum.dropped() + self.occ_samples.dropped() + self.occ_peak.dropped()
-    }
-
-    /// Merge of another shard's windows: sums add element-wise, peaks
-    /// take the element-wise maximum.
-    pub fn merge(&mut self, other: &MsrWindows) {
-        self.occ_sum.merge(&other.occ_sum);
-        self.occ_samples.merge(&other.occ_samples);
-        self.occ_peak.merge_max(&other.occ_peak);
     }
 }
 

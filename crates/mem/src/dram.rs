@@ -121,11 +121,6 @@ impl DramBanks {
         self.busy_until[bank]
     }
 
-    /// When `row`'s bank is next idle.
-    pub fn bank_ready_at(&self, row: u64) -> SimTime {
-        self.busy_until[self.bank_of(row)]
-    }
-
     /// Row-buffer hit count.
     pub fn row_hits(&self) -> u64 {
         self.row_hits

@@ -137,12 +137,6 @@ impl CacheWindows {
     pub fn dropped(&self) -> u64 {
         self.hits.dropped() + self.misses.dropped()
     }
-
-    /// Element-wise merge of another shard's windows.
-    pub fn merge(&mut self, other: &CacheWindows) {
-        self.hits.merge(&other.hits);
-        self.misses.merge(&other.misses);
-    }
 }
 
 /// The DRAM cache: tag state plus frontside-controller timing.

@@ -1,5 +1,5 @@
 //! Footprint prediction (the paper's §II-A bandwidth optimization:
-//! "use optimizations such as Footprint Cache" [36]).
+//! "use optimizations such as Footprint Cache" \[36\]).
 //!
 //! A footprint cache fetches only the blocks of a page the processor is
 //! predicted to touch, instead of the whole 4 KiB, cutting the flash

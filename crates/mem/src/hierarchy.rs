@@ -2,7 +2,8 @@
 //!
 //! On-chip hits are resolved synchronously with fixed latencies; only
 //! LLC misses leave the chip toward the DRAM-cache frontside controller.
-//! LLC MSHR occupancy bounds the number of outstanding off-chip misses.
+//! Outstanding misses are bounded off-chip, by the DRAM cache's Miss
+//! Status Row; on-chip MSHRs are not modeled.
 
 use crate::sram_cache::SramCache;
 
@@ -27,8 +28,6 @@ pub struct HierarchyConfig {
     pub llc_ways: usize,
     /// LLC hit latency in nanoseconds.
     pub llc_latency_ns: u64,
-    /// LLC MSHR entries (outstanding off-chip misses per chip).
-    pub llc_mshrs: usize,
 }
 
 impl Default for HierarchyConfig {
@@ -47,7 +46,6 @@ impl Default for HierarchyConfig {
             llc_bytes: 4 << 20,
             llc_ways: 16,
             llc_latency_ns: 20,
-            llc_mshrs: 64,
         }
     }
 }
@@ -111,8 +109,6 @@ pub struct CacheHierarchy {
     l1: Vec<SramCache>,
     l2: Vec<SramCache>,
     llc: SramCache,
-    llc_mshrs_in_use: usize,
-    mshr_full_events: u64,
 }
 
 impl CacheHierarchy {
@@ -132,8 +128,6 @@ impl CacheHierarchy {
                 .collect(),
             llc: SramCache::new(cfg.llc_bytes, cfg.llc_ways),
             cfg,
-            llc_mshrs_in_use: 0,
-            mshr_full_events: 0,
         }
     }
 
@@ -201,29 +195,6 @@ impl CacheHierarchy {
         }
     }
 
-    /// Reserves an LLC MSHR for an off-chip miss; `false` means the
-    /// request must stall until one frees (on-chip caches block, §IV-C1).
-    pub fn try_reserve_mshr(&mut self) -> bool {
-        if self.llc_mshrs_in_use >= self.cfg.llc_mshrs {
-            self.mshr_full_events += 1;
-            false
-        } else {
-            self.llc_mshrs_in_use += 1;
-            true
-        }
-    }
-
-    /// Releases an MSHR (miss satisfied, or reclaimed on an AstriFlash
-    /// miss signal, §IV-C1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no MSHR is outstanding.
-    pub fn release_mshr(&mut self) {
-        assert!(self.llc_mshrs_in_use > 0, "MSHR release underflow");
-        self.llc_mshrs_in_use -= 1;
-    }
-
     /// Invalidates one block in `core`'s private levels and the shared
     /// LLC — the resource reclamation on an AstriFlash miss signal
     /// (§IV-C1): the speculatively filled block must not satisfy the
@@ -232,34 +203,6 @@ impl CacheHierarchy {
         self.l1[core].invalidate(addr);
         self.l2[core].invalidate(addr);
         self.llc.invalidate(addr);
-    }
-
-    /// Invalidates a whole 4 KiB page across all levels (used when the
-    /// DRAM cache evicts a page so on-chip copies cannot serve stale
-    /// data). Returns the number of dirty blocks dropped.
-    pub fn invalidate_page(&mut self, page_base: u64) -> usize {
-        let mut dirty = 0;
-        for block in 0..(4096 / 64) {
-            let addr = page_base + block * 64;
-            for l1 in &mut self.l1 {
-                dirty += usize::from(l1.invalidate(addr));
-            }
-            for l2 in &mut self.l2 {
-                dirty += usize::from(l2.invalidate(addr));
-            }
-            dirty += usize::from(self.llc.invalidate(addr));
-        }
-        dirty
-    }
-
-    /// MSHRs currently reserved.
-    pub fn mshrs_in_use(&self) -> usize {
-        self.llc_mshrs_in_use
-    }
-
-    /// Times a reservation failed because all MSHRs were busy.
-    pub fn mshr_full_events(&self) -> u64 {
-        self.mshr_full_events
     }
 
     /// The shared LLC (for stats inspection).
@@ -333,37 +276,6 @@ mod tests {
         // Core 1 misses its private levels but hits the shared LLC.
         let expect = h.config().l1_latency_ns + h.config().l2_latency_ns + h.config().llc_latency_ns;
         assert_eq!(out, HierarchyOutcome::OnChipHit { latency_ns: expect });
-    }
-
-    #[test]
-    fn mshr_reservation_bounds() {
-        let mut h = CacheHierarchy::new(1, HierarchyConfig {
-            llc_mshrs: 2,
-            ..HierarchyConfig::default()
-        });
-        assert!(h.try_reserve_mshr());
-        assert!(h.try_reserve_mshr());
-        assert!(!h.try_reserve_mshr());
-        assert_eq!(h.mshr_full_events(), 1);
-        h.release_mshr();
-        assert!(h.try_reserve_mshr());
-        assert_eq!(h.mshrs_in_use(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn release_without_reserve_panics() {
-        chip().release_mshr();
-    }
-
-    #[test]
-    fn invalidate_page_clears_all_levels() {
-        let mut h = chip();
-        h.access(0, 0x3000, true);
-        h.access(1, 0x3040, false);
-        let dirty = h.invalidate_page(0x3000);
-        assert!(dirty >= 1, "the written block was dirty somewhere");
-        assert!(!h.access(0, 0x3000, false).is_hit());
     }
 
     #[test]

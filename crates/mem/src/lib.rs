@@ -1,7 +1,7 @@
 //! Memory hierarchy for the AstriFlash reproduction.
 //!
 //! Implements the paper's memory side (§IV-B): conventional on-chip SRAM
-//! caches with MSHRs, DRAM bank timing with open-row tracking, the
+//! caches, DRAM bank timing with open-row tracking, the
 //! DRAM-cache **frontside controller** (tags held *in* DRAM, probed with
 //! serialized RAS/CAS operations, FR-FCFS-style bank scheduling), the
 //! **backside controller** with its in-DRAM **Miss Status Row** (MSR)

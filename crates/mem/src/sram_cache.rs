@@ -4,7 +4,7 @@
 //! # Layout (DESIGN.md §10)
 //!
 //! The cache is a single flat allocation in struct-of-arrays form: one
-//! `tags` slab (`num_sets × ways`, empty slots hold [`INVALID_TAG`]), a
+//! `tags` slab (`num_sets × ways`, empty slots hold `INVALID_TAG`), a
 //! per-set dirty bitmask (`u16`, one bit per way), a per-set occupancy
 //! count, and a per-set packed *recency-order word* — a `u64` holding up
 //! to sixteen 4-bit way ids ordered MRU (low nibble) → LRU (high

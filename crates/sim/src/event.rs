@@ -14,7 +14,7 @@
 //! instead of being paid per pop. `tests/kernel_properties.rs` checks its
 //! pop stream against a `BinaryHeap` model of the contract.
 //!
-//! The wheel has [`LEVELS`] levels of [`SLOTS`] slots each; level `L`
+//! The wheel has `LEVELS` levels of `SLOTS` slots each; level `L`
 //! slots span `64^L` ns, so the wheel covers `64^7 = 2^42` ns (≈ 73
 //! simulated minutes) ahead of the cursor. Events beyond that horizon
 //! park in an overflow list and are folded back in when the wheel runs
@@ -149,7 +149,7 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when the queue is empty.
     ///
     /// Batched dispatch: the common case is a `Vec::pop` from the ready
-    /// buffer filled by [`Self::drain_slot`]; the candidate scan and any
+    /// buffer filled by `drain_slot`; the candidate scan and any
     /// cascades run only once per level-0 slot, not once per event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = match self.ready.pop() {

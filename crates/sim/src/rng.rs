@@ -141,7 +141,7 @@ impl SimRng {
         ((self.next_u64() >> 11) + 1) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli trial with success probability `p` (clamped to [0,1]).
+    /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
@@ -152,21 +152,6 @@ impl SimRng {
     pub fn gen_exp(&mut self, mean: f64) -> f64 {
         debug_assert!(mean >= 0.0);
         -mean * self.gen_f64_open().ln()
-    }
-
-    /// Standard normal via Box–Muller (single value; the pair's second
-    /// element is discarded to keep state layout simple).
-    pub fn gen_normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        let u1 = self.gen_f64_open();
-        let u2 = self.gen_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        mean + std_dev * r * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Log-normal value parameterized by the *target* mean and sigma of the
-    /// underlying normal. Useful for skewed service-time tails.
-    pub fn gen_lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.gen_normal(mu, sigma).exp()
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -265,17 +250,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| rng.gen_exp(10.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.2, "mean was {mean}");
-    }
-
-    #[test]
-    fn normal_moments_are_close() {
-        let mut rng = SimRng::new(6);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gen_normal(3.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean was {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var was {var}");
     }
 
     #[test]

@@ -94,18 +94,6 @@ impl<const BITS: u32> LogHistogram<BITS> {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` identical observations.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_index(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -185,15 +173,6 @@ impl<const BITS: u32> LogHistogram<BITS> {
             self.max = self.max.max(other.max);
         }
     }
-
-    /// Resets to empty without releasing memory.
-    pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
 }
 
 impl<const BITS: u32> Default for LogHistogram<BITS> {
@@ -265,7 +244,9 @@ mod tests {
     #[test]
     fn mean_and_count() {
         let mut h = Histogram::new();
-        h.record_n(10, 3);
+        for _ in 0..3 {
+            h.record(10);
+        }
         h.record(20);
         assert_eq!(h.count(), 4);
         assert!((h.mean() - 12.5).abs() < 1e-9);
@@ -290,22 +271,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram::new();
-        h.record(42);
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.value_at_quantile(0.5), 0);
-    }
-
-    #[test]
-    fn record_n_zero_is_noop() {
-        let mut h = Histogram::new();
-        h.record_n(10, 0);
         assert!(h.is_empty());
     }
 

@@ -105,26 +105,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 #[cfg(test)]
@@ -151,27 +131,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.coefficient_of_variation(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut seq = OnlineStats::new();
-        for &v in &all {
-            seq.push(v);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &v in &all[..37] {
-            a.push(v);
-        }
-        for &v in &all[37..] {
-            b.push(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - seq.population_variance()).abs() < 1e-9);
     }
 
     #[test]

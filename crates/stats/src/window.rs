@@ -14,11 +14,6 @@
 //!   ([`WindowSeries::add_span`] splits a busy interval across the
 //!   windows it overlaps, so utilization never exceeds 1).
 //!
-//! Both types merge **bucket-wise / element-wise**, which is associative
-//! and commutative — a merged series is independent of shard order and
-//! worker count, the same argument that makes the sweep engine's
-//! reports byte-identical at any `ASTRIFLASH_THREADS` value.
-//!
 //! Window assignment is `t_ns / window_ns` (integer floor): an event
 //! exactly on a boundary belongs to the window that *starts* there.
 //! Observations past the `max_windows` cap are counted in
@@ -161,29 +156,6 @@ impl WindowedHist {
         }
         out
     }
-
-    /// Merges `other` window-by-window (bucket-wise add). Associative
-    /// and commutative, so merged results are shard-order invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &WindowedHist) {
-        assert_eq!(
-            self.window_ns, other.window_ns,
-            "cannot merge series with different window sizes"
-        );
-        if other.wins.len() > self.wins.len() {
-            self.wins.resize_with(other.wins.len(), || None);
-        }
-        for (mine, theirs) in self.wins.iter_mut().zip(other.wins.iter()) {
-            if let Some(h) = theirs {
-                mine.get_or_insert_with(|| Box::new(PhaseHist::new()))
-                    .merge(h);
-            }
-        }
-        self.dropped += other.dropped;
-    }
 }
 
 /// A per-window `u64` accumulator (see the module docs).
@@ -287,50 +259,8 @@ impl WindowSeries {
         &self.vals
     }
 
-    /// Merges `other` element-wise (addition). Associative and
-    /// commutative, so merged results are shard-order invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge(&mut self, other: &WindowSeries) {
-        assert_eq!(
-            self.window_ns, other.window_ns,
-            "cannot merge series with different window sizes"
-        );
-        if other.vals.len() > self.vals.len() {
-            self.vals.resize(other.vals.len(), 0);
-        }
-        for (mine, theirs) in self.vals.iter_mut().zip(other.vals.iter()) {
-            *mine += theirs;
-        }
-        self.dropped += other.dropped;
-    }
-
-    /// Merges `other` element-wise taking the **maximum** — for
-    /// peak-style gauges (per-window MSR occupancy high-water mark),
-    /// where addition would double-count. Still associative and
-    /// commutative, so shard-order invariance holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window sizes differ.
-    pub fn merge_max(&mut self, other: &WindowSeries) {
-        assert_eq!(
-            self.window_ns, other.window_ns,
-            "cannot merge series with different window sizes"
-        );
-        if other.vals.len() > self.vals.len() {
-            self.vals.resize(other.vals.len(), 0);
-        }
-        for (mine, theirs) in self.vals.iter_mut().zip(other.vals.iter()) {
-            *mine = (*mine).max(*theirs);
-        }
-        self.dropped += other.dropped;
-    }
-
-    /// Records `value` as a per-window maximum (companion to
-    /// [`WindowSeries::merge_max`]).
+    /// Records `value` as a per-window maximum, for peak-style gauges
+    /// (per-window MSR occupancy high-water mark).
     pub fn record_max(&mut self, t_ns: u64, value: u64) {
         let w = window_index(t_ns, self.window_ns);
         if w >= self.max_windows {
@@ -379,19 +309,6 @@ mod tests {
         assert_eq!(p99.len(), 3);
         assert_eq!(p99[1], 0);
         assert_eq!(p99[2], 9_999);
-    }
-
-    #[test]
-    fn hist_merge_extends_and_adds() {
-        let mut a = WindowedHist::new(100);
-        a.record(50, 10);
-        let mut b = WindowedHist::new(100);
-        b.record(50, 20);
-        b.record(250, 30);
-        a.merge(&b);
-        assert_eq!(a.num_windows(), 3);
-        assert_eq!(a.count(0), 2);
-        assert_eq!(a.count(2), 1);
     }
 
     #[test]
@@ -448,33 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn series_merge_and_merge_max() {
-        let mut a = WindowSeries::new(10);
-        a.add(5, 4);
-        let mut b = WindowSeries::new(10);
-        b.add(5, 3);
-        b.add(25, 7);
-        let mut sum = a.clone();
-        sum.merge(&b);
-        assert_eq!(sum.values(), &[7, 0, 7]);
-        a.merge_max(&b);
-        assert_eq!(a.values(), &[4, 0, 7]);
-    }
-
-    #[test]
     fn record_max_keeps_the_high_water_mark() {
         let mut s = WindowSeries::new(10);
         s.record_max(1, 5);
         s.record_max(2, 3);
         s.record_max(3, 9);
         assert_eq!(s.get(0), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "different window sizes")]
-    fn merge_rejects_mismatched_windows() {
-        let mut a = WindowedHist::new(10);
-        a.merge(&WindowedHist::new(20));
     }
 
     #[test]

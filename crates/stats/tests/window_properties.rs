@@ -1,9 +1,8 @@
 //! Property tests for the windowed-telemetry layer (DESIGN.md §13):
-//! window-boundary assignment, shard-order invariance of merged
-//! `WindowedHist`/`WindowSeries`, and agreement with a scalar reference
-//! implementation including empty-window handling.
+//! window-boundary assignment and agreement with a scalar reference
+//! implementation, including empty-window handling.
 
-use astriflash_stats::{window_index, PhaseHist, WindowSeries, WindowedHist, PHASE_QUANTILES};
+use astriflash_stats::{window_index, PhaseHist, WindowSeries, WindowedHist};
 use astriflash_testkit::prop_check;
 
 /// A generated (timestamp, value) observation. Timestamps are biased to
@@ -104,104 +103,20 @@ fn window_series_matches_scalar_reference() {
                 .collect()
         };
         let mut s = WindowSeries::new(window_ns);
+        let mut peak = WindowSeries::new(window_ns);
         for &(t, d) in &obs {
             s.add(t, d);
+            peak.record_max(t, d);
         }
         let reference = reference_windows(&obs, window_ns);
         assert_eq!(s.num_windows(), reference.len());
+        assert_eq!(peak.num_windows(), reference.len());
         for (w, vals) in reference.iter().enumerate() {
             assert_eq!(s.get(w), vals.iter().sum::<u64>(), "window {w}");
+            let max = vals.iter().copied().max().unwrap_or(0);
+            assert_eq!(peak.get(w), max, "peak window {w}");
         }
         assert_eq!(s.total(), obs.iter().map(|&(_, d)| d).sum::<u64>());
-    });
-}
-
-#[test]
-fn merged_hist_is_shard_order_invariant() {
-    prop_check!(cases: 48, |g| {
-        let window_ns = g.u64_in(10..10_000);
-        let obs: Vec<(u64, u64)> = {
-            let n = g.usize_in(1..200);
-            (0..n).map(|_| gen_obs(g, window_ns, 64)).collect()
-        };
-        // One recorder sees everything; k shards see a round-robin deal.
-        let mut whole = WindowedHist::new(window_ns);
-        for &(t, v) in &obs {
-            whole.record(t, v);
-        }
-        let k = g.usize_in(2..9);
-        let mut shards: Vec<WindowedHist> =
-            (0..k).map(|_| WindowedHist::new(window_ns)).collect();
-        for (i, &(t, v)) in obs.iter().enumerate() {
-            shards[i % k].record(t, v);
-        }
-        // Merge forward and in reverse: both equal the whole.
-        let mut fwd = WindowedHist::new(window_ns);
-        for s in &shards {
-            fwd.merge(s);
-        }
-        let mut rev = WindowedHist::new(window_ns);
-        for s in shards.iter().rev() {
-            rev.merge(s);
-        }
-        assert_eq!(fwd, whole);
-        assert_eq!(rev, whole);
-        for w in 0..whole.num_windows() {
-            for q in PHASE_QUANTILES {
-                assert_eq!(fwd.quantile(w, q), whole.quantile(w, q));
-            }
-        }
-    });
-}
-
-#[test]
-fn merged_series_is_shard_order_invariant() {
-    prop_check!(cases: 48, |g| {
-        let window_ns = g.u64_in(10..10_000);
-        let obs: Vec<(u64, u64)> = {
-            let n = g.usize_in(1..200);
-            (0..n)
-                .map(|_| {
-                    let (t, _) = gen_obs(g, window_ns, 64);
-                    (t, g.u64_in(0..1_000))
-                })
-                .collect()
-        };
-        let mut whole = WindowSeries::new(window_ns);
-        let mut whole_max = WindowSeries::new(window_ns);
-        for &(t, d) in &obs {
-            whole.add(t, d);
-            whole_max.record_max(t, d);
-        }
-        let k = g.usize_in(2..9);
-        let mut shards: Vec<(WindowSeries, WindowSeries)> = (0..k)
-            .map(|_| (WindowSeries::new(window_ns), WindowSeries::new(window_ns)))
-            .collect();
-        for (i, &(t, d)) in obs.iter().enumerate() {
-            shards[i % k].0.add(t, d);
-            shards[i % k].1.record_max(t, d);
-        }
-        let mut fwd = WindowSeries::new(window_ns);
-        let mut fwd_max = WindowSeries::new(window_ns);
-        for (sum, peak) in &shards {
-            fwd.merge(sum);
-            fwd_max.merge_max(peak);
-        }
-        let mut rev = WindowSeries::new(window_ns);
-        let mut rev_max = WindowSeries::new(window_ns);
-        for (sum, peak) in shards.iter().rev() {
-            rev.merge(sum);
-            rev_max.merge_max(peak);
-        }
-        // Sums match exactly; peaks may differ in *trailing empty
-        // windows only* (a shard that never saw the last windows stays
-        // short), so compare per-window values.
-        assert_eq!(fwd, whole);
-        assert_eq!(rev, whole);
-        for w in 0..whole_max.num_windows() {
-            assert_eq!(fwd_max.get(w), whole_max.get(w), "peak window {w}");
-            assert_eq!(rev_max.get(w), whole_max.get(w), "peak window {w}");
-        }
     });
 }
 
@@ -223,26 +138,5 @@ fn add_span_conserves_nanoseconds() {
         }
         assert_eq!(s.total(), expected, "span splitting must conserve time");
         assert_eq!(s.dropped(), 0);
-    });
-}
-
-#[test]
-fn empty_merge_is_identity() {
-    prop_check!(cases: 32, |g| {
-        let window_ns = g.u64_in(10..10_000);
-        let mut h = WindowedHist::new(window_ns);
-        let mut s = WindowSeries::new(window_ns);
-        for _ in 0..g.usize_in(0..50) {
-            let (t, v) = gen_obs(g, window_ns, 64);
-            h.record(t, v);
-            s.add(t, v % 100);
-        }
-        let h_before = h.clone();
-        let s_before = s.clone();
-        h.merge(&WindowedHist::new(window_ns));
-        s.merge(&WindowSeries::new(window_ns));
-        s.merge_max(&WindowSeries::new(window_ns));
-        assert_eq!(h, h_before);
-        assert_eq!(s, s_before);
     });
 }

@@ -3,8 +3,8 @@
 //! string escaper.
 //!
 //! No JSON crate is available offline. Writers (`trace_run`,
-//! `telemetry_report`, `profile_report`) check each document by parsing
-//! it before they exit 0; the analyzer walks the parsed tree. Numbers
+//! `telemetry_report`, `profile_report`) [`check`] each document before
+//! they exit 0; the analyzer walks the tree [`parse`] builds. Numbers
 //! keep their literal text ([`Value::Num`]) so exact fixed-point
 //! timestamps (`ts` in microseconds with three decimals = whole
 //! nanoseconds) survive the round-trip without any float in the path.
@@ -67,25 +67,40 @@ impl Value {
 
 /// Parses a JSON document. Exactly one top-level value is allowed.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        text: input,
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.text.len() {
-        return Err(p.err("trailing data after top-level value"));
-    }
-    Ok(v)
+    Parser::new(input, true).document()
+}
+
+/// Checks that `input` is one JSON document by the grammar of
+/// [`parse`], without building the tree: arrays and objects drop each
+/// element once it is parsed, so what the check holds is bounded by the
+/// nesting depth, not by the document's size.
+pub fn check(input: &str) -> Result<(), String> {
+    Parser::new(input, false).document().map(drop)
 }
 
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Whether arrays and objects keep their elements ([`parse`]) or
+    /// drop them ([`check`]).
+    keep: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str, keep: bool) -> Self {
+        Parser { text, pos: 0, keep }
+    }
+
+    fn document(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing data after top-level value"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, msg: &str) -> String {
         format!("json parse error at byte {}: {msg}", self.pos)
     }
@@ -154,7 +169,9 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            members.push((key, val));
+            if self.keep {
+                members.push((key, val));
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -174,7 +191,10 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            if self.keep {
+                items.push(item);
+            }
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -324,7 +344,8 @@ mod tests {
             "  [1, 2, 3]  ",
             r#""é""#,
         ] {
-            assert!(parse(ok).is_ok(), "should accept {ok:?}");
+            assert!(parse(ok).is_ok(), "parse should accept {ok:?}");
+            assert_eq!(check(ok), Ok(()), "check should accept {ok:?}");
         }
     }
 
@@ -349,7 +370,8 @@ mod tests {
             "1 2",
             "\"\\q\"",
         ] {
-            assert!(parse(bad).is_err(), "should reject {bad:?}");
+            let err = parse(bad).expect_err("parse should reject");
+            assert_eq!(check(bad), Err(err), "check should reject {bad:?} alike");
         }
     }
 

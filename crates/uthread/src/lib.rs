@@ -14,10 +14,8 @@
 
 #![warn(missing_docs)]
 
-pub mod context;
 pub mod queue_pair;
 pub mod scheduler;
 
-pub use context::{SwitchCostModel, ThreadContext};
 pub use queue_pair::{Completion, NotificationQueue};
 pub use scheduler::{MissPark, Pick, Policy, Scheduler, SchedulerStats};

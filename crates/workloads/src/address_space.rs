@@ -165,11 +165,6 @@ impl SimAlloc {
         mixed * PAGE_SIZE + offset
     }
 
-    /// Bytes allocated so far (linear, before scattering).
-    pub fn used_bytes(&self) -> u64 {
-        self.next
-    }
-
     /// Remaining capacity in bytes.
     pub fn remaining_bytes(&self) -> u64 {
         self.space.size_bytes() - self.next

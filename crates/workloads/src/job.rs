@@ -13,7 +13,7 @@ use astriflash_sim::SimRng;
 ///
 /// The translation-relevant decompositions of `addr` are resolved once
 /// at generation time rather than per simulated access: the core's hot
-/// loop replays each access many times (thread switches, MSHR retries,
+/// loop replays each access many times (thread switches, MSR retries,
 /// DRAM-cache probes) and previously re-derived the page and block
 /// numbers with two divisions each time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -32,7 +32,7 @@ const MIN_TABLE_COVERAGE: f64 = 0.6;
 /// contained in a single rank resolve without calling `powf`, and only
 /// buckets straddling a rank (or case) boundary fall back to the exact
 /// formula. The table is kept only when its fast-path coverage clears
-/// [`MIN_TABLE_COVERAGE`] — below that most draws would pay the lookup
+/// `MIN_TABLE_COVERAGE` — below that most draws would pay the lookup
 /// *and* the formula. Either way the sampler is **sequence-identical**
 /// to the plain formula — see [`ZipfGenerator::without_table`].
 ///

@@ -40,6 +40,10 @@ cargo test -q --release --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings denied)"
+# A doc link to a deleted or private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> trace_run smoke (offline Perfetto/CSV export)"
 cargo run --release -q -p astriflash-bench --bin trace_run -- --quick
 # trace_run parses its JSON back (astriflash_trace::json, the workspace's
