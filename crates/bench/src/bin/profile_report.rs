@@ -23,9 +23,10 @@
 //! cargo run --release -p astriflash-bench --bin profile_report -- --quick
 //! ```
 //!
-//! Unlike the figure binaries this one owns the process-wide profiling
-//! session directly (it must interleave sessions per system), so it
-//! deliberately does **not** honor `ASTRIFLASH_PROFILE`. The outputs
+//! Unlike `regen`, `trace_run` and `telemetry_report`, this binary owns
+//! the process-wide profiling session directly (it must interleave
+//! sessions per system), so it deliberately does **not** honor
+//! `ASTRIFLASH_PROFILE`. The outputs
 //! are wall-clock measurements — regenerable, never byte-stable, and
 //! therefore not committed.
 
@@ -34,8 +35,8 @@ use std::process::ExitCode;
 use astriflash_bench::profile::{flame_objects, profile_cell, MeasuredProfile};
 
 /// Attribute heap allocations to the innermost active scope: the
-/// counting allocator is installed in this binary (not in the figure
-/// binaries) so the `allocs`/`alloc(bytes)` columns of the written
+/// counting allocator is installed in this binary (not in `regen`) so
+/// the `allocs`/`alloc(bytes)` columns of the written
 /// trees are live measurements, not zeros.
 #[global_allocator]
 static ALLOC: astriflash_prof::CountingAlloc = astriflash_prof::CountingAlloc;

@@ -241,7 +241,7 @@ mod tests {
     fn associativity_sweep_produces_sane_points() {
         // Conflict-miss effects are pattern-dependent at tiny scale, so
         // assert sanity rather than a direction (the full-scale sweep is
-        // in the `ablations` harness binary).
+        // is the `ablations` artifact of `regen`).
         let pts = dram_cache_ways(&base(), &[1, 8], 60, 3);
         assert!(pts.iter().all(|p| p.throughput > 0.0));
         assert!(pts.iter().all(|p| p.p99_service_ns > 0));

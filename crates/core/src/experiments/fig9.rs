@@ -109,11 +109,12 @@ pub fn run_matrix_with(
 }
 
 /// Geometric-mean normalized throughput of `configuration` across the
-/// matrix.
+/// matrix. Every cell counts: one that completed nothing (0.0) makes
+/// the mean 0 rather than silently dropping out of it.
 pub fn geomean_normalized(cells: &[Fig9Cell], configuration: Configuration) -> f64 {
     let vals: Vec<f64> = cells
         .iter()
-        .filter(|c| c.configuration == configuration && c.normalized > 0.0)
+        .filter(|c| c.configuration == configuration)
         .map(|c| c.normalized)
         .collect();
     if vals.is_empty() {
@@ -161,24 +162,25 @@ mod tests {
         assert!(os > sync, "OS-Swap {os} should beat Flash-Sync {sync}");
     }
 
+    fn cell(workload: &'static str, normalized: f64) -> Fig9Cell {
+        Fig9Cell {
+            workload,
+            configuration: Configuration::AstriFlash,
+            throughput: normalized * 10.0,
+            normalized,
+            miss_interval_us: f64::INFINITY,
+        }
+    }
+
     #[test]
     fn geomean_of_identity_is_one() {
-        let cells = vec![
-            Fig9Cell {
-                workload: "a",
-                configuration: Configuration::DramOnly,
-                throughput: 10.0,
-                normalized: 1.0,
-                miss_interval_us: f64::INFINITY,
-            },
-            Fig9Cell {
-                workload: "b",
-                configuration: Configuration::DramOnly,
-                throughput: 20.0,
-                normalized: 1.0,
-                miss_interval_us: f64::INFINITY,
-            },
-        ];
-        assert!((geomean_normalized(&cells, Configuration::DramOnly) - 1.0).abs() < 1e-12);
+        let cells = [cell("a", 1.0), cell("b", 1.0)];
+        assert!((geomean_normalized(&cells, Configuration::AstriFlash) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_zero_cell_drives_the_geomean_to_zero() {
+        let cells = [cell("a", 0.9), cell("b", 0.0), cell("c", 0.8)];
+        assert_eq!(geomean_normalized(&cells, Configuration::AstriFlash), 0.0);
     }
 }

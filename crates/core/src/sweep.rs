@@ -29,7 +29,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use astriflash_sim::rng::derive_seed;
 use astriflash_trace::Tracer;
 
 use crate::config::{Configuration, SystemConfig};
@@ -81,14 +80,6 @@ impl Cell {
                 total_jobs,
             },
         }
-    }
-
-    /// Replaces this cell's seed with one derived from `(base, stream)`
-    /// via [`derive_seed`] — the canonical way to give every cell of a
-    /// grid an independent RNG stream from one experiment-level seed.
-    pub fn with_derived_seed(mut self, base: u64, stream: u64) -> Self {
-        self.seed = derive_seed(base, stream);
-        self
     }
 
     /// Runs this cell synchronously on the calling thread.
@@ -344,15 +335,6 @@ mod tests {
         );
         assert_eq!(swept[0].p99_service_ns, direct.p99_service_ns);
         assert_eq!(swept[0].render(), direct.render());
-    }
-
-    #[test]
-    fn derived_seeds_are_stable_per_stream() {
-        let a = Cell::closed(cfg(), Configuration::DramOnly, 0, 10).with_derived_seed(1, 0);
-        let b = Cell::closed(cfg(), Configuration::DramOnly, 0, 10).with_derived_seed(1, 0);
-        let c = Cell::closed(cfg(), Configuration::DramOnly, 0, 10).with_derived_seed(1, 1);
-        assert_eq!(a.seed, b.seed);
-        assert_ne!(a.seed, c.seed);
     }
 
     #[test]

@@ -277,8 +277,10 @@ pub struct SystemStats {
     pub flash_read_bytes: u64,
     /// Dirty-page writebacks to flash.
     pub flash_writebacks: u64,
-    /// Discrete events popped from the simulation queue over the whole
-    /// run — the denominator for kernel-throughput (events/sec) metrics.
+    /// Model events popped from the simulation queue over the whole run
+    /// (the tracer's gauge samples excluded, so tracing leaves it
+    /// unchanged) — the denominator for kernel-throughput (events/sec)
+    /// metrics.
     pub events_processed: u64,
     /// Chip-wide per-level on-chip hit/miss totals (private levels
     /// summed over cores), for the hit-rate breakdown in reports.
@@ -390,6 +392,8 @@ struct GaugeWindow {
     tlb_misses: u64,
     busy_ns: Vec<u64>,
     at: SimTime,
+    /// Samples taken: the queue pops that are not model events.
+    samples: u64,
 }
 
 impl SystemSim {
@@ -658,7 +662,7 @@ impl SystemSim {
             flash_reads: self.flash.stats().reads,
             flash_read_bytes: self.flash.stats().read_bytes,
             flash_writebacks: self.bc.stats().writebacks,
-            events_processed: self.queue.popped_total(),
+            events_processed: self.queue.popped_total() - self.gauge_prev.samples,
             service_stats: self.service_stats,
             level_totals: self.hierarchy.level_totals(),
             tlb_hits: 0,
@@ -817,6 +821,7 @@ impl SystemSim {
             self.gauge_prev.busy_ns[i] = core.stats.busy_ns;
         }
         self.gauge_prev.at = now;
+        self.gauge_prev.samples += 1;
         let next = now + SimDuration::from_ns(GAUGE_INTERVAL_NS);
         if !self.stopped && next <= self.max_time {
             self.queue.schedule(next, Event::Sample);
@@ -838,13 +843,9 @@ impl SystemSim {
         // Take the scratch buffer so the waiter loop below can borrow
         // `self` mutably; returned (cleared) at the end.
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
-        let (installed_at, dirty_victim) = self.bc.complete_with_footprint_into(
-            now,
-            page,
-            bitmap,
-            &mut self.dram_cache,
-            &mut waiters,
-        );
+        let (installed_at, dirty_victim) =
+            self.bc
+                .complete(now, page, bitmap, &mut self.dram_cache, &mut waiters);
         if let Some(victim) = dirty_victim {
             // Dirty writeback off the critical path (§IV-B2); flash
             // tracks the program + any GC it triggers.

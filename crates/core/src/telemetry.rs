@@ -393,7 +393,7 @@ mod tests {
     }
 
     fn blank_msr(cfg: &TelemetryCfg) -> MsrWindows {
-        let mut bc = astriflash_mem::BacksideController::with_defaults();
+        let mut bc = astriflash_mem::BacksideController::new(64, 8, 2);
         bc.enable_windows(cfg.window_ns, cfg.max_windows);
         bc.take_windows().unwrap()
     }

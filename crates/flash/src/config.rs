@@ -68,12 +68,6 @@ impl FlashConfig {
             + Self::PAGE_BYTES * 1_000_000_000 / self.channel_bandwidth_bps
     }
 
-    /// Builder-style: set capacity.
-    pub fn with_capacity_bytes(mut self, bytes: u64) -> Self {
-        self.capacity_bytes = bytes;
-        self
-    }
-
     /// Builder-style: enable or disable garbage collection.
     pub fn with_gc_enabled(mut self, enabled: bool) -> Self {
         self.gc_enabled = enabled;
@@ -145,10 +139,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let cfg = FlashConfig::default()
-            .with_capacity_bytes(1 << 30)
-            .with_gc_enabled(false);
-        assert_eq!(cfg.capacity_bytes, 1 << 30);
+        let cfg = FlashConfig::default().with_gc_enabled(false);
         assert!(!cfg.gc_enabled);
     }
 

@@ -188,11 +188,6 @@ impl Plane {
     pub fn valid_pages(&self, block: u32) -> u32 {
         self.blocks[block as usize].valid_pages
     }
-
-    /// Maximum erase count over blocks (wear-leveling health metric).
-    pub fn max_erase_count(&self) -> u32 {
-        self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -298,7 +293,6 @@ mod tests {
         assert!(p.blocked_by_gc(SimTime::from_us(50)));
         assert!(!p.blocked_by_gc(done));
         assert_eq!(p.total_erases(), 1);
-        assert_eq!(p.max_erase_count(), 1);
         assert_eq!(p.valid_pages(0), 0);
     }
 

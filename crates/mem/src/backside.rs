@@ -40,15 +40,6 @@ pub enum BcAdmission {
     Stalled,
 }
 
-/// Completion report for an arrived page.
-#[derive(Debug, Clone)]
-pub struct BcCompletion {
-    /// When the page finished installing into the DRAM cache.
-    pub installed_at: SimTime,
-    /// Core/thread pairs waiting on the page.
-    pub waiters: Vec<Waiter>,
-}
-
 /// Backside-controller statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BcStats {
@@ -121,12 +112,6 @@ pub struct BacksideController {
     stats: BcStats,
     tracer: Tracer,
     windows: Option<Box<MsrWindows>>,
-    /// Recycled [`BcCompletion`] waiter vectors: callers that are done
-    /// with a completion hand it back via
-    /// [`BacksideController::recycle_completion`] so steady-state
-    /// completions never allocate (mirrors the composer's reused waiter
-    /// scratch and the MSR's internal entry pool).
-    completion_pool: Vec<Vec<Waiter>>,
 }
 
 impl BacksideController {
@@ -139,7 +124,6 @@ impl BacksideController {
             stats: BcStats::default(),
             tracer: Tracer::off(),
             windows: None,
-            completion_pool: Vec::new(),
         }
     }
 
@@ -163,12 +147,6 @@ impl BacksideController {
     /// on [`Track::Bc`], attributed to the composer's current miss span.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// A BC with the defaults used by the system composer: 64×8 MSR and
-    /// ~3 slow-logic cycles ≈ 2 ns per step.
-    pub fn with_defaults() -> Self {
-        BacksideController::new(64, 8, 2)
     }
 
     /// Offers a DRAM-cache miss for `page` to the controller.
@@ -225,58 +203,13 @@ impl BacksideController {
         admission
     }
 
-    /// Called when flash delivers `page`: installs it into the DRAM
-    /// cache, clears the MSR entry, and returns the waiters to notify
-    /// plus any dirty victim to write back.
+    /// Called when flash delivers `page`: installs (or merges) the
+    /// fetched `bitmap` of its blocks into the DRAM cache (`u64::MAX`
+    /// for the whole page; fewer under the §II-A footprint extension),
+    /// clears the MSR entry and appends the waiters to notify to `out`,
+    /// a caller-owned scratch buffer, so a completion never allocates.
+    /// Returns the install time and any dirty victim to write back.
     pub fn complete(
-        &mut self,
-        now: SimTime,
-        page: u64,
-        cache: &mut DramCache,
-    ) -> (BcCompletion, Option<u64>) {
-        self.complete_with_footprint(now, page, u64::MAX, cache)
-    }
-
-    /// Footprint-aware completion: installs (or merges) only the fetched
-    /// `bitmap` of blocks (§II-A extension).
-    pub fn complete_with_footprint(
-        &mut self,
-        now: SimTime,
-        page: u64,
-        bitmap: u64,
-        cache: &mut DramCache,
-    ) -> (BcCompletion, Option<u64>) {
-        let mut waiters = self.completion_pool.pop().unwrap_or_default();
-        let (installed_at, dirty_victim) =
-            self.complete_with_footprint_into(now, page, bitmap, cache, &mut waiters);
-        (
-            BcCompletion {
-                installed_at,
-                waiters,
-            },
-            dirty_victim,
-        )
-    }
-
-    /// Returns a drained completion's waiter vector to the pool so the
-    /// next [`complete`] / [`complete_with_footprint`] reuses its
-    /// allocation instead of growing a fresh one.
-    ///
-    /// [`complete`]: BacksideController::complete
-    /// [`complete_with_footprint`]: BacksideController::complete_with_footprint
-    pub fn recycle_completion(&mut self, completion: BcCompletion) {
-        let mut waiters = completion.waiters;
-        waiters.clear();
-        self.completion_pool.push(waiters);
-    }
-
-    /// Allocation-free variant of [`complete_with_footprint`]: appends
-    /// the waiters to `out` (a caller-owned scratch buffer) instead of
-    /// returning a fresh vector, and returns the install time plus any
-    /// dirty victim.
-    ///
-    /// [`complete_with_footprint`]: BacksideController::complete_with_footprint
-    pub fn complete_with_footprint_into(
         &mut self,
         now: SimTime,
         page: u64,
@@ -346,10 +279,22 @@ mod tests {
             capacity_bytes: 1 << 20,
             ..DramCacheConfig::default()
         });
-        (BacksideController::with_defaults(), cache)
+        (BacksideController::new(64, 8, 2), cache)
     }
 
     const W: Waiter = Waiter { core: 0, thread: 1 };
+
+    /// Completes a whole-page read: (install time, waiters, dirty victim).
+    fn complete(
+        bc: &mut BacksideController,
+        now: SimTime,
+        page: u64,
+        cache: &mut DramCache,
+    ) -> (SimTime, Vec<Waiter>, Option<u64>) {
+        let mut waiters = Vec::new();
+        let (installed_at, wb) = bc.complete(now, page, u64::MAX, cache, &mut waiters);
+        (installed_at, waiters, wb)
+    }
 
     #[test]
     fn admit_then_complete_notifies_waiters() {
@@ -357,11 +302,11 @@ mod tests {
         let adm = bc.admit(SimTime::ZERO, 42, W, &mut cache);
         assert!(matches!(adm, BcAdmission::IssueFlashRead { .. }));
         assert!(bc.is_pending(42));
-        let (completion, wb) = bc.complete(SimTime::from_us(50), 42, &mut cache);
-        assert_eq!(completion.waiters, vec![W]);
+        let (installed_at, waiters, wb) = complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
+        assert_eq!(waiters, vec![W]);
         assert!(wb.is_none());
         assert!(cache.contains(42));
-        assert!(completion.installed_at > SimTime::from_us(50));
+        assert!(installed_at > SimTime::from_us(50));
         assert_eq!(bc.outstanding(), 0);
         assert_eq!(bc.stats().installs, 1);
     }
@@ -379,8 +324,8 @@ mod tests {
                 resolved_at: SimTime::from_ns(4)
             }
         );
-        let (completion, _) = bc.complete(SimTime::from_us(50), 7, &mut cache);
-        assert_eq!(completion.waiters.len(), 2);
+        let (_, waiters, _) = complete(&mut bc, SimTime::from_us(50), 7, &mut cache);
+        assert_eq!(waiters.len(), 2);
         assert_eq!(bc.stats().duplicates, 1);
         assert_eq!(bc.stats().issued, 1);
     }
@@ -411,34 +356,12 @@ mod tests {
         bc.set_tracer(tracer.clone());
         bc.admit(SimTime::ZERO, 42, W, &mut cache);
         bc.admit(SimTime::ZERO, 42, W, &mut cache);
-        bc.complete(SimTime::from_us(50), 42, &mut cache);
+        complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
         let names: Vec<&str> = tracer.finish().iter().map(|e| e.name).collect();
         assert!(names.contains(&"bc_admit"));
         assert!(names.contains(&"bc_duplicate"));
         assert!(names.contains(&"bc_install"));
         assert!(names.contains(&"msr_occupancy"));
-    }
-
-    #[test]
-    fn recycled_completions_keep_their_capacity() {
-        let (mut bc, mut cache) = setup();
-        // Grow a waiter vector past the inline sizes, recycle it, and
-        // check the next completion starts from that allocation.
-        for i in 0..16 {
-            bc.admit(SimTime::ZERO, 42, Waiter { core: i, thread: i }, &mut cache);
-        }
-        let (completion, _) = bc.complete(SimTime::from_us(50), 42, &mut cache);
-        assert_eq!(completion.waiters.len(), 16);
-        let grown = completion.waiters.capacity();
-        bc.recycle_completion(completion);
-        bc.admit(SimTime::from_us(60), 43, W, &mut cache);
-        let (next, _) = bc.complete(SimTime::from_us(110), 43, &mut cache);
-        assert_eq!(next.waiters, vec![W], "no stale waiters leak through the pool");
-        assert!(
-            next.waiters.capacity() >= grown,
-            "pooled vector lost its capacity: {} < {grown}",
-            next.waiters.capacity()
-        );
     }
 
     #[test]
@@ -463,7 +386,7 @@ mod tests {
         cache.probe(SimTime::from_us(5), 0, 0, false);
         // Now LRU == page `sets` (dirty, last touched at t=3).
         bc.admit(SimTime::from_us(6), 8 * sets, W, &mut cache);
-        let (_, wb) = bc.complete(SimTime::from_us(60), 8 * sets, &mut cache);
+        let (_, _, wb) = complete(&mut bc, SimTime::from_us(60), 8 * sets, &mut cache);
         assert_eq!(wb, Some(sets));
         assert_eq!(bc.stats().writebacks, 1);
     }

@@ -378,11 +378,6 @@ impl DramCache {
         self.sub_misses
     }
 
-    /// The footprint predictor (for stats inspection).
-    pub fn predictor(&self) -> &FootprintPredictor {
-        &self.predictor
-    }
-
     /// Miss ratio over all probes.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

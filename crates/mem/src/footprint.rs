@@ -17,8 +17,6 @@ use astriflash_sim::PageMap;
 #[derive(Debug, Default)]
 pub struct FootprintPredictor {
     history: PageMap<u64>,
-    predictions: u64,
-    history_hits: u64,
 }
 
 impl FootprintPredictor {
@@ -30,14 +28,10 @@ impl FootprintPredictor {
     /// Predicts the blocks worth fetching for `page`, guaranteeing the
     /// immediately needed `needed_block` is included. Unknown pages
     /// fetch everything (cold-start safe).
-    pub fn predict(&mut self, page: u64, needed_block: u32) -> u64 {
-        self.predictions += 1;
+    pub fn predict(&self, page: u64, needed_block: u32) -> u64 {
         let needed = 1u64 << (needed_block & 63);
         match self.history.get(page) {
-            Some(bits) => {
-                self.history_hits += 1;
-                bits | needed
-            }
+            Some(bits) => bits | needed,
             None => u64::MAX,
         }
     }
@@ -59,20 +53,6 @@ impl FootprintPredictor {
     pub fn is_empty(&self) -> bool {
         self.history.is_empty()
     }
-
-    /// Fraction of predictions served from history (vs cold full-page).
-    pub fn history_hit_ratio(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.history_hits as f64 / self.predictions as f64
-        }
-    }
-}
-
-/// Bytes implied by a footprint bitmap (64 B per set bit).
-pub fn footprint_bytes(bitmap: u64) -> u64 {
-    bitmap.count_ones() as u64 * 64
 }
 
 #[cfg(test)]
@@ -81,9 +61,8 @@ mod tests {
 
     #[test]
     fn cold_pages_fetch_everything() {
-        let mut p = FootprintPredictor::new();
+        let p = FootprintPredictor::new();
         assert_eq!(p.predict(7, 3), u64::MAX);
-        assert_eq!(p.history_hit_ratio(), 0.0);
     }
 
     #[test]
@@ -92,7 +71,6 @@ mod tests {
         p.record(7, 0b1010);
         let f = p.predict(7, 0);
         assert_eq!(f, 0b1011, "needed block 0 must be included");
-        assert!(p.history_hit_ratio() > 0.0);
         assert_eq!(p.len(), 1);
     }
 
@@ -101,12 +79,5 @@ mod tests {
         let mut p = FootprintPredictor::new();
         p.record(9, 0);
         assert_eq!(p.predict(9, 5), 1 | (1 << 5));
-    }
-
-    #[test]
-    fn footprint_bytes_counts_blocks() {
-        assert_eq!(footprint_bytes(0), 0);
-        assert_eq!(footprint_bytes(0b111), 192);
-        assert_eq!(footprint_bytes(u64::MAX), 4096);
     }
 }

@@ -321,16 +321,6 @@ impl SramCache {
         self.writebacks
     }
 
-    /// Hit ratio in `[0, 1]` (0 before any access).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
         self.order.len()
@@ -407,15 +397,6 @@ mod tests {
         assert!(c.invalidate(0x100));
         assert!(!c.contains(0x100));
         assert!(!c.invalidate(0x100), "second invalidate is a no-op");
-    }
-
-    #[test]
-    fn hit_ratio_tracks() {
-        let mut c = SramCache::new(4096, 2);
-        assert_eq!(c.hit_ratio(), 0.0);
-        c.access(0, false);
-        c.access(0, false);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -45,13 +45,6 @@ impl ShootdownModel {
     pub fn responder_latency(&self) -> SimDuration {
         SimDuration::from_ns(self.responder_ns)
     }
-
-    /// Total CPU time consumed across the machine by one shootdown —
-    /// the throughput cost that makes paging non-scalable (Fig. 2).
-    pub fn total_cpu_ns(&self, cores: usize) -> u64 {
-        let responders = cores.saturating_sub(1) as u64;
-        self.initiator_latency(cores).as_ns() + responders * self.responder_ns
-    }
 }
 
 #[cfg(test)]
@@ -68,25 +61,8 @@ mod tests {
     }
 
     #[test]
-    fn sixteen_core_shootdown_is_10us_class() {
-        let m = ShootdownModel::default();
-        let total = m.total_cpu_ns(16);
-        assert!(
-            (8_000..40_000).contains(&total),
-            "16-core shootdown {total}ns"
-        );
-    }
-
-    #[test]
     fn single_core_pays_only_base() {
         let m = ShootdownModel::default();
         assert_eq!(m.initiator_latency(1).as_ns(), m.initiator_base_ns);
-        assert_eq!(m.total_cpu_ns(1), m.initiator_base_ns);
-    }
-
-    #[test]
-    fn total_cpu_exceeds_initiator_latency() {
-        let m = ShootdownModel::default();
-        assert!(m.total_cpu_ns(16) > m.initiator_latency(16).as_ns());
     }
 }

@@ -91,16 +91,6 @@ impl BandwidthLink {
             (self.busy_ns as f64 / now.as_ns() as f64).min(1.0)
         }
     }
-
-    /// Achieved throughput in bytes/sec over `[0, now]`.
-    pub fn achieved_bps(&self, now: SimTime) -> f64 {
-        let secs = now.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.bytes_moved as f64 / secs
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,13 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_throughput() {
+    fn utilization_is_the_busy_share() {
         let mut link = BandwidthLink::new(1_000_000_000);
         link.transfer(SimTime::ZERO, 500);
         let now = SimTime::from_ns(1000);
         assert!((link.utilization(now) - 0.5).abs() < 1e-9);
-        let bps = link.achieved_bps(now);
-        assert!((bps - 5e8).abs() < 1.0, "bps was {bps}");
     }
 
     #[test]

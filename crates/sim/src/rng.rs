@@ -25,29 +25,6 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Derives an independent seed for one cell of a sweep (or any other
-/// indexed stream) from a base seed.
-///
-/// The derivation depends only on `(base, stream)` — never on thread
-/// scheduling — so the parallel sweep engine produces identical results
-/// at any worker count. Distinct streams give decorrelated seeds even
-/// for adjacent bases.
-///
-/// # Example
-///
-/// ```
-/// use astriflash_sim::rng::derive_seed;
-/// assert_eq!(derive_seed(1, 3), derive_seed(1, 3));
-/// assert_ne!(derive_seed(1, 3), derive_seed(1, 4));
-/// ```
-pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut s = base ^ stream.wrapping_mul(0xA24B_AED4_963E_E407);
-    // Two rounds so that low-entropy (base, stream) pairs still spread
-    // across the whole seed space.
-    splitmix64(&mut s);
-    splitmix64(&mut s)
-}
-
 /// A deterministic xoshiro256++ generator.
 ///
 /// # Example
@@ -161,32 +138,11 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element index, or `None` for an empty slice.
-    pub fn choose_index(&mut self, len: usize) -> Option<usize> {
-        if len == 0 {
-            None
-        } else {
-            Some(self.gen_range(len as u64) as usize)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn derive_seed_is_pure_and_spreads() {
-        assert_eq!(derive_seed(9, 7), derive_seed(9, 7));
-        // Adjacent bases and streams land far apart.
-        let a = derive_seed(1, 0);
-        let b = derive_seed(1, 1);
-        let c = derive_seed(2, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert!((a ^ b).count_ones() > 8);
-    }
 
     #[test]
     fn deterministic_for_same_seed() {
@@ -261,13 +217,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle of 100 elements left them sorted");
-    }
-
-    #[test]
-    fn choose_index_handles_empty() {
-        let mut rng = SimRng::new(1);
-        assert_eq!(rng.choose_index(0), None);
-        assert!(rng.choose_index(3).unwrap() < 3);
     }
 
     #[test]

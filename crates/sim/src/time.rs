@@ -113,12 +113,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a span from fractional microseconds, rounding to the
-    /// nearest nanosecond. Negative inputs clamp to zero.
-    pub fn from_us_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
     /// Creates a span from fractional nanoseconds, rounding to the
     /// nearest nanosecond. Negative inputs clamp to zero.
     pub fn from_ns_f64(ns: f64) -> Self {
@@ -271,9 +265,8 @@ mod tests {
 
     #[test]
     fn duration_from_float_rounds_and_clamps() {
-        assert_eq!(SimDuration::from_us_f64(1.2345).as_ns(), 1_235);
-        assert_eq!(SimDuration::from_us_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_ns_f64(0.6).as_ns(), 1);
+        assert_eq!(SimDuration::from_ns_f64(-3.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Minimal CSV writing for experiment series.
 //!
-//! The harness binaries emit both a human-readable table and a CSV file
-//! (under `results/`) so the figures can be re-plotted with any tool.
+//! The harness emits both a human-readable table and a CSV file (under
+//! `results/`) so the figures can be re-plotted with any tool.
 //! Hand-rolled on purpose: the offline dependency set has no CSV crate,
 //! and RFC-4180 quoting for numeric series is ~40 lines.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// An in-memory CSV document.
 ///
@@ -80,19 +77,6 @@ impl CsvDoc {
         }
         out
     }
-
-    /// Writes the document to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        fs::write(path, self.render())
-    }
 }
 
 #[cfg(test)]
@@ -122,16 +106,5 @@ mod tests {
         d.row(&["only"]);
         d.row(&["1", "2", "extra"]);
         assert_eq!(d.render(), "a,b\nonly,\n1,2\n");
-    }
-
-    #[test]
-    fn writes_to_disk() {
-        let dir = std::env::temp_dir().join("astriflash_csv_test");
-        let path = dir.join("out.csv");
-        let mut d = CsvDoc::new(&["v"]);
-        d.row(&["42"]);
-        d.write_to(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "v\n42\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -87,12 +87,6 @@ impl TextTable {
     }
 }
 
-/// Formats a float with the given number of decimal places (helper for
-/// table rows).
-pub fn fmt_f(v: f64, places: usize) -> String {
-    format!("{v:.places$}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,11 +114,5 @@ mod tests {
         assert_eq!(t.num_rows(), 2);
         let s = t.render();
         assert!(!s.contains("extra"));
-    }
-
-    #[test]
-    fn fmt_f_places() {
-        assert_eq!(fmt_f(0.95678, 2), "0.96");
-        assert_eq!(fmt_f(1.0, 3), "1.000");
     }
 }

@@ -308,17 +308,6 @@ impl Scheduler {
         Pick::Idle
     }
 
-    /// Removes a specific thread from the pending queue (used when the
-    /// composer force-resumes the oldest job after a queue-full event).
-    pub fn remove_pending(&mut self, thread: u32) -> bool {
-        if let Some(pos) = self.pending.iter().position(|j| j.thread == thread) {
-            self.pending.remove(pos);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Pending-queue occupancy.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -329,11 +318,6 @@ impl Scheduler {
         self.pending
             .iter()
             .any(|j| j.thread == thread && j.ready)
-    }
-
-    /// The current aging threshold estimate in ns.
-    pub fn aging_threshold_ns(&self) -> f64 {
-        self.avg_flash_response_ns
     }
 
     /// Scheduler statistics.
@@ -406,7 +390,13 @@ mod tests {
             MissPark::QueueFullWaitFor(1)
         );
         assert_eq!(s.stats().queue_full_events, 1);
-        assert!(s.remove_pending(1));
+        assert_eq!(
+            s.pick(SimTime::ZERO, false, false),
+            Pick::Pending {
+                thread: 1,
+                ready: false
+            }
+        );
         assert_eq!(s.park_on_miss(SimTime::ZERO, 3), MissPark::Parked);
     }
 
@@ -438,20 +428,6 @@ mod tests {
                 ready: false
             }
         );
-    }
-
-    #[test]
-    fn ema_tracks_flash_response() {
-        let mut s = Scheduler::new(Policy::PriorityAging, 8);
-        let before = s.aging_threshold_ns();
-        for i in 0..50u32 {
-            s.park_on_miss(SimTime::from_us(i as u64 * 100), i);
-            s.page_arrived(SimTime::from_us(i as u64 * 100 + 80), i);
-            s.remove_pending(i);
-        }
-        let after = s.aging_threshold_ns();
-        assert!(after > before, "EMA should move toward 80 µs: {after}");
-        assert!((60_000.0..90_000.0).contains(&after));
     }
 
     #[test]

@@ -59,17 +59,6 @@ impl AddressSpace {
         addr / PAGE_SIZE
     }
 
-    /// Block number containing `addr`.
-    pub fn block_of(&self, addr: u64) -> u64 {
-        debug_assert!(addr < self.size_bytes);
-        addr / BLOCK_SIZE
-    }
-
-    /// First address of page `page`.
-    pub fn page_base(&self, page: u64) -> u64 {
-        page * PAGE_SIZE
-    }
-
     /// Whether `addr` lies inside the space.
     pub fn contains(&self, addr: u64) -> bool {
         addr < self.size_bytes
@@ -227,8 +216,6 @@ mod tests {
         assert_eq!(s.page_of(0), 0);
         assert_eq!(s.page_of(4095), 0);
         assert_eq!(s.page_of(4096), 1);
-        assert_eq!(s.block_of(64), 1);
-        assert_eq!(s.page_base(3), 12288);
         assert!(s.contains(100));
         assert!(!s.contains(1 << 20));
     }

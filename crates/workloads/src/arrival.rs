@@ -50,11 +50,6 @@ impl PoissonArrivals {
         self.mean_interarrival_ns
     }
 
-    /// Offered load in requests/second.
-    pub fn rate_per_sec(&self) -> f64 {
-        1e9 / self.mean_interarrival_ns
-    }
-
     /// Draws the next arrival instant (strictly non-decreasing).
     pub fn next_arrival(&mut self, rng: &mut SimRng) -> SimTime {
         let gap = rng.gen_exp(self.mean_interarrival_ns);
@@ -97,7 +92,6 @@ mod tests {
         }
         let mean = last.as_ns() as f64 / n as f64;
         assert!((mean - 5_000.0).abs() / 5_000.0 < 0.02, "mean {mean}");
-        assert!((p.rate_per_sec() - 200_000.0).abs() < 1.0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl HashTable {
         // Record payload: two blocks read, head block written on updates.
         touch_record(out, self.record_addr(key), 2, write);
     }
-
-    /// Mean chain length (for tests and reports).
-    pub fn mean_chain_len(&self) -> f64 {
-        self.chain.len() as f64 / self.num_buckets as f64
-    }
 }
 
 impl WorkloadEngine for HashTable {
@@ -270,7 +265,7 @@ mod tests {
     #[test]
     fn load_factor_is_sane() {
         let e = engine();
-        let m = e.mean_chain_len();
+        let m = e.chain.len() as f64 / e.num_buckets as f64;
         assert!(m > 1.0 && m < 10.0, "mean chain length {m}");
     }
 

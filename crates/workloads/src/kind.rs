@@ -76,18 +76,6 @@ impl WorkloadParams {
         self.dataset_bytes = bytes;
         self
     }
-
-    /// Builder-style: set Zipf skew.
-    pub fn with_zipf_theta(mut self, theta: f64) -> Self {
-        self.zipf_theta = theta;
-        self
-    }
-
-    /// Builder-style: set base compute per operation.
-    pub fn with_compute_ns_per_op(mut self, ns: u64) -> Self {
-        self.compute_ns_per_op = ns;
-        self
-    }
 }
 
 impl Default for WorkloadParams {
@@ -189,13 +177,8 @@ mod tests {
 
     #[test]
     fn builder_setters() {
-        let p = WorkloadParams::default()
-            .with_dataset_bytes(1 << 20)
-            .with_zipf_theta(0.5)
-            .with_compute_ns_per_op(42);
+        let p = WorkloadParams::default().with_dataset_bytes(1 << 20);
         assert_eq!(p.dataset_bytes, 1 << 20);
-        assert_eq!(p.zipf_theta, 0.5);
-        assert_eq!(p.compute_ns_per_op, 42);
     }
 
     #[test]

@@ -288,15 +288,6 @@ impl ZipfGenerator {
         rank.min(self.n - 1)
     }
 
-    /// Draws a rank and scrambles it over `[0, n)` with a fixed hash, so
-    /// hot items are scattered across the key space (YCSB
-    /// `ScrambledZipfian`).
-    pub fn sample_scrambled(&self, rng: &mut SimRng) -> u64 {
-        let rank = self.sample(rng);
-        let mut s = rank.wrapping_add(0xDEAD_BEEF_CAFE_F00D);
-        splitmix64(&mut s) % self.n
-    }
-
     /// Draws a rank and scrambles it *cluster-preservingly*: ranks are
     /// grouped into clusters of `cluster` consecutive ranks, and whole
     /// clusters are scattered across the id space. Items of similar
@@ -379,22 +370,6 @@ mod tests {
             (emp - ana).abs() / ana < 0.1,
             "empirical {emp} vs analytic {ana}"
         );
-    }
-
-    #[test]
-    fn scrambled_stays_in_domain_and_spreads() {
-        let zipf = ZipfGenerator::new(1_000_000, 0.99);
-        let mut rng = SimRng::new(7);
-        let mut low = 0;
-        for _ in 0..10_000 {
-            let item = zipf.sample_scrambled(&mut rng);
-            assert!(item < 1_000_000);
-            if item < 1000 {
-                low += 1;
-            }
-        }
-        // Scrambling must break the low-rank clustering.
-        assert!(low < 500, "scrambled draws clustered at low ids: {low}");
     }
 
     #[test]

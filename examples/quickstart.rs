@@ -41,6 +41,6 @@ fn main() {
     );
     println!(
         "(At the paper's 3% ratio and full scale, the reproduction lands at ~0.9; \
-         see `cargo run --release -p astriflash-bench --bin fig9`.)"
+         see results/fig9.txt, written by `cargo run --release -p astriflash-bench --bin regen -- fig9`.)"
     );
 }

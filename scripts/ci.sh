@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Offline CI gate: build, tests (including the release-only full-scale
-# goldens), and lints. No network access required — the workspace has
-# no registry dependencies.
+# Offline CI gate: build, tests (including the release-only goldens), a
+# byte-for-byte check of every committed artifact, lints and the perf
+# gate. No network access required — the workspace has no registry
+# dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,21 +17,18 @@ cargo test -q -p astriflash-mem -p astriflash-os
 echo "==> cargo test (debug, whole workspace)"
 cargo test -q --workspace
 
-echo "==> cargo test --release (full-scale goldens included)"
+echo "==> cargo test --release (release-only goldens included)"
 cargo test -q --release --workspace
 
-echo "==> fig9 at full scale, byte-identical at 1 and 4 sweep threads"
-# Cells of one workload share a dataset build only while they overlap
-# in time (DESIGN.md §18), and the worker count decides which overlap.
-# Pin both extremes against the committed figure and CSV.
-fig9_tmp=$(mktemp -d)
-cp results/csv/fig9.csv "$fig9_tmp/committed.csv"
+echo "==> regen --check: every committed artifact, at 1 and 4 sweep threads"
+# Rebuilds every file under results/ in memory and compares it byte for
+# byte; it writes nothing and exits non-zero naming each file that
+# differs or is missing. Cells of one workload share a dataset build
+# only while they overlap in time (DESIGN.md §18), and the worker count
+# decides which overlap, so pin both extremes.
 for threads in 1 4; do
-  ASTRIFLASH_THREADS=$threads ./target/release/fig9 > "$fig9_tmp/fig9.txt"
-  diff results/fig9.txt "$fig9_tmp/fig9.txt"
-  diff "$fig9_tmp/committed.csv" results/csv/fig9.csv
+  ASTRIFLASH_THREADS=$threads ./target/release/regen --check
 done
-rm -r "$fig9_tmp"
 
 echo "==> benchmark package tests (unit tests + --smoke of all five workloads)"
 # benchmark/ is a cargo workspace of its own, so --workspace never
@@ -44,44 +42,11 @@ echo "==> cargo doc (rustdoc warnings denied)"
 # A doc link to a deleted or private item fails here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> trace_run smoke (offline Perfetto/CSV export)"
-cargo run --release -q -p astriflash-bench --bin trace_run -- --quick
-# trace_run parses its JSON back (astriflash_trace::json, the workspace's
-# one RFC 8259 parser) and exits non-zero on failure; here we only
-# re-check the artifacts landed and are non-empty.
-test -s results/trace_run.json
-test -s results/trace_run_gauges.csv
-test -s results/trace_run_phases.csv
-
 echo "==> trace_analyze (offline reconstruction cross-validation)"
-# Rebuilds the per-phase breakdown from the exported trace alone and
-# compares it against the in-sim histograms; any disagreement (or a
-# sheared trace with dropped events) exits non-zero.
+# Rebuilds the per-phase breakdown from the committed trace alone and
+# compares it against the committed in-sim histograms; any disagreement
+# (or a sheared trace with dropped events) exits non-zero.
 cargo run --release -q -p astriflash-analyze --bin trace_analyze
-
-echo "==> telemetry_report smoke (windowed tail-latency/SLO + flash-health timelines)"
-# Runs the three-system open-loop comparison at reduced scale with the
-# windowed-telemetry layer attached (DESIGN.md §13). The binary itself
-# exits non-zero if any window cap was exceeded (dropped observations
-# mean a truncated timeline) or the exported counter-track JSON does not
-# parse; here we re-check the artifacts landed and are non-empty.
-cargo run --release -q -p astriflash-bench --bin telemetry_report -- --quick
-test -s results/telemetry.csv
-test -s results/telemetry_p99_timeline.csv
-test -s results/telemetry_p99_timeline.txt
-test -s results/telemetry_flash_health.csv
-test -s results/telemetry_flash_health.txt
-test -s results/telemetry_trace.json
-
-echo "==> latency_breakdown at full scale (per-phase miss anatomy)"
-# The committed artifacts are full scale, and the run takes well under a
-# second, so regenerate them and diff against the committed bytes.
-lb_tmp=$(mktemp -d)
-cp results/latency_breakdown.txt results/latency_breakdown.csv "$lb_tmp/"
-cargo run --release -q -p astriflash-bench --bin latency_breakdown > /dev/null
-diff "$lb_tmp/latency_breakdown.txt" results/latency_breakdown.txt
-diff "$lb_tmp/latency_breakdown.csv" results/latency_breakdown.csv
-rm -r "$lb_tmp"
 
 echo "==> profile_report smoke (host-side scope profiles + merged trace)"
 # Per-system measured scope trees, folded stacks, and Perfetto flames
@@ -117,8 +82,7 @@ bench --workload hashtable_flash --trace 1 > "$perf_dir/hashtable_flash.trace1.j
 cargo run --release -q -p astriflash-bench --bin perf_gate -- "$perf_dir"
 
 echo "==> committed artifacts unchanged"
-# Every lane above that writes under results/ regenerates committed
-# files byte for byte; one that silently rewrote an artifact fails here.
+# No lane above may rewrite a committed file; one that did fails here.
 git diff --exit-code -- results/
 
 echo "CI green."

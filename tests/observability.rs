@@ -57,6 +57,7 @@ fn tracing_does_not_change_the_report() {
         traced.mean_service_ns.to_bits()
     );
     assert_eq!(plain.p99_service_ns, traced.p99_service_ns);
+    assert_eq!(plain.events_processed, traced.events_processed);
 }
 
 #[test]
@@ -76,6 +77,7 @@ fn sweep_cell0_trace_matches_untraced_reports() {
             p.throughput_jobs_per_sec.to_bits(),
             t.throughput_jobs_per_sec.to_bits()
         );
+        assert_eq!(p.events_processed, t.events_processed);
     }
 }
 
