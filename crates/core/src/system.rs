@@ -746,14 +746,13 @@ impl SystemSim {
         }
     }
 
-    /// Emits the periodic component gauges (MSR occupancy, per-channel
-    /// flash backlog, windowed DRAM-cache hit rate, per-core run-queue
-    /// length and utilization) and reschedules itself.
+    /// Emits the periodic component gauges (per-channel flash backlog,
+    /// windowed DRAM-cache hit rate, per-core run-queue length and
+    /// utilization) and reschedules itself. MSR occupancy is not among
+    /// them: the backside controller emits it on every change.
     fn on_sample(&mut self) {
         let now = self.queue.now();
         let t = now.as_ns();
-        self.tracer
-            .gauge(t, "msr_occupancy", 0, self.bc.outstanding() as f64);
         for (i, backlog) in self.flash.channel_backlogs_ns(now).iter().enumerate() {
             self.tracer
                 .gauge(t, "flash_chan_backlog_ns", i as u32, *backlog as f64);
