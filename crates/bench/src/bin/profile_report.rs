@@ -1,19 +1,20 @@
 //! Per-system host-profile report (DESIGN.md §16).
 //!
 //! Runs one closed-loop fig9 cell per configuration class with a
-//! host-side scope-profiling session attached and writes, per system:
+//! host-side scope-profiling session attached and writes, per system,
+//! into `target/harness-out/` ([`astriflash_bench::OUT_DIR`]):
 //!
-//! * `results/profile_<system>.txt` — the measured scope tree
+//! * `profile_<system>.txt` — the measured scope tree
 //!   (calls, inclusive/exclusive time and shares, allocation counters)
 //!   plus the per-access memory-path summary;
-//! * `results/profile_<system>.folded` — folded stacks
+//! * `profile_<system>.folded` — folded stacks
 //!   (`path;to;scope <exclusive_ns>`), ready for
 //!   `flamegraph.pl` / `inferno-flamegraph`;
-//! * `results/profile_<system>.perfetto.json` — the scope tree as a
+//! * `profile_<system>.perfetto.json` — the scope tree as a
 //!   Perfetto `trace_event` flame layout.
 //!
 //! It then re-runs the AstriFlash cell with the simulation tracer *and*
-//! the profiler attached and writes `results/profile_trace.json`: the
+//! the profiler attached and writes `profile_trace.json`: the
 //! simulation's own Perfetto trace with the host-profile tracks merged
 //! alongside (one timeline, two processes). Every JSON artifact is
 //! checked in-process (`astriflash_trace::json::check`) before the
@@ -40,7 +41,7 @@ use astriflash_bench::profile::{flame_objects, profile_cell, MeasuredProfile};
 /// trees are live measurements, not zeros.
 #[global_allocator]
 static ALLOC: astriflash_prof::CountingAlloc = astriflash_prof::CountingAlloc;
-use astriflash_bench::HarnessOpts;
+use astriflash_bench::{write_file, HarnessOpts, OUT_DIR};
 use astriflash_core::config::Configuration;
 use astriflash_core::sweep::Cell;
 use astriflash_prof::Scope;
@@ -73,14 +74,14 @@ fn memory_path_line(m: &MeasuredProfile) -> String {
     )
 }
 
-fn write(path: &str, contents: &str) -> Result<(), ExitCode> {
-    std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(path, contents))
-        .map_err(|e| {
-            eprintln!("error: writing {path}: {e}");
-            ExitCode::FAILURE
-        })?;
-    println!("wrote {path} ({} bytes)", contents.len());
+/// Writes `contents` to `name` under [`OUT_DIR`].
+fn write(name: &str, contents: &str) -> Result<(), ExitCode> {
+    let path = std::path::Path::new(OUT_DIR).join(name);
+    write_file(&path, contents).map_err(|e| {
+        eprintln!("error: writing {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    println!("wrote {} ({} bytes)", path.display(), contents.len());
     Ok(())
 }
 
@@ -112,9 +113,9 @@ fn run() -> Result<(), ExitCode> {
         txt.push('\n');
         txt.push_str(&memory_path_line(&m));
         txt.push('\n');
-        write(&format!("results/profile_{slug}.txt"), &txt)?;
+        write(&format!("profile_{slug}.txt"), &txt)?;
 
-        write(&format!("results/profile_{slug}.folded"), &m.profile.folded())?;
+        write(&format!("profile_{slug}.folded"), &m.profile.folded())?;
 
         let flame = flame_objects(&m.profile, PROF_PID, &format!("astriflash-prof: {name}"));
         let perfetto = export::perfetto_json(&[], 0, &flame);
@@ -122,7 +123,7 @@ fn run() -> Result<(), ExitCode> {
             eprintln!("error: profile_{slug}.perfetto.json failed validation: {e}");
             return Err(ExitCode::FAILURE);
         }
-        write(&format!("results/profile_{slug}.perfetto.json"), &perfetto)?;
+        write(&format!("profile_{slug}.perfetto.json"), &perfetto)?;
 
         println!("{name}: {}", memory_path_line(&m));
     }
@@ -148,7 +149,7 @@ fn run() -> Result<(), ExitCode> {
         eprintln!("error: profile_trace.json failed validation: {e}");
         return Err(ExitCode::FAILURE);
     }
-    write("results/profile_trace.json", &merged)?;
+    write("profile_trace.json", &merged)?;
     Ok(())
 }
 

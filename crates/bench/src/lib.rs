@@ -1,7 +1,8 @@
 //! The harness behind `results/`: the observability artifacts that
 //! `regen` commits at `--quick` scale and `trace_run` /
-//! `telemetry_report` write at any scale, the host-profile helpers of
-//! `profile_report`, and their shared argument parser.
+//! `telemetry_report` write at any scale into [`OUT_DIR`], the
+//! host-profile helpers of `profile_report`, and their shared argument
+//! parser.
 
 #![warn(missing_docs)]
 
@@ -13,6 +14,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use astriflash_core::config::SystemConfig;
+
+/// Where `trace_run`, `telemetry_report` and `profile_report` write,
+/// relative to the working directory. Only `regen` writes `results/`,
+/// so a run at any scale leaves the committed artifacts alone.
+pub const OUT_DIR: &str = "target/harness-out";
 
 /// Run scale and seed of a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,8 +86,8 @@ impl HarnessOpts {
 pub struct Output {
     /// Contents of the harness's `FILES`, in order.
     pub files: Vec<String>,
-    /// Files the harness's binary also writes but nothing commits, as
-    /// (path under `results/`, contents).
+    /// Files the harness's binary also writes but `regen` does not
+    /// commit, as (file name, contents).
     pub uncommitted: Vec<(&'static str, String)>,
     /// Human-readable summary of the run, for stdout.
     pub summary: String,
@@ -97,7 +103,7 @@ pub fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
 
 /// The `main` of `trace_run` and `telemetry_report`: parses the
 /// arguments, runs `build`, prints its summary and writes its files
-/// under `results/`. Exits 1 if `build` fails one of its checks, and
+/// under [`OUT_DIR`]. Exits 1 if `build` fails one of its checks, and
 /// then writes nothing.
 pub fn harness_main(files: &[&str], build: fn(&HarnessOpts) -> Result<Output, String>) -> ExitCode {
     // Opt-in host-time self-profile (ASTRIFLASH_PROFILE=tree|folded),
@@ -114,7 +120,7 @@ pub fn harness_main(files: &[&str], build: fn(&HarnessOpts) -> Result<Output, St
     let committed = files.iter().copied().zip(&out.files);
     let uncommitted = out.uncommitted.iter().map(|(name, c)| (*name, c));
     for (name, contents) in committed.chain(uncommitted) {
-        let path = Path::new("results").join(name);
+        let path = Path::new(OUT_DIR).join(name);
         if let Err(e) = write_file(&path, contents) {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::FAILURE;

@@ -3,7 +3,9 @@
 //! load with the windowed-telemetry layer attached, exported as:
 //!
 //! * `telemetry.csv` — every per-window metric in long form
-//!   (`system,window,t_start_ns,metric,lane,value`) for re-plotting.
+//!   (`system,window,t_start_ns,metric,lane,value`) for re-plotting;
+//!   lane is the flash channel for `chan_util` and the core for
+//!   `core_util` and `runq_peak`.
 //! * `telemetry_p99_timeline.{txt,csv}` — "p99 over time": the
 //!   per-window p99 response latency of each system side by side, with
 //!   an ASCII timeline figure and the SLO line.
@@ -288,6 +290,10 @@ fn long_form_csv(telemetry: &[(&'static str, &TelemetryReport)]) -> CsvDoc {
                     c as u32,
                     format!("{:.6}", t.flash.chan_util(c, w)),
                 );
+            }
+            for (c, peak) in t.core.runq_peak.iter().enumerate() {
+                push("core_util", c as u32, format!("{:.6}", t.core_util(c, w)));
+                push("runq_peak", c as u32, peak.get(w).to_string());
             }
         }
     }

@@ -4,7 +4,9 @@
 //! * `trace_run.json` — Chrome/Perfetto `trace_event` JSON (open at
 //!   <https://ui.perfetto.dev> or `chrome://tracing`), with every
 //!   DRAM-cache miss as an async span threading core → BC → flash
-//!   channel → scheduler, plus counter tracks for the gauges.
+//!   channel → scheduler, plus counter tracks for the gauges: the
+//!   backside controller's `msr_occupancy` at every change, and the
+//!   run's 10 µs telemetry windows as `win_*` series (DESIGN.md §13).
 //! * `trace_run_gauges.csv` — the gauges in long form
 //!   (`t_ns,gauge,lane,value`) for re-plotting.
 //! * `trace_run_phases.csv` — the run's in-sim per-phase miss-latency
@@ -17,6 +19,7 @@
 use astriflash_core::config::Configuration;
 use astriflash_core::experiment::RunReport;
 use astriflash_core::sweep::Cell;
+use astriflash_core::telemetry::TelemetryCfg;
 use astriflash_stats::{CsvDoc, Phase};
 use astriflash_trace::{export, json, EventKind, Tracer};
 
@@ -29,13 +32,20 @@ pub const FILES: [&str; 3] = [
     "trace_run_phases.csv",
 ];
 
+/// Telemetry window of the traced cell: its counter tracks step every
+/// 10 µs.
+const WINDOW_NS: u64 = 10_000;
+
 /// Runs the traced cell at `opts`' scale and seed. Fails if the JSON
-/// does not parse back (`json::check`) or the trace ring dropped
-/// events: a sheared trace would make the offline cross-validation
-/// meaningless.
+/// does not parse back (`json::check`), the trace ring dropped events
+/// or a telemetry window was dropped: a sheared trace would make the
+/// offline cross-validation meaningless.
 pub fn build(opts: &HarnessOpts) -> Result<Output, String> {
+    let cfg = opts
+        .system_config()
+        .with_telemetry(TelemetryCfg::default().with_window_ns(WINDOW_NS));
     let cell = Cell::closed(
-        opts.system_config(),
+        cfg,
         Configuration::AstriFlash,
         opts.seed,
         opts.jobs_per_core(),
@@ -44,6 +54,15 @@ pub fn build(opts: &HarnessOpts) -> Result<Output, String> {
     let report = cell.run_traced(tracer.clone());
     let dropped = tracer.dropped();
     let events = tracer.finish();
+
+    let telemetry = report.telemetry.as_ref().expect("telemetry was configured");
+    if telemetry.dropped() > 0 {
+        return Err(format!(
+            "{} telemetry observations dropped past the window cap; the \
+             counter tracks are truncated (shrink the run)",
+            telemetry.dropped()
+        ));
+    }
 
     let perfetto = export::perfetto_json(&events, dropped, &[]);
     json::check(&perfetto).map_err(|e| format!("generated trace JSON failed validation: {e}"))?;

@@ -47,9 +47,6 @@ use crate::telemetry::{CoreWindows, TelemetryReport};
 pub(crate) const SLICE_NS: u64 = 4_000;
 /// Retry delay when the MSR rejects an admission (set full).
 const MSR_RETRY_NS: u64 = 2_000;
-/// Gauge sampling period when tracing is enabled. Sample events only
-/// read component state, so they never perturb the simulated outcome.
-const GAUGE_INTERVAL_NS: u64 = 10_000;
 
 /// Event payloads stay within one word past the discriminant: core ids
 /// are `u32` so the whole enum packs into 16 bytes (pinned by the size
@@ -62,8 +59,6 @@ enum Event {
     PageArrived { page: u64 },
     /// Open-loop job arrival for a core.
     Arrival { core: u32 },
-    /// Periodic observability gauge sample (tracing runs only).
-    Sample,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,9 +191,6 @@ struct CoreStats {
     blocked_ns: u64,
     forced_synchronous: u64,
     pt_walk_flash_reads: u64,
-    /// Time the core spent executing slices (ns); read by the
-    /// `core_util` gauge.
-    busy_ns: u64,
 }
 
 struct Core {
@@ -277,10 +269,9 @@ pub struct SystemStats {
     pub flash_read_bytes: u64,
     /// Dirty-page writebacks to flash.
     pub flash_writebacks: u64,
-    /// Model events popped from the simulation queue over the whole run
-    /// (the tracer's gauge samples excluded, so tracing leaves it
-    /// unchanged) — the denominator for kernel-throughput (events/sec)
-    /// metrics.
+    /// Events popped from the simulation queue over the whole run (every
+    /// one a model event, so tracing leaves it unchanged) — the
+    /// denominator for kernel-throughput (events/sec) metrics.
     pub events_processed: u64,
     /// Chip-wide per-level on-chip hit/miss totals (private levels
     /// summed over cores), for the hit-rate breakdown in reports.
@@ -373,27 +364,11 @@ pub struct SystemSim {
     waiter_scratch: Vec<Waiter>,
     /// Per-phase histograms of completed miss lifecycles.
     phases: PhaseSet,
-    /// Core-layer windowed telemetry (latency/completions/SLO); `Some`
-    /// iff `cfg.telemetry` is set. Component-layer windows live inside
-    /// the DRAM cache, BC, and flash device.
+    /// Core-layer windowed telemetry (latency/completions/SLO, per-core
+    /// busy time and pending-queue peak); `Some` iff `cfg.telemetry` is
+    /// set. Component-layer windows live inside the DRAM cache, BC, and
+    /// flash device.
     telem_windows: Option<Box<CoreWindows>>,
-    /// Previous gauge-sample window state (hits, misses, per-core busy,
-    /// sample time) for windowed rates.
-    gauge_prev: GaugeWindow,
-}
-
-#[derive(Debug, Default)]
-struct GaugeWindow {
-    dc_hits: u64,
-    dc_misses: u64,
-    /// Previous-sample on-chip per-level totals (for windowed hit rates).
-    levels: LevelTotals,
-    tlb_hits: u64,
-    tlb_misses: u64,
-    busy_ns: Vec<u64>,
-    at: SimTime,
-    /// Samples taken: the queue pops that are not model events.
-    samples: u64,
 }
 
 impl SystemSim {
@@ -476,7 +451,7 @@ impl SystemSim {
             dram_cache.enable_windows(t.window_ns, t.max_windows);
             bc.enable_windows(t.window_ns, t.max_windows);
             flash.enable_windows(t.window_ns, t.max_windows);
-            Box::new(CoreWindows::new(&t))
+            Box::new(CoreWindows::new(&t, cfg.cores))
         });
         let pt_base = dataset_bytes;
         let walker = PageTableWalker::new(pt_base, cfg.page_table_region_bytes() / 4096);
@@ -517,14 +492,13 @@ impl SystemSim {
             waiter_scratch: Vec::new(),
             phases: PhaseSet::new(),
             telem_windows,
-            gauge_prev: GaugeWindow::default(),
         }
     }
 
     /// Installs the observability handle and propagates it to every
     /// component (BC, flash, per-core schedulers). Enabling tracing
-    /// never changes the simulated outcome: all emissions are stamped
-    /// with sim time and gauge samples only read component state.
+    /// never changes the simulated outcome: every emission is stamped
+    /// with sim time and schedules no event.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.bc.set_tracer(tracer.clone());
         self.flash.set_tracer(tracer.clone());
@@ -558,7 +532,6 @@ impl SystemSim {
         for core in 0..self.cfg.cores {
             self.schedule_resume(core, SimTime::ZERO);
         }
-        self.start_sampling();
         self.event_loop();
         self.finish()
     }
@@ -574,21 +547,8 @@ impl SystemSim {
         self.arrivals = Some(arrivals);
         let core = self.next_arrival_core as u32;
         self.queue.schedule(first, Event::Arrival { core });
-        self.start_sampling();
         self.event_loop();
         self.finish()
-    }
-
-    /// Schedules the first gauge sample. No-op when tracing is off, so
-    /// untraced runs see an identical event stream.
-    fn start_sampling(&mut self) {
-        if self.tracer.enabled() {
-            self.gauge_prev.busy_ns = vec![0; self.cores.len()];
-            let first = SimTime::ZERO + SimDuration::from_ns(GAUGE_INTERVAL_NS);
-            if first <= self.max_time {
-                self.queue.schedule(first, Event::Sample);
-            }
-        }
     }
 
     fn finish(mut self) -> SystemStats {
@@ -662,7 +622,7 @@ impl SystemSim {
             flash_reads: self.flash.stats().reads,
             flash_read_bytes: self.flash.stats().read_bytes,
             flash_writebacks: self.bc.stats().writebacks,
-            events_processed: self.queue.popped_total() - self.gauge_prev.samples,
+            events_processed: self.queue.popped_total(),
             service_stats: self.service_stats,
             level_totals: self.hierarchy.level_totals(),
             tlb_hits: 0,
@@ -712,10 +672,6 @@ impl SystemSim {
                     let _prof = prof_scope(ProfScope::EvArrival);
                     self.on_arrival(core as usize);
                 }
-                Event::Sample => {
-                    let _prof = prof_scope(ProfScope::EvSample);
-                    self.on_sample();
-                }
             }
         }
     }
@@ -743,87 +699,6 @@ impl SystemSim {
         }
         if self.cores[core].running.is_none() {
             self.schedule_resume(core, now);
-        }
-    }
-
-    /// Emits the periodic component gauges (per-channel flash backlog,
-    /// windowed DRAM-cache hit rate, per-core run-queue length and
-    /// utilization) and reschedules itself. MSR occupancy is not among
-    /// them: the backside controller emits it on every change.
-    fn on_sample(&mut self) {
-        let now = self.queue.now();
-        let t = now.as_ns();
-        for (i, backlog) in self.flash.channel_backlogs_ns(now).iter().enumerate() {
-            self.tracer
-                .gauge(t, "flash_chan_backlog_ns", i as u32, *backlog as f64);
-        }
-        let (hits, misses) = (self.dram_cache.hits(), self.dram_cache.misses());
-        let dh = hits - self.gauge_prev.dc_hits;
-        let dm = misses - self.gauge_prev.dc_misses;
-        if dh + dm > 0 {
-            self.tracer
-                .gauge(t, "dcache_hit_rate", 0, dh as f64 / (dh + dm) as f64);
-        }
-        // Windowed per-level on-chip + TLB hit rates (same convention as
-        // dcache_hit_rate: no gauge when the window saw no accesses).
-        let levels = self.hierarchy.level_totals();
-        let prev = self.gauge_prev.levels;
-        let level_gauge = |name: &'static str, h: u64, m: u64| {
-            if h + m > 0 {
-                self.tracer.gauge(t, name, 0, h as f64 / (h + m) as f64);
-            }
-        };
-        level_gauge(
-            "l1_hit_rate",
-            levels.l1_hits - prev.l1_hits,
-            levels.l1_misses - prev.l1_misses,
-        );
-        level_gauge(
-            "l2_hit_rate",
-            levels.l2_hits - prev.l2_hits,
-            levels.l2_misses - prev.l2_misses,
-        );
-        level_gauge(
-            "llc_hit_rate",
-            levels.llc_hits - prev.llc_hits,
-            levels.llc_misses - prev.llc_misses,
-        );
-        let (tlb_h, tlb_m) = self.cores.iter().fold((0u64, 0u64), |(h, m), c| {
-            (h + c.tlb.hits(), m + c.tlb.misses())
-        });
-        level_gauge(
-            "tlb_hit_rate",
-            tlb_h - self.gauge_prev.tlb_hits,
-            tlb_m - self.gauge_prev.tlb_misses,
-        );
-        let interval = now.saturating_since(self.gauge_prev.at).as_ns();
-        for (i, core) in self.cores.iter().enumerate() {
-            self.tracer
-                .gauge(t, "runq_len", i as u32, core.scheduler.pending_len() as f64);
-            if interval > 0 {
-                let delta = core.stats.busy_ns - self.gauge_prev.busy_ns[i];
-                self.tracer.gauge(
-                    t,
-                    "core_util",
-                    i as u32,
-                    (delta as f64 / interval as f64).min(1.0),
-                );
-            }
-        }
-        self.tracer.gauge(t, "jobs_done", 0, self.total_jobs as f64);
-        self.gauge_prev.dc_hits = hits;
-        self.gauge_prev.dc_misses = misses;
-        self.gauge_prev.levels = levels;
-        self.gauge_prev.tlb_hits = tlb_h;
-        self.gauge_prev.tlb_misses = tlb_m;
-        for (i, core) in self.cores.iter().enumerate() {
-            self.gauge_prev.busy_ns[i] = core.stats.busy_ns;
-        }
-        self.gauge_prev.at = now;
-        self.gauge_prev.samples += 1;
-        let next = now + SimDuration::from_ns(GAUGE_INTERVAL_NS);
-        if !self.stopped && next <= self.max_time {
-            self.queue.schedule(next, Event::Sample);
         }
     }
 
@@ -1031,14 +906,13 @@ impl SystemSim {
     fn execute_slice(&mut self, core_id: usize) {
         let start = self.queue.now();
         let mut t = start;
-        // Busy time always accrues from the slice start: the macro is
-        // only ever invoked immediately before returning, so no
-        // intermediate re-anchoring is needed.
-        let busy_from = start;
+        // Records the slice `[start, t)` as the core's busy time; invoked
+        // immediately before every return.
         macro_rules! account_busy {
             () => {
-                self.cores[core_id].stats.busy_ns +=
-                    t.saturating_since(busy_from).as_ns();
+                if let Some(w) = self.telem_windows.as_deref_mut() {
+                    w.busy_ns[core_id].add_span(start.as_ns(), t.as_ns());
+                }
             };
         }
         // Apply pending interrupt penalties (shootdown responder cost).
@@ -1595,6 +1469,11 @@ impl SystemSim {
         {
             MissPark::Parked => {
                 let core = &mut self.cores[core_id];
+                if let Some(w) = self.telem_windows.as_deref_mut() {
+                    // Parking is the only place the pending queue grows.
+                    let len = core.scheduler.pending_len() as u64;
+                    w.runq_peak[core_id].record_max(t.as_ns(), len);
+                }
                 let th = core.threads[slot].as_mut().expect("running");
                 th.state = ThreadState::Parked;
                 th.parked_at = t;
@@ -1725,6 +1604,7 @@ enum WalkResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryCfg;
 
     fn quick(cfg: Configuration) -> SystemStats {
         let config = SystemConfig::default().with_cores(2).scaled_for_tests();
@@ -1762,24 +1642,54 @@ mod tests {
         assert_eq!(a.service_ns.mean(), b.service_ns.mean());
     }
 
-    #[test]
-    fn tracing_does_not_perturb_the_run() {
-        let plain = quick(Configuration::AstriFlash);
-        let config = SystemConfig::default().with_cores(2).scaled_for_tests();
+    /// Gauge lanes per name in a traced run of `config`.
+    fn traced_gauges(config: SystemConfig) -> (SystemStats, Vec<(&'static str, u32)>) {
+        use astriflash_trace::EventKind;
         let tracer = Tracer::ring(1 << 16);
         let mut sim = SystemSim::new(config, Configuration::AstriFlash, 7);
         sim.set_tracer(tracer.clone());
-        let traced = sim.run_closed_loop(40);
+        let stats = sim.run_closed_loop(40);
+        let evs = tracer.finish();
+        assert!(evs.iter().any(|e| e.name == "miss"));
+        let mut gauges: Vec<(&'static str, u32)> = evs
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Gauge { lane, .. } => Some((e.name, lane)),
+                _ => None,
+            })
+            .collect();
+        gauges.sort_unstable();
+        gauges.dedup();
+        (stats, gauges)
+    }
+
+    #[test]
+    fn tracing_does_not_perturb_the_run() {
+        let plain = quick(Configuration::AstriFlash);
+        let config = SystemConfig::default()
+            .with_cores(2)
+            .scaled_for_tests()
+            .with_telemetry(TelemetryCfg::default().with_window_ns(10_000));
+        let (traced, gauges) = traced_gauges(config);
         assert_eq!(plain.measured_jobs, traced.measured_jobs);
         assert_eq!(plain.ended_at, traced.ended_at);
+        assert_eq!(plain.events_processed, traced.events_processed);
         assert_eq!(
             plain.service_ns.mean().to_bits(),
             traced.service_ns.mean().to_bits()
         );
-        let evs = tracer.finish();
-        assert!(evs.iter().any(|e| e.name == "miss"));
-        assert!(evs.iter().any(|e| e.name == "msr_occupancy"));
-        assert!(evs.iter().any(|e| e.name == "core_util"));
+        assert!(gauges.contains(&("msr_occupancy", 0)));
+        for core in 0..2 {
+            assert!(gauges.contains(&("win_core_util", core)), "core {core}");
+            assert!(gauges.contains(&("win_runq_peak", core)), "core {core}");
+        }
+    }
+
+    #[test]
+    fn without_telemetry_the_only_counter_is_msr_occupancy() {
+        let config = SystemConfig::default().with_cores(2).scaled_for_tests();
+        let (_, gauges) = traced_gauges(config);
+        assert_eq!(gauges, vec![("msr_occupancy", 0)]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! fixed windows and collect, per window:
 //!
 //! * request latency percentiles (p50/p95/p99/p99.9), throughput, and
-//!   deadline-miss share against the configured SLO (core layer);
+//!   deadline-miss share against the configured SLO, plus each core's
+//!   utilization and pending-queue peak (core layer);
 //! * DRAM-cache hit rate and MSR occupancy (mem layer);
 //! * GC events, erase counts, write amplification, and per-channel
 //!   utilization (flash layer).
@@ -90,9 +91,10 @@ impl TelemetryCfg {
     }
 }
 
-/// The core-layer window collector: response latency, completions, and
-/// deadline misses per window. Lives inside the simulator while it
-/// runs; [`TelemetryReport`] is the assembled end product.
+/// The core-layer window collector: response latency, completions,
+/// deadline misses, and per-core busy time and pending-queue peak per
+/// window. Lives inside the simulator while it runs;
+/// [`TelemetryReport`] is the assembled end product.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoreWindows {
     /// Windowed response-latency histogram (arrival → completion).
@@ -101,16 +103,24 @@ pub struct CoreWindows {
     pub completions: WindowSeries,
     /// Completions whose response time exceeded the SLO, per window.
     pub deadline_misses: WindowSeries,
+    /// Per core: nanoseconds spent executing slices, per window.
+    pub busy_ns: Vec<WindowSeries>,
+    /// Per core: the longest a park grew the pending queue to, per
+    /// window (0 in a window without parks).
+    pub runq_peak: Vec<WindowSeries>,
     slo_ns: u64,
 }
 
 impl CoreWindows {
-    /// Creates an empty collector for `cfg`.
-    pub fn new(cfg: &TelemetryCfg) -> Self {
+    /// Creates an empty collector for `cfg` and `cores` cores.
+    pub fn new(cfg: &TelemetryCfg, cores: usize) -> Self {
+        let mk = || WindowSeries::with_max_windows(cfg.window_ns, cfg.max_windows);
         CoreWindows {
             latency: WindowedHist::with_max_windows(cfg.window_ns, cfg.max_windows),
-            completions: WindowSeries::with_max_windows(cfg.window_ns, cfg.max_windows),
-            deadline_misses: WindowSeries::with_max_windows(cfg.window_ns, cfg.max_windows),
+            completions: mk(),
+            deadline_misses: mk(),
+            busy_ns: (0..cores).map(|_| mk()).collect(),
+            runq_peak: (0..cores).map(|_| mk()).collect(),
             slo_ns: cfg.slo_ns,
         }
     }
@@ -158,7 +168,8 @@ pub struct TelemetryReport {
     /// End-of-run simulated time (ns) — the last, possibly partial,
     /// window ends here.
     pub end_ns: u64,
-    /// Core layer: latency/completions/deadline misses per window.
+    /// Core layer: latency/completions/deadline misses per window, and
+    /// per-core busy time and pending-queue peak.
     pub core: CoreWindows,
     /// Mem layer: DRAM-cache hit/miss counts per window.
     pub cache: CacheWindows,
@@ -171,10 +182,12 @@ pub struct TelemetryReport {
 impl TelemetryReport {
     /// Number of windows any series touched.
     pub fn num_windows(&self) -> usize {
+        let per_core = self.core.busy_ns.iter().chain(&self.core.runq_peak);
         self.core
             .latency
             .num_windows()
             .max(self.core.completions.num_windows())
+            .max(per_core.map(WindowSeries::num_windows).max().unwrap_or(0))
             .max(self.cache.hits.num_windows())
             .max(self.cache.misses.num_windows())
             .max(self.msr.occ_samples.num_windows())
@@ -197,6 +210,13 @@ impl TelemetryReport {
     fn window_secs(&self, w: usize) -> f64 {
         let span = self.window_end_ns(w).saturating_sub(self.window_start_ns(w));
         span.max(1) as f64 / 1e9
+    }
+
+    /// Core `c`'s busy share of window `w`, at most 1 (the span of a
+    /// slice can reach past the next slice's start by its lookahead).
+    pub fn core_util(&self, c: usize, w: usize) -> f64 {
+        let busy = self.core.busy_ns[c].get(w) as f64;
+        (busy / 1e9 / self.window_secs(w)).min(1.0)
     }
 
     /// Completions per second in window `w`.
@@ -304,9 +324,11 @@ impl TelemetryReport {
     /// Non-zero means the run outlived `max_windows × window_ns` and the
     /// timeline is truncated — treat as an error in tooling.
     pub fn dropped(&self) -> u64 {
+        let per_core = self.core.busy_ns.iter().chain(&self.core.runq_peak);
         self.core.latency.dropped()
             + self.core.completions.dropped()
             + self.core.deadline_misses.dropped()
+            + per_core.map(WindowSeries::dropped).sum::<u64>()
             + self.cache.dropped()
             + self.msr.dropped()
             + self.flash.dropped()
@@ -343,6 +365,10 @@ impl TelemetryReport {
             for c in 0..self.flash.chan_busy_ns.len() {
                 tracer.gauge(t, "win_chan_util", c as u32, self.flash.chan_util(c, w));
             }
+            for (c, peak) in self.core.runq_peak.iter().enumerate() {
+                tracer.gauge(t, "win_core_util", c as u32, self.core_util(c, w));
+                tracer.gauge(t, "win_runq_peak", c as u32, peak.get(w) as f64);
+            }
         }
     }
 }
@@ -369,7 +395,7 @@ mod tests {
 
     fn report_with(completions: &[(u64, u64)]) -> TelemetryReport {
         let cfg = tiny_cfg();
-        let mut core = CoreWindows::new(&cfg);
+        let mut core = CoreWindows::new(&cfg, 2);
         let mut end = 0;
         for &(t, resp) in completions {
             core.record_completion(t, resp);
@@ -486,6 +512,38 @@ mod tests {
         assert_eq!(p99s[0].t_ns, r.window_end_ns(0));
         // Off tracer: emission is a no-op, not a panic.
         r.emit_gauges(&Tracer::off());
+    }
+
+    #[test]
+    fn per_core_series_render_one_lane_per_core() {
+        let mut r = report_with(&[(100, 200), (1_200, 300)]);
+        // Core 0: busy over [500, 1500) and again over [1000, 1800), an
+        // overlap a slice's lookahead can produce; core 1 never ran.
+        r.core.busy_ns[0].add_span(500, 1_500);
+        r.core.busy_ns[0].add_span(1_000, 1_800);
+        r.core.runq_peak[0].record_max(600, 1);
+        r.core.runq_peak[0].record_max(700, 3);
+        r.core.runq_peak[0].record_max(800, 2);
+        r.end_ns = 2_000;
+        assert_eq!(r.num_windows(), 2);
+        assert!((r.core_util(0, 0) - 0.5).abs() < 1e-12);
+        assert_eq!(r.core_util(0, 1), 1.0, "clamped: 1.3 µs busy in 1 µs");
+        assert_eq!(r.core_util(1, 0), 0.0);
+        assert_eq!(r.core.runq_peak[0].get(0), 3);
+        let tracer = Tracer::ring(4096);
+        r.emit_gauges(&tracer);
+        let events = tracer.finish();
+        for name in ["win_core_util", "win_runq_peak"] {
+            let lanes: Vec<u32> = events
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| match e.kind {
+                    astriflash_trace::EventKind::Gauge { lane, .. } => lane,
+                    _ => unreachable!("gauges only"),
+                })
+                .collect();
+            assert_eq!(lanes, [0, 1, 0, 1], "{name}: every core, every window");
+        }
     }
 
     #[test]

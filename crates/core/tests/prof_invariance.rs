@@ -81,8 +81,7 @@ fn profiling_a_prepared_run_changes_nothing() {
     assert_eq!(
         report.totals(Scope::EvResume).calls
             + report.totals(Scope::EvPageArrived).calls
-            + report.totals(Scope::EvArrival).calls
-            + report.totals(Scope::EvSample).calls,
+            + report.totals(Scope::EvArrival).calls,
         profiled.events_processed,
         "per-event scopes must tile the event loop exactly"
     );

@@ -82,6 +82,37 @@ fn telemetry_series_identical_across_worker_counts() {
     }
 }
 
+/// The telemetry windows are the one time-resolved source, so they must
+/// add up. For every configuration closed-loop, and one open-loop cell,
+/// the per-window completions, flash reads and flash writes sum to the
+/// run's totals, nothing is dropped, and every core (each completes
+/// jobs in these cells) has non-zero windowed busy time.
+#[test]
+fn window_counts_sum_to_run_totals() {
+    let cfg = SystemConfig::default()
+        .with_cores(2)
+        .scaled_for_tests()
+        .with_telemetry(small_telem());
+    let mut cells: Vec<Cell> = Configuration::all()
+        .into_iter()
+        .map(|c| Cell::closed(cfg.clone(), c, 5, 40))
+        .collect();
+    cells.push(Cell::open(cfg, Configuration::AstriFlash, 5, 4_000.0, 300));
+    for (cell, report) in cells.iter().zip(Sweep::with_threads(2).run(&cells)) {
+        let label = format!("{:?} {:?}", cell.configuration, cell.load);
+        let t = report.telemetry.as_ref().expect("configured");
+        let count = |name: &str| report.metrics.count(name).expect(name);
+        assert_eq!(t.dropped(), 0, "{label}");
+        assert_eq!(t.core.completions.total(), count("jobs_total"), "{label}");
+        assert_eq!(t.flash.reads.total(), count("flash_reads"), "{label}");
+        assert_eq!(t.flash.writes.total(), count("flash_writebacks"), "{label}");
+        assert_eq!(t.core.busy_ns.len(), 2, "{label}");
+        for (core, busy) in t.core.busy_ns.iter().enumerate() {
+            assert!(busy.total() > 0, "{label}: core {core} never busy");
+        }
+    }
+}
+
 /// Full-scale golden pinning the seed-1 AstriFlash cell that
 /// `telemetry_report` runs (60k jobs at 1M offered jobs/s, 1 ms
 /// windows, 250 us SLO): the complete per-window p99 series, the

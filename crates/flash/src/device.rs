@@ -298,16 +298,6 @@ impl FlashDevice {
         }
     }
 
-    /// Per-channel backlog at `now`: how far in the future each channel
-    /// link is already committed, in nanoseconds (the queue-depth gauge
-    /// the composer samples periodically).
-    pub fn channel_backlogs_ns(&self, now: SimTime) -> Vec<u64> {
-        self.channels
-            .iter()
-            .map(|c| c.busy_until().saturating_since(now).as_ns())
-            .collect()
-    }
-
     /// Writes (programs) a logical page out-of-place; returns the program
     /// completion time. May trigger garbage collection on the target
     /// plane, whose cost is charged to that plane (local erasure, §VI-D).
@@ -472,19 +462,6 @@ mod tests {
         assert!(evs
             .iter()
             .all(|e| matches!(e.track, Track::FlashChannel(_))));
-    }
-
-    #[test]
-    fn channel_backlogs_report_committed_time() {
-        let mut dev = device();
-        assert!(dev
-            .channel_backlogs_ns(SimTime::ZERO)
-            .iter()
-            .all(|&b| b == 0));
-        dev.read(SimTime::ZERO, 0);
-        let backlogs = dev.channel_backlogs_ns(SimTime::ZERO);
-        assert_eq!(backlogs.len(), dev.config().channels);
-        assert!(backlogs.iter().any(|&b| b > 0));
     }
 
     #[test]

@@ -43,16 +43,6 @@ impl FootprintPredictor {
         // at least one block.
         self.history.insert(page, if touched == 0 { 1 } else { touched });
     }
-
-    /// Pages with recorded history.
-    pub fn len(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Whether no history has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.history.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -71,7 +61,6 @@ mod tests {
         p.record(7, 0b1010);
         let f = p.predict(7, 0);
         assert_eq!(f, 0b1011, "needed block 0 must be included");
-        assert_eq!(p.len(), 1);
     }
 
     #[test]

@@ -98,16 +98,8 @@ impl MissStatusRow {
         MsrAdmission::Inserted
     }
 
-    /// Completes the miss for `page`, returning its waiters (empty vec if
-    /// no entry existed — e.g. a prefetch the composer issued directly).
-    pub fn complete(&mut self, page: u64) -> Vec<Waiter> {
-        let mut out = Vec::new();
-        self.complete_into(page, &mut out);
-        out
-    }
-
-    /// Allocation-free completion: appends the waiters for `page` to
-    /// `out` (appends nothing if no entry existed) and recycles the
+    /// Completes the miss for `page` without allocating: appends its
+    /// waiters to `out` (nothing if no entry existed) and recycles the
     /// entry's waiter vector for future admissions.
     pub fn complete_into(&mut self, page: u64, out: &mut Vec<Waiter>) {
         let set_idx = self.set_of(page);
@@ -166,7 +158,8 @@ mod tests {
         assert_eq!(msr.admit(10, W1), MsrAdmission::Duplicate);
         assert!(msr.is_pending(10));
         assert_eq!(msr.occupancy(), 1);
-        let waiters = msr.complete(10);
+        let mut waiters = Vec::new();
+        msr.complete_into(10, &mut waiters);
         assert_eq!(waiters, vec![W0, W1]);
         assert!(!msr.is_pending(10));
         assert_eq!(msr.occupancy(), 0);
@@ -183,14 +176,16 @@ mod tests {
         // Other set unaffected.
         assert_eq!(msr.admit(1, W0), MsrAdmission::Inserted);
         // Completion frees the way.
-        msr.complete(0);
+        msr.complete_into(0, &mut Vec::new());
         assert_eq!(msr.admit(2, W0), MsrAdmission::Inserted);
     }
 
     #[test]
     fn complete_unknown_page_is_empty() {
         let mut msr = MissStatusRow::new(2, 2);
-        assert!(msr.complete(99).is_empty());
+        let mut out = Vec::new();
+        msr.complete_into(99, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -208,7 +203,8 @@ mod tests {
         // The recycled vector serves the next admission without
         // carrying stale waiters.
         assert_eq!(msr.admit(20, W0), MsrAdmission::Inserted);
-        assert_eq!(msr.complete(20), vec![W0]);
+        msr.complete_into(20, &mut out);
+        assert_eq!(out, vec![W0]);
     }
 
     #[test]

@@ -64,45 +64,42 @@ pub enum Scope {
     EvPageArrived = 2,
     /// Dispatch of an `Arrival` event (open-loop job arrival).
     EvArrival = 3,
-    /// Dispatch of a `Sample` event (telemetry sampling).
-    EvSample = 4,
     /// Event-queue slot drain + wheel cascade (`EventQueue` internals).
-    QueueCascade = 5,
+    QueueCascade = 4,
     /// Scheduler decision: next thread / new job / park.
-    SchedulerPick = 6,
+    SchedulerPick = 5,
     /// Job generation into a recycled arena slot (`fill_job`).
-    FillJob = 7,
+    FillJob = 6,
     /// Single-access fast path (fused TLB+L1 probe and memory path).
-    DoAccess = 8,
+    DoAccess = 7,
     /// Batched TLB+L1 hit-run interpreter (`do_access_run`).
-    AccessRun = 9,
+    AccessRun = 8,
     /// Page-table walk after a TLB miss.
-    PtWalk = 10,
+    PtWalk = 9,
     /// DRAM-cache miss handling (admission through resume scheduling).
-    MissPath = 11,
+    MissPath = 10,
     /// Miss-status-register admission (`BlockCache::admit`).
-    MsrAdmit = 12,
+    MsrAdmit = 11,
     /// Flash channel read issue (`FlashDevice::read_bytes_timed`).
-    FlashIssue = 13,
+    FlashIssue = 12,
     /// Page install into the DRAM cache on flash completion.
-    Install = 14,
+    Install = 13,
     /// Waking the threads parked on a completed miss.
-    WakeWaiters = 15,
+    WakeWaiters = 14,
     /// Job completion bookkeeping (latency histograms, throughput).
-    CompleteJob = 16,
+    CompleteJob = 15,
     /// Flash garbage collection (`FlashDevice::maybe_gc`).
-    FlashGc = 17,
+    FlashGc = 16,
 }
 
 /// Number of scopes in the registry.
-pub const SCOPE_COUNT: usize = 18;
+pub const SCOPE_COUNT: usize = 17;
 
 const SCOPE_NAMES: [&str; SCOPE_COUNT] = [
     "event_loop",
     "ev_resume",
     "ev_page_arrived",
     "ev_arrival",
-    "ev_sample",
     "queue_cascade",
     "scheduler_pick",
     "fill_job",
@@ -132,7 +129,6 @@ impl Scope {
             EvResume,
             EvPageArrived,
             EvArrival,
-            EvSample,
             QueueCascade,
             SchedulerPick,
             FillJob,

@@ -29,8 +29,6 @@ pub struct BandwidthLink {
     bytes_per_sec: u64,
     busy_until: SimTime,
     bytes_moved: u64,
-    transfers: u64,
-    busy_ns: u64,
 }
 
 impl BandwidthLink {
@@ -45,8 +43,6 @@ impl BandwidthLink {
             bytes_per_sec,
             busy_until: SimTime::ZERO,
             bytes_moved: 0,
-            transfers: 0,
-            busy_ns: 0,
         }
     }
 
@@ -63,8 +59,6 @@ impl BandwidthLink {
         let dur = self.service_time(bytes);
         self.busy_until = start + dur;
         self.bytes_moved += bytes;
-        self.transfers += 1;
-        self.busy_ns += dur.as_ns();
         self.busy_until
     }
 
@@ -76,20 +70,6 @@ impl BandwidthLink {
     /// Total bytes moved over the link.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-
-    /// Number of transfers serviced.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Link utilization over `[0, now]` in `[0, 1]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now.as_ns() == 0 {
-            0.0
-        } else {
-            (self.busy_ns as f64 / now.as_ns() as f64).min(1.0)
-        }
     }
 }
 
@@ -120,14 +100,6 @@ mod tests {
         // Request long after the link went idle.
         let done = link.transfer(SimTime::from_us(10), 1000);
         assert_eq!(done.as_ns(), 11_000);
-    }
-
-    #[test]
-    fn utilization_is_the_busy_share() {
-        let mut link = BandwidthLink::new(1_000_000_000);
-        link.transfer(SimTime::ZERO, 500);
-        let now = SimTime::from_ns(1000);
-        assert!((link.utilization(now) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -18,7 +18,7 @@ pub enum Track {
     Bc,
     /// One flash channel (queueing, array read, transfer).
     FlashChannel(u32),
-    /// The synthetic gauge track for periodic counter samples.
+    /// The synthetic gauge track for counter samples.
     Counters,
 }
 

@@ -4,8 +4,8 @@
 //! miss — abort, thread switch, MSR admission, ~50 µs flash fetch,
 //! retry. End-of-run aggregates can't show where one tail-latency
 //! outlier spent its time; this crate records the per-miss lifecycle and
-//! periodic component gauges so a single run can be opened in Perfetto
-//! or re-plotted from CSV.
+//! counter gauges so a single run can be opened in Perfetto or
+//! re-plotted from CSV.
 //!
 //! Design rules:
 //!

@@ -20,14 +20,23 @@ cargo test -q --workspace
 echo "==> cargo test --release (release-only goldens included)"
 cargo test -q --release --workspace
 
+# Measurements land in target/perf-results (uploaded by the workflow);
+# clear it before the first lane writes there.
+perf_dir=target/perf-results
+rm -rf "$perf_dir"
+mkdir -p "$perf_dir"
+
 echo "==> regen --check: every committed artifact, at 1 and 4 sweep threads"
 # Rebuilds every file under results/ in memory and compares it byte for
 # byte; it writes nothing and exits non-zero naming each file that
 # differs or is missing. Cells of one workload share a dataset build
 # only while they overlap in time (DESIGN.md §18), and the worker count
-# decides which overlap, so pin both extremes.
+# decides which overlap, so pin both extremes. The per-artifact wall
+# times it prints are kept as regen_times.threads<N>.txt (pipefail keeps
+# its exit status).
 for threads in 1 4; do
-  ASTRIFLASH_THREADS=$threads ./target/release/regen --check
+  ASTRIFLASH_THREADS=$threads ./target/release/regen --check 2>&1 |
+    tee "$perf_dir/regen_times.threads$threads.txt"
 done
 
 echo "==> benchmark package tests (unit tests + --smoke of all five workloads)"
@@ -52,14 +61,16 @@ echo "==> profile_report smoke (host-side scope profiles + merged trace)"
 # Per-system measured scope trees, folded stacks, and Perfetto flames
 # (DESIGN.md §16). The binary parses every JSON artifact back in-process
 # (the same parser as the trace lane) and exits non-zero on any failure;
-# here we re-check the artifacts landed and are non-empty.
+# here we re-check the artifacts landed in target/harness-out and are
+# non-empty.
 cargo run --release -q -p astriflash-bench --bin profile_report -- --quick
+out_dir=target/harness-out
 for sys in astriflash os_swap flash_sync; do
-  test -s "results/profile_${sys}.txt"
-  test -s "results/profile_${sys}.folded"
-  test -s "results/profile_${sys}.perfetto.json"
+  test -s "$out_dir/profile_${sys}.txt"
+  test -s "$out_dir/profile_${sys}.folded"
+  test -s "$out_dir/profile_${sys}.perfetto.json"
 done
-test -s results/profile_trace.json
+test -s "$out_dir/profile_trace.json"
 
 echo "==> perf lane: benchmark runs + perf_gate"
 # DESIGN.md §12. Five runs of the benchmark package at seed 1, ~17 s
@@ -69,9 +80,6 @@ echo "==> perf lane: benchmark runs + perf_gate"
 # every result against the floors and the ceiling pinned in
 # results/perf_baseline.json and exits non-zero on any violation,
 # printing the offenders. The results stay in target/perf-results.
-perf_dir=target/perf-results
-rm -rf "$perf_dir"
-mkdir -p "$perf_dir"
 bench() {
   cargo run --release -q --manifest-path benchmark/Cargo.toml -- --seed 1 "$@"
 }
@@ -81,8 +89,14 @@ done
 bench --workload hashtable_flash --trace 1 > "$perf_dir/hashtable_flash.trace1.json"
 cargo run --release -q -p astriflash-bench --bin perf_gate -- "$perf_dir"
 
-echo "==> committed artifacts unchanged"
-# No lane above may rewrite a committed file; one that did fails here.
-git diff --exit-code -- results/
+echo "==> committed artifacts unchanged, no stray files"
+# No lane above may rewrite a committed file or leave a new one under
+# results/; either fails here.
+stray=$(git status --porcelain -- results/)
+if [ -n "$stray" ]; then
+  echo "results/ changed:"
+  echo "$stray"
+  exit 1
+fi
 
 echo "CI green."
