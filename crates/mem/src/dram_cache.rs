@@ -353,16 +353,6 @@ impl DramCache {
         }
     }
 
-    /// Hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Install count.
     pub fn installs(&self) -> u64 {
         self.installs
