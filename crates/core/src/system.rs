@@ -322,6 +322,15 @@ impl SystemStats {
     }
 }
 
+/// The most events a run can have pending: one `Resume` per core, one
+/// `PageArrived` per MSR entry (the MSR bounds in-flight flash reads,
+/// §IV-B2) and one `Arrival`. The event queue is sized for it, and the
+/// event loop checks it in debug builds.
+fn max_pending_events(cfg: &SystemConfig) -> usize {
+    let (sets, ways) = cfg.msr_geometry;
+    cfg.cores + sets * ways + 1
+}
+
 /// The composed full-system simulator.
 pub struct SystemSim {
     cfg: SystemConfig,
@@ -459,9 +468,9 @@ impl SystemSim {
         let max_time = SimTime::from_ms(cfg.max_sim_time_ms);
 
         SystemSim {
+            queue: EventQueue::with_capacity(max_pending_events(&cfg)),
             cfg,
             configuration,
-            queue: EventQueue::new(),
             rng,
             engine,
             hierarchy,
@@ -651,6 +660,11 @@ impl SystemSim {
     fn event_loop(&mut self) {
         let _prof = prof_scope(ProfScope::EventLoop);
         while !self.stopped {
+            debug_assert!(
+                self.queue.len() <= max_pending_events(&self.cfg),
+                "{} pending events exceed the MSR-derived bound",
+                self.queue.len()
+            );
             let Some((now, event)) = self.queue.pop() else {
                 break;
             };

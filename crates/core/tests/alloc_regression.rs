@@ -6,10 +6,10 @@
 //!
 //! Differential shape: two closed-loop runs with the same seed and config
 //! differ only in their job target, so the longer run's extra work is pure
-//! steady state. If the job pipeline and event queue truly stop allocating
-//! once warm, every hot scope's allocation counters must be *exactly* equal
-//! across the two runs — any hot-path allocation that sneaks back in makes
-//! the longer run allocate more and fails the assert.
+//! steady state. If the job pipeline, event queue and miss path truly stop
+//! allocating once warm, every hot scope's allocation counters must be
+//! *exactly* equal across the two runs — any hot-path allocation that
+//! sneaks back in makes the longer run allocate more and fails the assert.
 
 #[global_allocator]
 static ALLOC: astriflash_prof::CountingAlloc = astriflash_prof::CountingAlloc;
@@ -24,9 +24,12 @@ use astriflash_workloads::WorkloadKind;
 /// set because `NotificationQueue::drain` drains the ring in place, and
 /// `miss_path` because a switch-on-miss parks the thread without
 /// touching the heap. `msr_admit` is strict too, except for the kinds
-/// in [`MSR_PEAK_KINDS`]. `install` is not: `Ftl::remap` grows a
-/// block's reverse-index vector on a dirty writeback.
-const STRICT_SCOPES: [Scope; 7] = [
+/// in [`MSR_PEAK_KINDS`]. `install` is strict because the FTL's reverse
+/// index is a slab sized by the flash geometry, so a dirty writeback
+/// never grows it, and `queue_cascade` (an event-queue pop) because the
+/// queue is born with room for every event a run can have pending.
+const STRICT_SCOPES: [Scope; 9] = [
+    Scope::QueueCascade,
     Scope::SchedulerPick,
     Scope::CompleteJob,
     Scope::DoAccess,
@@ -34,14 +37,15 @@ const STRICT_SCOPES: [Scope; 7] = [
     Scope::PtWalk,
     Scope::MissPath,
     Scope::MsrAdmit,
+    Scope::Install,
 ];
 
 /// Scopes whose buffers ratchet to a high-water mark: a job larger than
-/// every predecessor grows its recycled arena slot, and a wheel cascade
-/// can re-file into a slot at record occupancy. Growth is amortized-zero
-/// (bounded by the high-water mark, never per-op), so the differential
-/// check bounds the *extra* allocations instead of demanding equality.
-const RATCHET_SCOPES: [(Scope, u64); 2] = [(Scope::FillJob, 16), (Scope::QueueCascade, 32)];
+/// every predecessor grows its recycled arena slot. Growth is
+/// amortized-zero (bounded by the high-water mark, never per-op), so the
+/// differential check bounds the *extra* allocations instead of
+/// demanding equality.
+const RATCHET_SCOPES: [(Scope, u64); 1] = [(Scope::FillJob, 16)];
 
 /// Kinds whose longer run drives the MSR to a new peak occupancy (TPCC:
 /// 11 -> 13 concurrent misses at the targets below). Each new peak entry
@@ -107,8 +111,8 @@ fn assert_steady_state_allocation_free(kind: WorkloadKind) {
         );
         ratchets.push((Scope::MsrAdmit, MSR_PEAK_SLACK));
     }
-    // Warm-up growth (arena buffers, wheel slots reaching capacity) is
-    // identical in both runs — same seed, same config, so the short run is
+    // Warm-up growth (arena buffers reaching capacity) is identical in
+    // both runs — same seed, same config, so the short run is
     // a prefix of the long one. Equality therefore means the extra
     // steady-state portion allocated nothing.
     for scope in STRICT_SCOPES {

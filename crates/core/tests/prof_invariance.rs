@@ -85,6 +85,11 @@ fn profiling_a_prepared_run_changes_nothing() {
         profiled.events_processed,
         "per-event scopes must tile the event loop exactly"
     );
+    assert_eq!(
+        report.totals(Scope::QueueCascade).calls,
+        profiled.events_processed,
+        "the event queue enters its scope once per popped event"
+    );
     let count = |name: &str| profiled.metrics.count(name).unwrap_or(0);
     let misses = count("dram_cache_misses");
     assert!(misses > 0, "the run must exercise the miss path");

@@ -153,6 +153,9 @@ pub struct FlashDevice {
     cfg: FlashConfig,
     planes: Vec<Plane>,
     ftl: Ftl,
+    /// The live pages of the GC victim being migrated, reused across
+    /// collections.
+    gc_live: Vec<u64>,
     channels: Vec<BandwidthLink>,
     stats: FlashStats,
     rng: SimRng,
@@ -170,15 +173,11 @@ impl FlashDevice {
         let channels = (0..cfg.channels)
             .map(|_| BandwidthLink::new(cfg.channel_bandwidth_bps))
             .collect();
-        let ftl = Ftl::with_capacity_hints(
-            cfg.num_planes(),
-            cfg.num_logical_pages() as usize,
-            (cfg.blocks_per_plane() * cfg.num_planes() as u64) as usize,
-        );
         FlashDevice {
+            ftl: Ftl::new(&cfg),
             cfg,
             planes,
-            ftl,
+            gc_live: Vec::new(),
             channels,
             stats: FlashStats::default(),
             rng: SimRng::new(seed ^ 0xF1A5_11DE),
@@ -367,9 +366,9 @@ impl FlashDevice {
                 valid as u64 * (self.cfg.read_latency_ns + self.cfg.program_latency_ns),
             );
             let erase = SimDuration::from_ns(self.cfg.erase_latency_ns);
-            let live = self.ftl.drain_block(plane_idx, victim);
+            self.ftl.drain_block(plane_idx, victim, &mut self.gc_live);
             self.planes[plane_idx].erase_block(now, victim, erase, migrate);
-            for logical in live {
+            for &logical in &self.gc_live {
                 if let Some(new_loc) = self.planes[plane_idx].allocate_page() {
                     // The old location died with the erase; no invalidate.
                     self.ftl.remap(logical, plane_idx, new_loc);

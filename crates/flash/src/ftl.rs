@@ -3,58 +3,65 @@
 //! Logical pages are statically striped across planes (channel-first, as
 //! real FTLs do for read parallelism) and dynamically mapped to physical
 //! pages within their plane for out-of-place writes. The map is lazy: a
-//! logical page gets a physical location the first time it is written;
-//! reads of never-written pages still know their plane (striping) and pay
-//! the array-read cost, matching a device shipped pre-imaged with the
-//! dataset.
+//! logical page gets a physical location the first time it is written.
+//! Reads never consult it: striping alone names a page's plane, and a
+//! never-written page pays the same array-read cost, matching a device
+//! shipped pre-imaged with the dataset.
 //!
 //! The FTL also maintains the reverse mapping (block → live logical
 //! pages) that garbage collection needs to migrate victims' valid data.
 
-use astriflash_sim::{FastHashMap, PageMap};
-
+use crate::config::FlashConfig;
 use crate::plane::PhysPage;
 
-/// The FTL mapping state.
+/// The FTL mapping state, in dense arrays sized by the device geometry.
 ///
-/// The forward map is on the critical path of every flash read and
-/// write, so it uses the flat page-keyed [`PageMap`]; the reverse index
-/// is only touched on writes and GC and uses the deterministic
-/// [`FastHashMap`] over its composite key.
+/// Both arrays start zeroed, so the pages of neither take resident
+/// memory until a write touches them: a run writes a few percent of the
+/// logical pages (dirty writebacks and GC migrations), and a DRAM-only
+/// run none.
 #[derive(Debug, Clone)]
 pub struct Ftl {
     num_planes: usize,
-    map: PageMap<PhysPage>,
-    /// Live logical pages per (plane, block).
-    contents: FastHashMap<(usize, u32), Vec<u64>>,
+    blocks_per_plane: usize,
+    pages_per_block: usize,
+    /// Forward map, one entry per logical page: 0 = never written, else
+    /// `block * pages_per_block + page + 1` within the page's plane.
+    map: Vec<u32>,
+    /// Reverse index: `pages_per_block` slots per (plane, block), of
+    /// which the first `live[plane, block]` hold its live logical pages.
+    contents: Vec<u32>,
+    live: Vec<u32>,
+    /// Logical pages written at least once.
+    mapped: usize,
 }
 
 impl Ftl {
-    /// Creates an FTL striping over `num_planes` planes.
+    /// Creates an empty FTL for the geometry of `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if `num_planes == 0`.
-    pub fn new(num_planes: usize) -> Self {
-        Self::with_capacity_hints(num_planes, 0, 0)
-    }
-
-    /// Like [`Ftl::new`], but pre-sizes the forward map for
-    /// `expected_pages` mappings and the reverse index for
-    /// `expected_blocks` live blocks, so steady-state operation never
-    /// rehashes.
-    pub fn with_capacity_hints(
-        num_planes: usize,
-        expected_pages: usize,
-        expected_blocks: usize,
-    ) -> Self {
+    /// Panics if the geometry has no planes, or more logical or physical
+    /// pages per plane than a `u32` can number.
+    pub fn new(cfg: &FlashConfig) -> Self {
+        let num_planes = cfg.num_planes();
+        let blocks_per_plane = cfg.blocks_per_plane() as usize;
+        let pages_per_block = cfg.pages_per_block as usize;
         assert!(num_planes > 0);
-        let mut contents = FastHashMap::default();
-        contents.reserve(expected_blocks);
+        assert!(
+            cfg.num_logical_pages() < u64::from(u32::MAX)
+                && (blocks_per_plane * pages_per_block) < u32::MAX as usize,
+            "flash geometry exceeds the FTL's u32 page numbers"
+        );
+        let blocks = num_planes * blocks_per_plane;
         Ftl {
             num_planes,
-            map: PageMap::with_capacity(expected_pages),
-            contents,
+            blocks_per_plane,
+            pages_per_block,
+            map: vec![0; cfg.num_logical_pages() as usize],
+            contents: vec![0; blocks * pages_per_block],
+            live: vec![0; blocks],
+            mapped: 0,
         }
     }
 
@@ -68,42 +75,79 @@ impl Ftl {
     /// Current physical location of `logical_page`, if it has been
     /// written since boot.
     pub fn lookup(&self, logical_page: u64) -> Option<PhysPage> {
-        self.map.get(logical_page)
+        let code = self.map[logical_page as usize].checked_sub(1)? as usize;
+        Some(PhysPage {
+            block: (code / self.pages_per_block) as u32,
+            page: (code % self.pages_per_block) as u32,
+        })
+    }
+
+    /// Index of `(plane, block)` in `live`, and of its first slot in
+    /// `contents` once multiplied by `pages_per_block`.
+    fn block_index(&self, plane: usize, block: u32) -> usize {
+        plane * self.blocks_per_plane + block as usize
+    }
+
+    /// The live logical pages of `(plane, block)`, in index order.
+    fn live_pages(&self, plane: usize, block: u32) -> &[u32] {
+        let b = self.block_index(plane, block);
+        let start = b * self.pages_per_block;
+        &self.contents[start..start + self.live[b] as usize]
     }
 
     /// Installs a new mapping after an out-of-place write; returns the
     /// old location (now invalid) if one existed. Keeps the reverse
     /// (block-contents) index in sync.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logical_page` is past the device's logical capacity,
+    /// or `new_loc`'s block already holds `pages_per_block` live pages.
     pub fn remap(&mut self, logical_page: u64, plane: usize, new_loc: PhysPage) -> Option<PhysPage> {
-        let old = self.map.insert(logical_page, new_loc);
-        if let Some(old_loc) = old {
-            if let Some(list) = self.contents.get_mut(&(plane, old_loc.block)) {
-                if let Some(pos) = list.iter().position(|&p| p == logical_page) {
-                    list.swap_remove(pos);
+        let old = self.lookup(logical_page);
+        let page = logical_page as u32;
+        match old {
+            // Take the page off its old block's list: the last entry
+            // moves into its slot, so later drains see `swap_remove`
+            // order.
+            Some(old_loc) => {
+                if let Some(pos) = self.live_pages(plane, old_loc.block).iter().position(|&p| p == page) {
+                    let b = self.block_index(plane, old_loc.block);
+                    let start = b * self.pages_per_block;
+                    self.live[b] -= 1;
+                    self.contents[start + pos] = self.contents[start + self.live[b] as usize];
                 }
             }
+            None => self.mapped += 1,
         }
-        self.contents
-            .entry((plane, new_loc.block))
-            .or_default()
-            .push(logical_page);
+        let code = new_loc.block as usize * self.pages_per_block + new_loc.page as usize + 1;
+        self.map[logical_page as usize] = code as u32;
+        let b = self.block_index(plane, new_loc.block);
+        let slot = self.live[b] as usize;
+        assert!(slot < self.pages_per_block, "block {} over-filled", new_loc.block);
+        self.contents[b * self.pages_per_block + slot] = page;
+        self.live[b] += 1;
         old
     }
 
-    /// Drains and returns the live logical pages of `(plane, block)` —
-    /// the pages garbage collection must migrate before erasing it.
-    pub fn drain_block(&mut self, plane: usize, block: u32) -> Vec<u64> {
-        self.contents.remove(&(plane, block)).unwrap_or_default()
+    /// Moves the live logical pages of `(plane, block)` into `out`
+    /// (cleared first) and empties the block's list — the pages garbage
+    /// collection must migrate before erasing it.
+    pub fn drain_block(&mut self, plane: usize, block: u32, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend(self.live_pages(plane, block).iter().map(|&p| u64::from(p)));
+        let b = self.block_index(plane, block);
+        self.live[b] = 0;
     }
 
     /// Number of live logical pages recorded for `(plane, block)`.
     pub fn live_in_block(&self, plane: usize, block: u32) -> usize {
-        self.contents.get(&(plane, block)).map_or(0, Vec::len)
+        self.live[self.block_index(plane, block)] as usize
     }
 
     /// Number of mapped (written-at-least-once) logical pages.
     pub fn mapped_pages(&self) -> usize {
-        self.map.len()
+        self.mapped
     }
 
     /// Number of planes.
@@ -116,9 +160,21 @@ impl Ftl {
 mod tests {
     use super::*;
 
+    /// An FTL over `planes` planes of at least 4 blocks of 16 pages.
+    fn ftl(planes: usize) -> Ftl {
+        Ftl::new(&FlashConfig {
+            capacity_bytes: 16 << 20,
+            channels: planes,
+            dies_per_channel: 1,
+            planes_per_die: 1,
+            pages_per_block: 16,
+            ..FlashConfig::default()
+        })
+    }
+
     #[test]
     fn striping_is_balanced() {
-        let ftl = Ftl::new(8);
+        let ftl = ftl(8);
         let mut counts = [0u32; 8];
         for page in 0..8000u64 {
             counts[ftl.plane_of(page)] += 1;
@@ -128,14 +184,14 @@ mod tests {
 
     #[test]
     fn sequential_pages_spread_over_planes() {
-        let ftl = Ftl::new(4);
+        let ftl = ftl(4);
         let planes: Vec<usize> = (0..4u64).map(|p| ftl.plane_of(p)).collect();
         assert_eq!(planes, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn remap_returns_old_location_and_tracks_contents() {
-        let mut ftl = Ftl::new(2);
+        let mut ftl = ftl(2);
         let a = PhysPage { block: 1, page: 2 };
         let b = PhysPage { block: 3, page: 4 };
         assert_eq!(ftl.remap(7, 1, a), None);
@@ -148,23 +204,27 @@ mod tests {
     }
 
     #[test]
-    fn drain_block_returns_live_pages() {
-        let mut ftl = Ftl::new(1);
+    fn drain_block_returns_live_pages_in_swap_remove_order() {
+        let mut ftl = ftl(1);
         for i in 0..5u64 {
             ftl.remap(i, 0, PhysPage { block: 9, page: i as u32 });
         }
-        // Overwrite page 2 into another block.
-        ftl.remap(2, 0, PhysPage { block: 10, page: 0 });
-        let mut live = ftl.drain_block(0, 9);
-        live.sort_unstable();
-        assert_eq!(live, vec![0, 1, 3, 4]);
+        // Overwrite page 1 into another block: page 4 takes its slot.
+        ftl.remap(1, 0, PhysPage { block: 10, page: 0 });
+        let mut live = vec![99];
+        ftl.drain_block(0, 9, &mut live);
+        assert_eq!(live, vec![0, 4, 2, 3]);
         assert_eq!(ftl.live_in_block(0, 9), 0);
+        // The drained pages keep their (now stale) mappings until GC
+        // remaps them.
+        assert_eq!(ftl.lookup(0), Some(PhysPage { block: 9, page: 0 }));
     }
 
     #[test]
     fn unwritten_pages_unmapped_but_planed() {
-        let ftl = Ftl::new(3);
+        let ftl = ftl(3);
         assert_eq!(ftl.lookup(99), None);
         assert!(ftl.plane_of(99) < 3);
+        assert_eq!(ftl.mapped_pages(), 0);
     }
 }

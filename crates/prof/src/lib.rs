@@ -64,7 +64,7 @@ pub enum Scope {
     EvPageArrived = 2,
     /// Dispatch of an `Arrival` event (open-loop job arrival).
     EvArrival = 3,
-    /// Event-queue slot drain + wheel cascade (`EventQueue` internals).
+    /// Event-queue pop: entered once per event popped.
     QueueCascade = 4,
     /// Scheduler decision: next thread / new job / park.
     SchedulerPick = 5,

@@ -1,99 +1,23 @@
-//! Deterministic fast hashing for hot-path lookup tables.
+//! A flat page-keyed hash map for the simulator's sparse page sets.
 //!
 //! The standard library's `HashMap` defaults to SipHash-1-3 behind a
 //! per-process random seed. That is the right default for hash-flood
 //! resistance, but wrong for a simulator: the keys here are page numbers
-//! and block ids produced by the simulation itself (never adversarial),
-//! SipHash costs tens of cycles per probe, and the random seed makes
-//! iteration order differ between runs — a determinism hazard anywhere
-//! iteration touches results.
+//! produced by the simulation itself (never adversarial), SipHash costs
+//! tens of cycles per probe, and the random seed makes iteration order
+//! differ between runs — a determinism hazard anywhere iteration touches
+//! results.
 //!
-//! This module provides two in-tree, zero-dependency replacements:
-//!
-//! * [`FxHasher`] / [`FastHashMap`] — an FxHash-style multiplicative
-//!   hasher (the rustc-internal design) with a fixed seed, as a drop-in
-//!   `HashMap` replacement for composite keys.
-//! * [`PageMap`] — a flat open-addressed table specialized for `u64`
-//!   page-number keys (linear probing, power-of-two capacity,
-//!   backward-shift deletion). This is the hottest lookup structure in
-//!   the system: FTL translations, page-LRU residency, and in-flight
-//!   miss maps are all page-keyed.
-//!
-//! Both are platform-independent: the same inserts produce the same
-//! table layout (and thus iteration order, where exposed) on every
+//! [`PageMap`] is a flat open-addressed table specialized for `u64`
+//! page-number keys (linear probing, power-of-two capacity,
+//! backward-shift deletion). It serves the page sets that are sparse in
+//! the page space: page-LRU residency, footprint history and the
+//! in-flight miss maps. It is platform-independent: the same inserts
+//! produce the same table layout (and thus iteration order) on every
 //! machine and every run.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Golden-ratio-derived odd multiplier used by FxHash.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// An FxHash-style streaming hasher: `state = (rotl5(state) ^ word) * K`.
-///
-/// Deterministic (no random seed), very fast on the short integer keys
-/// used throughout the simulator, and explicitly **not** DoS-resistant —
-/// keys here come from the simulation itself, never from an adversary.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher {
-    state: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
-    }
-}
-
-/// A `HashMap` with the deterministic [`FxHasher`] instead of SipHash.
-pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// Golden-ratio-derived odd multiplier for Fibonacci hashing.
+const HASH_MULT: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Key sentinel marking an empty [`PageMap`] slot. Page numbers are
 /// derived from dataset sizes (≪ 2^52 pages), so `u64::MAX` can never be
@@ -174,7 +98,7 @@ impl<V: Copy + Default> PageMap<V> {
     fn slot_of(&self, key: u64) -> usize {
         // Fibonacci hashing: the high bits of key*K are well mixed for
         // the sequential-ish page numbers the simulator produces.
-        (key.wrapping_mul(FX_SEED) >> self.shift) as usize
+        (key.wrapping_mul(HASH_MULT) >> self.shift) as usize
     }
 
     /// Index holding `key`, if present.
@@ -307,42 +231,7 @@ impl<V: Copy + Default> Default for PageMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fx_hasher_is_deterministic_and_spreads() {
-        let h = |k: u64| {
-            let mut hasher = FxHasher::default();
-            hasher.write_u64(k);
-            hasher.finish()
-        };
-        assert_eq!(h(12345), h(12345));
-        assert_ne!(h(1), h(2));
-        // Sequential keys must not collide in the low bits hashbrown uses.
-        let low: std::collections::HashSet<u64> = (0..1024u64).map(|k| h(k) & 0xfff).collect();
-        assert!(low.len() > 900, "low-bit spread too poor: {}", low.len());
-    }
-
-    #[test]
-    fn fx_hasher_write_matches_wordwise() {
-        // write() over an 8-byte LE buffer equals write_u64.
-        let mut a = FxHasher::default();
-        a.write(&42u64.to_le_bytes());
-        let mut b = FxHasher::default();
-        b.write_u64(42);
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn fast_hash_map_behaves_like_hashmap() {
-        let mut m: FastHashMap<(usize, u32), u64> = FastHashMap::default();
-        for i in 0..100usize {
-            m.insert((i, i as u32 * 2), i as u64);
-        }
-        assert_eq!(m.len(), 100);
-        assert_eq!(m.get(&(7, 14)), Some(&7));
-        assert_eq!(m.remove(&(7, 14)), Some(7));
-        assert_eq!(m.get(&(7, 14)), None);
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn page_map_insert_get_remove() {

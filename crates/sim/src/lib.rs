@@ -1,7 +1,7 @@
 //! Discrete-event simulation kernel for the AstriFlash reproduction.
 //!
 //! This crate provides the time base, deterministic random-number
-//! generation, event queue, page-keyed hash maps and bandwidth links that
+//! generation, event queue, page-keyed hash map and bandwidth links that
 //! every other simulation crate builds on.
 //!
 //! The design is deliberately *passive*: components are plain state
@@ -34,6 +34,6 @@ pub mod time;
 
 pub use bandwidth::BandwidthLink;
 pub use event::EventQueue;
-pub use hash::{FastHashMap, FxHasher, PageMap};
+pub use hash::PageMap;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -97,134 +97,83 @@ fn rng_bounded_covers() {
     });
 }
 
-/// Differential test: the timer-wheel [`EventQueue`] must deliver the
-/// exact same `(timestamp, payload)` stream as the [`HeapModel`] under
-/// randomized interleaved schedules and pops —
-/// including bursts of same-timestamp events (FIFO tie-breaks) and
-/// far-future events that land in the wheel's overflow level.
+/// Differential test: [`EventQueue`] must deliver the exact same
+/// `(timestamp, payload)` stream as the [`HeapModel`], with the same
+/// clock, length and peeked time after every pop, under randomized
+/// interleaved schedules, pops and event-free clock advances. The delay
+/// mix covers:
+///
+/// * same-timestamp bursts, including bursts at the current time while
+///   earlier events at that time are still pending (FIFO tie-breaks);
+/// * scattered short, medium and long delays;
+/// * far-future events, 2^42 ns and more ahead.
 #[test]
 fn event_queue_matches_heap_reference() {
     prop_check!(cases: 64, |g| {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut heap = HeapModel::new();
         let rounds = g.usize_in(1..400);
         let mut tag = 0u64;
         for _ in 0..rounds {
-            let schedules = g.usize_in(0..8);
-            for _ in 0..schedules {
-                // Mix of delay regimes: immediate (same-timestamp FIFO
-                // bursts at `now`), short, medium, long, and far-future
-                // (beyond the 2^42 ns wheel horizon → overflow level).
-                let delay = match g.usize_in(0..5) {
-                    0 => 0,
-                    1 => g.u64_in(0..64),
-                    2 => g.u64_in(0..100_000),
-                    3 => g.u64_in(0..1 << 30),
-                    _ => g.u64_in(1 << 42..1 << 50),
-                };
-                wheel.schedule_after_ns(delay, tag);
-                heap.schedule_after_ns(delay, tag);
-                tag += 1;
-            }
-            let pops = g.usize_in(0..6);
-            for _ in 0..pops {
-                assert_eq!(wheel.pop(), heap.pop(), "pop stream diverged");
-                assert_eq!(wheel.now(), heap.now);
-                assert_eq!(wheel.len(), heap.heap.len());
-            }
-        }
-        // Drain both queues completely.
-        loop {
-            let w = wheel.pop();
-            assert_eq!(w, heap.pop(), "drain stream diverged");
-            if w.is_none() {
-                break;
-            }
-        }
-        assert_eq!(wheel.scheduled_total(), heap.seq);
-    });
-}
-
-/// Differential test of **batched slot dispatch**: the production
-/// [`EventQueue`] (whole-slot drain into a pooled, seq-sorted ready
-/// buffer) must deliver the exact same `(timestamp, payload)` stream as
-/// the [`HeapModel`], under randomized interleaved push/pop/advance
-/// schedules. The delay mix deliberately stresses the
-/// batching-specific cases:
-///
-/// * same-tick ties — bursts of events at one exact timestamp, including
-///   events scheduled *at the current tick while its drained batch is
-///   still delivering* (they must come after the whole batch, by seq);
-/// * far-future rotations — delays beyond the 2^42 ns wheel horizon that
-///   park in overflow and fold back in mid-drain.
-#[test]
-fn batched_drain_matches_heap_model() {
-    prop_check!(cases: 64, |g| {
-        let mut batched: EventQueue<u64> = EventQueue::new();
-        let mut heap = HeapModel::new();
-        let rounds = g.usize_in(1..300);
-        let mut tag = 0u64;
-        for _ in 0..rounds {
             match g.usize_in(0..8) {
-                // Burst at a single timestamp (same-tick FIFO ties).
+                // Burst at a single timestamp.
                 0..=1 => {
                     let delay = match g.usize_in(0..4) {
-                        0 => 0, // at `now`: lands behind any in-flight batch
+                        0 => 0,
                         1 => g.u64_in(0..64),
                         2 => g.u64_in(0..100_000),
-                        _ => g.u64_in(1 << 42..1 << 50), // overflow rotation
+                        _ => g.u64_in(1 << 42..1 << 50),
                     };
-                    let burst = g.usize_in(1..12);
-                    for _ in 0..burst {
-                        batched.schedule_after_ns(delay, tag);
+                    for _ in 0..g.usize_in(1..12) {
+                        queue.schedule_after_ns(delay, tag);
                         heap.schedule_after_ns(delay, tag);
                         tag += 1;
                     }
                 }
                 // Scatter of independent delays.
                 2..=4 => {
-                    let n = g.usize_in(1..8);
-                    for _ in 0..n {
-                        let span_bits = g.u32_in(1..44);
-                        let delay = g.u64_in(0..1 << span_bits);
-                        batched.schedule_after_ns(delay, tag);
+                    for _ in 0..g.usize_in(1..8) {
+                        let delay = match g.usize_in(0..4) {
+                            0 => 0,
+                            1 => {
+                                let span_bits = g.u32_in(1..44);
+                                g.u64_in(0..1 << span_bits)
+                            }
+                            2 => g.u64_in(0..1 << 30),
+                            _ => g.u64_in(1 << 42..1 << 50),
+                        };
+                        queue.schedule_after_ns(delay, tag);
                         heap.schedule_after_ns(delay, tag);
                         tag += 1;
                     }
                 }
                 // Pops, checked in lockstep.
                 5..=6 => {
-                    let pops = g.usize_in(1..10);
-                    for _ in 0..pops {
-                        assert_eq!(batched.pop(), heap.pop(), "batched vs heap diverged");
-                        assert_eq!(batched.now(), heap.now);
-                        assert_eq!(batched.len(), heap.heap.len());
-                        assert_eq!(batched.peek_time(), heap.peek_time());
+                    for _ in 0..g.usize_in(1..10) {
+                        assert_eq!(queue.pop(), heap.pop(), "pop stream diverged");
+                        assert_eq!(queue.now(), heap.now);
+                        assert_eq!(queue.len(), heap.heap.len());
+                        assert_eq!(queue.peek_time(), heap.peek_time());
                     }
                 }
                 // Event-free clock advance (statistics-window close).
                 _ => {
-                    // Only legal when it does not step over pending
-                    // events' delivery times moving `now` past them is
-                    // fine for the contract, but keep both in lockstep
-                    // regardless.
-                    let d = g.u64_in(0..10_000);
-                    let to = batched.now() + SimDuration::from_ns(d);
-                    batched.advance_to(to);
+                    let to = queue.now() + SimDuration::from_ns(g.u64_in(0..10_000));
+                    queue.advance_to(to);
                     heap.advance_to(to);
                 }
             }
         }
-        // Drain fully; both must agree to the end.
+        // Drain both queues completely.
         loop {
-            let b = batched.pop();
-            assert_eq!(b, heap.pop(), "drain: batched vs heap diverged");
-            if b.is_none() {
+            let popped = queue.pop();
+            assert_eq!(popped, heap.pop(), "drain stream diverged");
+            if popped.is_none() {
                 break;
             }
         }
-        assert_eq!(batched.scheduled_total(), heap.seq);
-        assert_eq!(batched.popped_total(), heap.seq);
+        assert_eq!(queue.scheduled_total(), heap.seq);
+        assert_eq!(queue.popped_total(), heap.seq);
     });
 }
 
