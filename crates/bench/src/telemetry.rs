@@ -134,7 +134,7 @@ pub fn build(opts: &HarnessOpts) -> Result<Output, String> {
     if dropped > 0 {
         return Err(format!(
             "{dropped} telemetry observations dropped past the window cap; \
-             the timelines are truncated (raise max_windows or shrink the run)"
+             the timelines are truncated (lengthen the windows or shrink the run)"
         ));
     }
     if trace_dropped > 0 {

@@ -3,7 +3,6 @@
 
 use astriflash_flash::FlashConfig;
 use astriflash_mem::{DramCacheConfig, HierarchyConfig};
-use astriflash_os::OsPagingCosts;
 use astriflash_workloads::{WorkloadKind, WorkloadParams};
 
 /// The seven evaluated configurations (§V-B).
@@ -83,8 +82,6 @@ pub struct SystemConfig {
     pub hierarchy: HierarchyConfig,
     /// Flash device parameters (capacity is overridden to the dataset).
     pub flash: FlashConfig,
-    /// OS paging costs (OS-Swap baseline).
-    pub os_costs: OsPagingCosts,
     /// User-level thread switch cost in ns (100 ns, §IV; 0 for Ideal).
     pub switch_cost_ns: u64,
     /// User-level threads per core (32–64 per workload, §V-A); `None`
@@ -108,8 +105,6 @@ pub struct SystemConfig {
     /// Simulated-time cap per run; closed-loop runs end at the job quota
     /// or this cap, whichever comes first.
     pub max_sim_time_ms: u64,
-    /// Warmup fraction of the job quota excluded from statistics.
-    pub warmup_fraction: f64,
 }
 
 impl SystemConfig {
@@ -225,7 +220,6 @@ impl SystemConfig {
             (0.001..=1.0).contains(&self.dram_cache_fraction),
             "DRAM-cache fraction out of range"
         );
-        assert!((0.0..1.0).contains(&self.warmup_fraction));
         assert!(self.max_sim_time_ms > 0);
         if let Some(t) = &self.telemetry {
             t.validate();
@@ -244,7 +238,6 @@ impl Default for SystemConfig {
             footprint_cache: false,
             hierarchy: HierarchyConfig::default(),
             flash: FlashConfig::default(),
-            os_costs: OsPagingCosts::default(),
             switch_cost_ns: 100,
             threads_per_core: None,
             msr_geometry: (64, 8),
@@ -252,7 +245,6 @@ impl Default for SystemConfig {
             tlb_geometry: (1536, 6),
             telemetry: None,
             max_sim_time_ms: 200,
-            warmup_fraction: 0.1,
         }
     }
 }

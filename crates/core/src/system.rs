@@ -29,7 +29,7 @@ use astriflash_mem::{
     BacksideController, BcAdmission, CacheHierarchy, DramBanks, DramCache, DramTimings,
     HierarchyOutcome, LevelTotals, ProbeOutcome, Waiter,
 };
-use astriflash_os::{PageTableWalker, Tlb};
+use astriflash_os::{OsPagingCosts, PageTableWalker, Tlb};
 use astriflash_prof::{scope as prof_scope, Scope as ProfScope};
 use astriflash_sim::{EventQueue, PageMap, SimDuration, SimRng, SimTime};
 use astriflash_stats::{Histogram, OnlineStats, Phase, PhaseSet};
@@ -47,6 +47,9 @@ use crate::telemetry::{CoreWindows, TelemetryReport};
 pub(crate) const SLICE_NS: u64 = 4_000;
 /// Retry delay when the MSR rejects an admission (set full).
 const MSR_RETRY_NS: u64 = 2_000;
+/// Share of a run's job quota completed as warm-up, before statistics
+/// start.
+const WARMUP_FRACTION: f64 = 0.1;
 
 /// Event payloads stay within one word past the discriminant: core ids
 /// are `u32` so the whole enum packs into 16 bytes (pinned by the size
@@ -457,9 +460,9 @@ impl SystemSim {
         // is pure bookkeeping; the simulated outcome is bit-identical
         // either way).
         let telem_windows = cfg.telemetry.map(|t| {
-            dram_cache.enable_windows(t.window_ns, t.max_windows);
-            bc.enable_windows(t.window_ns, t.max_windows);
-            flash.enable_windows(t.window_ns, t.max_windows);
+            dram_cache.enable_windows(t.window_ns);
+            bc.enable_windows(t.window_ns);
+            flash.enable_windows(t.window_ns);
             Box::new(CoreWindows::new(&t, cfg.cores))
         });
         let pt_base = dataset_bytes;
@@ -525,18 +528,18 @@ impl SystemSim {
     fn switch_cost_ns(&self) -> u64 {
         match self.configuration {
             Configuration::AstriFlashIdeal => 0,
-            Configuration::OsSwap => self.cfg.os_costs.context_switch_ns,
+            Configuration::OsSwap => OsPagingCosts::default().context_switch_ns,
             _ => self.cfg.switch_cost_ns,
         }
     }
 
     /// Runs closed-loop to saturation: every core keeps its thread slots
     /// full from an infinite job queue. Measures `jobs_per_core` jobs per
-    /// core after warming up with `warmup_fraction` extra jobs.
+    /// core after warming up with `WARMUP_FRACTION` extra jobs.
     pub fn run_closed_loop(mut self, jobs_per_core: u64) -> SystemStats {
         self.closed_loop = true;
         let measured_target = jobs_per_core * self.cfg.cores as u64;
-        self.warmup_jobs = ((measured_target as f64 * self.cfg.warmup_fraction) as u64).max(1);
+        self.warmup_jobs = ((measured_target as f64 * WARMUP_FRACTION) as u64).max(1);
         self.jobs_target = self.warmup_jobs + measured_target;
         for core in 0..self.cfg.cores {
             self.schedule_resume(core, SimTime::ZERO);
@@ -549,7 +552,7 @@ impl SystemSim {
     /// inter-arrival time (system-wide) until `total_jobs` complete.
     pub fn run_open_loop(mut self, mean_interarrival_ns: f64, total_jobs: u64) -> SystemStats {
         self.closed_loop = false;
-        self.warmup_jobs = ((total_jobs as f64 * self.cfg.warmup_fraction) as u64).max(1);
+        self.warmup_jobs = ((total_jobs as f64 * WARMUP_FRACTION) as u64).max(1);
         self.jobs_target = self.warmup_jobs + total_jobs;
         let mut arrivals = PoissonArrivals::new(mean_interarrival_ns);
         let first = arrivals.next_arrival(&mut self.rng);
@@ -1445,7 +1448,7 @@ impl SystemSim {
             }
             Configuration::OsSwap => {
                 // Demand-paging fault: trap + storage stack + switch out.
-                let b = self.cfg.os_costs.fault_breakdown(self.cfg.cores);
+                let b = OsPagingCosts::default().fault_breakdown(self.cfg.cores);
                 // The mapping change shoots down every other core's TLB.
                 for (i, other) in self.cores.iter_mut().enumerate() {
                     if i != core_id {

@@ -42,20 +42,15 @@ pub struct TelemetryCfg {
     /// Deadline for the SLO monitor: a completion whose response time
     /// (arrival → completion) exceeds this misses its deadline.
     pub slo_ns: u64,
-    /// Cap on windows per series; observations past it are counted as
-    /// dropped (consumers treat non-zero drops as an error).
-    pub max_windows: usize,
 }
 
 impl Default for TelemetryCfg {
-    /// 1 ms windows, a 250 µs deadline (≈ 1.4× the full-scale
-    /// AstriFlash p99 under high load, DESIGN.md §13), and the stats
-    /// layer's default window cap.
+    /// 1 ms windows and a 250 µs deadline (≈ 1.4× the full-scale
+    /// AstriFlash p99 under high load, DESIGN.md §13).
     fn default() -> Self {
         TelemetryCfg {
             window_ns: 1_000_000,
             slo_ns: 250_000,
-            max_windows: astriflash_stats::DEFAULT_MAX_WINDOWS,
         }
     }
 }
@@ -73,21 +68,14 @@ impl TelemetryCfg {
         self
     }
 
-    /// Builder-style: set the window cap.
-    pub fn with_max_windows(mut self, max_windows: usize) -> Self {
-        self.max_windows = max_windows;
-        self
-    }
-
     /// Validates the parameters.
     ///
     /// # Panics
     ///
-    /// Panics on a zero window, zero SLO, or zero cap.
+    /// Panics on a zero window or zero SLO.
     pub fn validate(&self) {
         assert!(self.window_ns > 0, "telemetry window must be positive");
         assert!(self.slo_ns > 0, "SLO deadline must be positive");
-        assert!(self.max_windows > 0, "need at least one telemetry window");
     }
 }
 
@@ -114,9 +102,9 @@ pub struct CoreWindows {
 impl CoreWindows {
     /// Creates an empty collector for `cfg` and `cores` cores.
     pub fn new(cfg: &TelemetryCfg, cores: usize) -> Self {
-        let mk = || WindowSeries::with_max_windows(cfg.window_ns, cfg.max_windows);
+        let mk = || WindowSeries::new(cfg.window_ns);
         CoreWindows {
-            latency: WindowedHist::with_max_windows(cfg.window_ns, cfg.max_windows),
+            latency: WindowedHist::new(cfg.window_ns),
             completions: mk(),
             deadline_misses: mk(),
             busy_ns: (0..cores).map(|_| mk()).collect(),
@@ -321,7 +309,8 @@ impl TelemetryReport {
     }
 
     /// Observations dropped past the window cap across every series.
-    /// Non-zero means the run outlived `max_windows × window_ns` and the
+    /// Non-zero means the run outlived
+    /// [`astriflash_stats::DEFAULT_MAX_WINDOWS`] × `window_ns` and the
     /// timeline is truncated — treat as an error in tooling.
     pub fn dropped(&self) -> u64 {
         let per_core = self.core.busy_ns.iter().chain(&self.core.runq_peak);
@@ -390,7 +379,6 @@ mod tests {
         TelemetryCfg::default()
             .with_window_ns(1_000)
             .with_slo_ns(500)
-            .with_max_windows(64)
     }
 
     fn report_with(completions: &[(u64, u64)]) -> TelemetryReport {
@@ -414,20 +402,20 @@ mod tests {
     fn blank_cache(cfg: &TelemetryCfg) -> CacheWindows {
         // Build through the public DramCache plumbing.
         let mut dc = astriflash_mem::DramCache::new(astriflash_mem::DramCacheConfig::default());
-        dc.enable_windows(cfg.window_ns, cfg.max_windows);
+        dc.enable_windows(cfg.window_ns);
         dc.take_windows().unwrap()
     }
 
     fn blank_msr(cfg: &TelemetryCfg) -> MsrWindows {
         let mut bc = astriflash_mem::BacksideController::new(64, 8, 2);
-        bc.enable_windows(cfg.window_ns, cfg.max_windows);
+        bc.enable_windows(cfg.window_ns);
         bc.take_windows().unwrap()
     }
 
     fn blank_flash(cfg: &TelemetryCfg) -> FlashWindows {
         let mut dev =
             astriflash_flash::FlashDevice::new(astriflash_flash::FlashConfig::default(), 1);
-        dev.enable_windows(cfg.window_ns, cfg.max_windows);
+        dev.enable_windows(cfg.window_ns);
         dev.take_windows().unwrap()
     }
 

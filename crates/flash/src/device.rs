@@ -60,8 +60,8 @@ pub struct FlashWindows {
 }
 
 impl FlashWindows {
-    fn new(window_ns: u64, max_windows: usize, channels: usize) -> Self {
-        let mk = || WindowSeries::with_max_windows(window_ns, max_windows);
+    fn new(window_ns: u64, channels: usize) -> Self {
+        let mk = || WindowSeries::new(window_ns);
         FlashWindows {
             reads: mk(),
             writes: mk(),
@@ -188,12 +188,8 @@ impl FlashDevice {
 
     /// Attaches per-window flash-health telemetry (off by default; pure
     /// bookkeeping, never affects timing or RNG draws).
-    pub fn enable_windows(&mut self, window_ns: u64, max_windows: usize) {
-        self.windows = Some(Box::new(FlashWindows::new(
-            window_ns,
-            max_windows,
-            self.cfg.channels,
-        )));
+    pub fn enable_windows(&mut self, window_ns: u64) {
+        self.windows = Some(Box::new(FlashWindows::new(window_ns, self.cfg.channels)));
     }
 
     /// The window collector, if enabled.

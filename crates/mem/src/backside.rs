@@ -72,8 +72,8 @@ pub struct MsrWindows {
 }
 
 impl MsrWindows {
-    fn new(window_ns: u64, max_windows: usize) -> Self {
-        let mk = || WindowSeries::with_max_windows(window_ns, max_windows);
+    fn new(window_ns: u64) -> Self {
+        let mk = || WindowSeries::new(window_ns);
         MsrWindows {
             occ_sum: mk(),
             occ_samples: mk(),
@@ -129,8 +129,8 @@ impl BacksideController {
 
     /// Attaches per-window MSR-occupancy telemetry (off by default; pure
     /// bookkeeping, never affects admissions or timing).
-    pub fn enable_windows(&mut self, window_ns: u64, max_windows: usize) {
-        self.windows = Some(Box::new(MsrWindows::new(window_ns, max_windows)));
+    pub fn enable_windows(&mut self, window_ns: u64) {
+        self.windows = Some(Box::new(MsrWindows::new(window_ns)));
     }
 
     /// The window collector, if enabled.

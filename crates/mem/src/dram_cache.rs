@@ -115,10 +115,10 @@ pub struct CacheWindows {
 }
 
 impl CacheWindows {
-    fn new(window_ns: u64, max_windows: usize) -> Self {
+    fn new(window_ns: u64) -> Self {
         CacheWindows {
-            hits: WindowSeries::with_max_windows(window_ns, max_windows),
-            misses: WindowSeries::with_max_windows(window_ns, max_windows),
+            hits: WindowSeries::new(window_ns),
+            misses: WindowSeries::new(window_ns),
         }
     }
 
@@ -172,8 +172,8 @@ impl DramCache {
 
     /// Attaches per-window hit/miss telemetry (off by default; pure
     /// bookkeeping, never affects timing or replacement decisions).
-    pub fn enable_windows(&mut self, window_ns: u64, max_windows: usize) {
-        self.windows = Some(Box::new(CacheWindows::new(window_ns, max_windows)));
+    pub fn enable_windows(&mut self, window_ns: u64) {
+        self.windows = Some(Box::new(CacheWindows::new(window_ns)));
     }
 
     /// The window collector, if enabled.
