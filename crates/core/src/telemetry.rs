@@ -168,10 +168,14 @@ pub struct TelemetryReport {
 }
 
 impl TelemetryReport {
-    /// Number of windows any series touched.
+    /// Number of windows any series touched, counting only windows that
+    /// start before the run end: the channel spans of flash reads still
+    /// in flight at the end reach past it, and the windows only they
+    /// touch are not part of the run.
     pub fn num_windows(&self) -> usize {
         let per_core = self.core.busy_ns.iter().chain(&self.core.runq_peak);
-        self.core
+        let touched = self
+            .core
             .latency
             .num_windows()
             .max(self.core.completions.num_windows())
@@ -179,7 +183,8 @@ impl TelemetryReport {
             .max(self.cache.hits.num_windows())
             .max(self.cache.misses.num_windows())
             .max(self.msr.occ_samples.num_windows())
-            .max(self.flash.num_windows())
+            .max(self.flash.num_windows());
+        touched.min(self.end_ns.div_ceil(self.cfg.window_ns) as usize)
     }
 
     /// Start time of window `w` in ns.
@@ -500,6 +505,26 @@ mod tests {
         assert_eq!(p99s[0].t_ns, r.window_end_ns(0));
         // Off tracer: emission is a no-op, not a panic.
         r.emit_gauges(&Tracer::off());
+    }
+
+    #[test]
+    fn windows_past_the_run_end_are_not_counted() {
+        // The run ends at 1.5 µs, inside window 1, but a flash read still
+        // in flight keeps channel 0 busy into window 3.
+        let mut r = report_with(&[(100, 200), (1_500, 300)]);
+        r.flash.chan_busy_ns[0].add_span(1_200, 3_500);
+        assert_eq!(r.flash.num_windows(), 4);
+        assert_eq!(r.num_windows(), 2);
+        // Every emitted window has its own timestamp.
+        let tracer = Tracer::ring(4096);
+        r.emit_gauges(&tracer);
+        let stamps: Vec<u64> = tracer
+            .finish()
+            .iter()
+            .filter(|e| e.name == "win_latency_p99_ns")
+            .map(|e| e.t_ns)
+            .collect();
+        assert_eq!(stamps, [1_000, 1_500]);
     }
 
     #[test]
