@@ -27,9 +27,10 @@ use astriflash_core::config::{Configuration, SystemConfig};
 use astriflash_core::experiment::RunReport;
 use astriflash_core::experiments::{self, ablations::AblationPoint};
 use astriflash_core::sweep::{Cell, Sweep};
+use astriflash_cpu::Rob;
 use astriflash_sim::SimRng;
 use astriflash_stats::{CsvDoc, OnlineStats, Percentile, Phase, TextTable};
-use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, PAGE_SIZE};
+use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
 /// The seed of every committed artifact.
 const SEED: u64 = 1;
@@ -483,12 +484,15 @@ fn fig10(o: &HarnessOpts) -> Result<Vec<String>, String> {
 }
 
 /// Table I: system parameters used for simulation, alongside the
-/// paper's QFlex parameters and this reproduction's scaled values.
+/// paper's QFlex parameters and this reproduction's scaled values. The
+/// reproduction's column is read from the default configuration and
+/// the model's own components.
 fn table1(_: &HarnessOpts) -> Result<Vec<String>, String> {
     let cfg = SystemConfig::default();
     let dc = cfg.dram_cache_config();
     let flash = cfg.flash_config();
     let h = &cfg.hierarchy;
+    let (msr_sets, msr_ways) = cfg.msr_geometry;
 
     let mut out = String::new();
     outln!(
@@ -504,7 +508,7 @@ fn table1(_: &HarnessOpts) -> Result<Vec<String>, String> {
     t.row(&[
         "ROB / SB",
         "128-entry ROB, 32-entry SB",
-        "128-entry ROB, 32-entry SB (+ASO PRF)",
+        &format!("{}-entry ROB, no SB modeled", Rob::a76().entries()),
     ]);
     t.row(&["L1D", "64 KB", &format!("{} KB", h.l1_bytes >> 10)]);
     t.row(&[
@@ -528,10 +532,14 @@ fn table1(_: &HarnessOpts) -> Result<Vec<String>, String> {
     t.row(&[
         "DRAM cache",
         "8 GB (3%)",
-        &format!("{} MiB (3%)", dc.capacity_bytes >> 20),
+        &format!(
+            "{} MiB ({:.0}%)",
+            dc.capacity_bytes >> 20,
+            cfg.dram_cache_fraction * 100.0
+        ),
     ]);
-    t.row(&["page size", "4 KB", "4 KiB"]);
-    t.row(&["cache block", "64 B", "64 B"]);
+    t.row(&["page size", "4 KB", &format!("{} KiB", PAGE_SIZE >> 10)]);
+    t.row(&["cache block", "64 B", &format!("{BLOCK_SIZE} B")]);
     t.row(&["DRAM-cache ways", "8 (tag column)", &format!("{}", dc.ways)]);
     t.row(&[
         "flash read",
@@ -559,12 +567,12 @@ fn table1(_: &HarnessOpts) -> Result<Vec<String>, String> {
     t.row(&[
         "FC",
         "FSM, FR-FCFS, 1 cycle/command",
-        "FR-FCFS banks, open-row tracking",
+        &format!("{} banks, FCFS per bank, open-row hits", dc.banks),
     ]);
     t.row(&[
         "BC",
         "programmable, 3 cycles/command",
-        "programmable model, MSR 64x8",
+        &format!("programmable model, MSR {msr_sets}x{msr_ways}"),
     ]);
     out.push_str(&t.render());
     Ok(vec![out])

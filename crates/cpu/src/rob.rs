@@ -59,6 +59,11 @@ impl Rob {
     pub fn occupancy(&self) -> f64 {
         self.occupancy
     }
+
+    /// Capacity in entries.
+    pub fn entries(&self) -> u32 {
+        self.entries
+    }
 }
 
 #[cfg(test)]
