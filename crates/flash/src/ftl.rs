@@ -82,17 +82,12 @@ impl Ftl {
         })
     }
 
-    /// Index of `(plane, block)` in `live`, and of its first slot in
-    /// `contents` once multiplied by `pages_per_block`.
-    fn block_index(&self, plane: usize, block: u32) -> usize {
-        plane * self.blocks_per_plane + block as usize
-    }
-
-    /// The live logical pages of `(plane, block)`, in index order.
-    fn live_pages(&self, plane: usize, block: u32) -> &[u32] {
-        let b = self.block_index(plane, block);
+    /// Index of `(plane, block)` in `live`, and the `contents` slots of
+    /// its live pages.
+    fn live_slots(&self, plane: usize, block: u32) -> (usize, std::ops::Range<usize>) {
+        let b = plane * self.blocks_per_plane + block as usize;
         let start = b * self.pages_per_block;
-        &self.contents[start..start + self.live[b] as usize]
+        (b, start..start + self.live[b] as usize)
     }
 
     /// Installs a new mapping after an out-of-place write; returns the
@@ -103,29 +98,33 @@ impl Ftl {
     ///
     /// Panics if `logical_page` is past the device's logical capacity,
     /// or `new_loc`'s block already holds `pages_per_block` live pages.
-    pub fn remap(&mut self, logical_page: u64, plane: usize, new_loc: PhysPage) -> Option<PhysPage> {
-        let old = self.lookup(logical_page);
+    pub fn remap(
+        &mut self,
+        logical_page: u64,
+        plane: usize,
+        new_loc: PhysPage,
+    ) -> Option<PhysPage> {
         let page = logical_page as u32;
+        let old = self.lookup(logical_page);
         match old {
-            // Take the page off its old block's list: the last entry
-            // moves into its slot, so later drains see `swap_remove`
-            // order.
             Some(old_loc) => {
-                if let Some(pos) = self.live_pages(plane, old_loc.block).iter().position(|&p| p == page) {
-                    let b = self.block_index(plane, old_loc.block);
-                    let start = b * self.pages_per_block;
+                // Take the page off its old block's list, if it is still
+                // there: the last entry moves into its slot, so drains
+                // see `swap_remove` order.
+                let (b, slots) = self.live_slots(plane, old_loc.block);
+                let live = &mut self.contents[slots];
+                if let Some(pos) = live.iter().position(|&p| p == page) {
+                    live[pos] = live[live.len() - 1];
                     self.live[b] -= 1;
-                    self.contents[start + pos] = self.contents[start + self.live[b] as usize];
                 }
             }
             None => self.mapped += 1,
         }
         let code = new_loc.block as usize * self.pages_per_block + new_loc.page as usize + 1;
         self.map[logical_page as usize] = code as u32;
-        let b = self.block_index(plane, new_loc.block);
-        let slot = self.live[b] as usize;
-        assert!(slot < self.pages_per_block, "block {} over-filled", new_loc.block);
-        self.contents[b * self.pages_per_block + slot] = page;
+        let (b, slots) = self.live_slots(plane, new_loc.block);
+        assert!(slots.len() < self.pages_per_block, "block over-filled");
+        self.contents[slots.end] = page;
         self.live[b] += 1;
         old
     }
@@ -134,15 +133,15 @@ impl Ftl {
     /// (cleared first) and empties the block's list — the pages garbage
     /// collection must migrate before erasing it.
     pub fn drain_block(&mut self, plane: usize, block: u32, out: &mut Vec<u64>) {
+        let (b, slots) = self.live_slots(plane, block);
         out.clear();
-        out.extend(self.live_pages(plane, block).iter().map(|&p| u64::from(p)));
-        let b = self.block_index(plane, block);
+        out.extend(self.contents[slots].iter().map(|&p| u64::from(p)));
         self.live[b] = 0;
     }
 
     /// Number of live logical pages recorded for `(plane, block)`.
     pub fn live_in_block(&self, plane: usize, block: u32) -> usize {
-        self.live[self.block_index(plane, block)] as usize
+        self.live_slots(plane, block).1.len()
     }
 
     /// Number of mapped (written-at-least-once) logical pages.
@@ -207,7 +206,14 @@ mod tests {
     fn drain_block_returns_live_pages_in_swap_remove_order() {
         let mut ftl = ftl(1);
         for i in 0..5u64 {
-            ftl.remap(i, 0, PhysPage { block: 9, page: i as u32 });
+            ftl.remap(
+                i,
+                0,
+                PhysPage {
+                    block: 9,
+                    page: i as u32,
+                },
+            );
         }
         // Overwrite page 1 into another block: page 4 takes its slot.
         ftl.remap(1, 0, PhysPage { block: 10, page: 0 });

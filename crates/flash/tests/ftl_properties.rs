@@ -138,9 +138,20 @@ impl RefFtl {
 
 /// Drains `victim` in both FTLs, checks they agree, erases it and
 /// migrates its live pages to freshly allocated pages, as GC does.
-fn collect(ftl: &mut Ftl, reference: &mut RefFtl, plane: &mut Plane, p: usize, victim: u32, scratch: &mut Vec<u64>) {
+fn collect(
+    ftl: &mut Ftl,
+    reference: &mut RefFtl,
+    plane: &mut Plane,
+    p: usize,
+    victim: u32,
+    scratch: &mut Vec<u64>,
+) {
     ftl.drain_block(p, victim, scratch);
-    assert_eq!(*scratch, reference.drain_block(p, victim), "drain order diverged");
+    assert_eq!(
+        *scratch,
+        reference.drain_block(p, victim),
+        "drain order diverged"
+    );
     plane.erase_block(SimTime::ZERO, victim, SimDuration::ZERO, SimDuration::ZERO);
     for &logical in scratch.iter() {
         if let Some(loc) = plane.allocate_page() {
