@@ -16,8 +16,8 @@ use crate::plane::PhysPage;
 
 /// The FTL mapping state, in dense arrays sized by the device geometry.
 ///
-/// Both arrays start zeroed, so the pages of neither take resident
-/// memory until a write touches them: a run writes a few percent of the
+/// The arrays start zeroed, so their pages take no resident memory
+/// until a write touches them: a run writes a few percent of the
 /// logical pages (dirty writebacks and GC migrations), and a DRAM-only
 /// run none.
 #[derive(Debug, Clone)]
@@ -45,9 +45,9 @@ impl Ftl {
     /// pages per plane than a `u32` can number.
     pub fn new(cfg: &FlashConfig) -> Self {
         let num_planes = cfg.num_planes();
+        assert!(num_planes > 0);
         let blocks_per_plane = cfg.blocks_per_plane() as usize;
         let pages_per_block = cfg.pages_per_block as usize;
-        assert!(num_planes > 0);
         assert!(
             cfg.num_logical_pages() < u64::from(u32::MAX)
                 && (blocks_per_plane * pages_per_block) < u32::MAX as usize,

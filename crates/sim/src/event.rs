@@ -8,8 +8,8 @@
 //! Status Row bounds outstanding flash reads (§IV-B2), so a system never
 //! has more than one `Resume` per core, one `PageArrived` per MSR entry
 //! and one `Arrival` pending. `SystemSim` sizes the queue for that bound
-//! and checks it in debug builds. At a few hundred pending events a pop
-//! is a handful of compares, and the heap never reallocates.
+//! and checks it in debug builds. At a few hundred pending events the
+//! heap is under ten levels deep, and it never reallocates.
 //! `tests/kernel_properties.rs` checks the pop stream against a
 //! reference model of the contract kept inside the test.
 

@@ -9,10 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
-echo "==> cargo test (fast lane: memory-path crates)"
-# The SoA cache/TLB differential suites live here; running them first
-# gives the quickest signal on the hottest per-access structures.
-cargo test -q -p astriflash-mem -p astriflash-os
+echo "==> cargo test (fast lane: kernel and memory-path crates)"
+# The event-queue and FTL reference models and the SoA cache/TLB
+# differential suites live here; running them first gives the quickest
+# signal on the kernel and the hottest per-access structures.
+cargo test -q -p astriflash-sim -p astriflash-flash -p astriflash-mem -p astriflash-os
 
 echo "==> cargo test (debug, whole workspace)"
 cargo test -q --workspace
