@@ -16,7 +16,7 @@
 //!
 //! Window assignment is `t_ns / window_ns` (integer floor): an event
 //! exactly on a boundary belongs to the window that *starts* there.
-//! Observations past the `max_windows` cap are counted in
+//! Observations past the [`DEFAULT_MAX_WINDOWS`] cap are counted in
 //! [`WindowedHist::dropped`] / [`WindowSeries::dropped`] rather than
 //! silently discarded — consumers treat a non-zero drop count as a
 //! hard error (the telemetry CI smoke does).
@@ -79,7 +79,7 @@ impl WindowedHist {
     /// # Panics
     ///
     /// Panics if `window_ns` is zero or `max_windows` is zero.
-    pub fn with_max_windows(window_ns: u64, max_windows: usize) -> Self {
+    pub(crate) fn with_max_windows(window_ns: u64, max_windows: usize) -> Self {
         assert!(window_ns > 0, "window size must be positive");
         assert!(max_windows > 0, "need at least one window");
         WindowedHist {
@@ -182,7 +182,7 @@ impl WindowSeries {
     /// # Panics
     ///
     /// Panics if `window_ns` is zero or `max_windows` is zero.
-    pub fn with_max_windows(window_ns: u64, max_windows: usize) -> Self {
+    pub(crate) fn with_max_windows(window_ns: u64, max_windows: usize) -> Self {
         assert!(window_ns > 0, "window size must be positive");
         assert!(max_windows > 0, "need at least one window");
         WindowSeries {
