@@ -101,9 +101,9 @@ fn disabled_gc_never_erases() {
 
 /// The FTL contract as hash maps: a forward map, and per (plane, block)
 /// a list of live logical pages that a remap appends to and removes from
-/// with `swap_remove`. That order reaches the numbers: GC migrates a
-/// victim's pages in it, and it decides which migrated page crosses into
-/// the next active block.
+/// with `swap_remove`. GC migrates a victim's pages in that order, so it
+/// decides which of them cross into the next active block when a
+/// migration fills the current one.
 #[derive(Default)]
 struct RefFtl {
     map: HashMap<u64, PhysPage>,
@@ -193,13 +193,13 @@ fn dense_ftl_matches_hash_map_reference() {
                 0..=6 => {
                     let logical = g.u64_in(0..hot);
                     let p = ftl.plane_of(logical);
-                    assert_eq!(p, (logical % cfg.num_planes() as u64) as usize);
                     // A full plane collects a victim first, as GC would.
                     let mut loc = planes[p].allocate_page();
                     if loc.is_none() {
                         if let Some((victim, _)) = planes[p].pick_victim() {
-                            collect(&mut ftl, &mut reference, &mut planes[p], p, victim, &mut scratch);
-                            loc = planes[p].allocate_page();
+                            let plane = &mut planes[p];
+                            collect(&mut ftl, &mut reference, plane, p, victim, &mut scratch);
+                            loc = plane.allocate_page();
                         }
                     }
                     let Some(loc) = loc else {
@@ -214,7 +214,8 @@ fn dense_ftl_matches_hash_map_reference() {
                 _ => {
                     let p = g.usize_in(0..planes.len());
                     if let Some((victim, _)) = planes[p].pick_victim() {
-                        collect(&mut ftl, &mut reference, &mut planes[p], p, victim, &mut scratch);
+                        let plane = &mut planes[p];
+                        collect(&mut ftl, &mut reference, plane, p, victim, &mut scratch);
                     }
                 }
             }
