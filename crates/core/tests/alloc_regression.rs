@@ -26,8 +26,9 @@ use astriflash_workloads::WorkloadKind;
 /// touching the heap. `msr_admit` is strict too, except for the kinds
 /// in [`MSR_PEAK_KINDS`]. `install` is strict because the FTL's reverse
 /// index is a slab sized by the flash geometry, so a dirty writeback
-/// never grows it, and `queue_cascade` (an event-queue pop) because the
-/// queue is born with room for every event a run can have pending.
+/// never grows it, and `queue_cascade` because an event-queue pop only
+/// shrinks the heap (which is born with room for every event a run can
+/// have pending, so no schedule grows it either).
 const STRICT_SCOPES: [Scope; 9] = [
     Scope::QueueCascade,
     Scope::SchedulerPick,
