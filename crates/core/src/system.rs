@@ -425,37 +425,44 @@ impl SystemSim {
         // Prewarm the DRAM cache to its steady-state content: replay the
         // page stream of a batch of jobs through an LRU of the same
         // capacity and install the survivors (coldest first).
-        let mut warm_rng = SimRng::new(seed ^ 0x77A7);
-        let capacity = dram_cache_cfg.capacity_pages() as usize;
-        let mut lru = astriflash_mem::PageLru::new(capacity);
-        let mut recency: Vec<u64> = Vec::new();
-        let target_touches = capacity * 8;
-        let mut touches = 0usize;
-        let mut warm_buf = JobBuf::new();
-        while touches < target_touches {
-            engine.fill_job(&mut warm_buf, &mut warm_rng);
-            for a in warm_buf.accesses() {
-                let page = a.addr / PAGE_SIZE;
-                if !lru.access(page) {
-                    recency.push(page);
+        let mut dram_cache = {
+            let mut warm_rng = SimRng::new(seed ^ 0x77A7);
+            let capacity = dram_cache_cfg.capacity_pages() as usize;
+            let mut lru = astriflash_mem::PageLru::new(capacity);
+            let mut recency: Vec<u64> = Vec::new();
+            let target_touches = capacity * 8;
+            let mut touches = 0usize;
+            let mut warm_buf = JobBuf::new();
+            while touches < target_touches {
+                engine.fill_job(&mut warm_buf, &mut warm_rng);
+                for a in warm_buf.accesses() {
+                    let page = a.addr / PAGE_SIZE;
+                    if !lru.access(page) {
+                        recency.push(page);
+                    }
+                    touches += 1;
                 }
-                touches += 1;
             }
+            let resident: Vec<u64> = recency
+                .iter()
+                .rev()
+                .filter(|p| lru.contains(**p))
+                .take(capacity)
+                .copied()
+                .collect();
+            DramCache::prewarmed(dram_cache_cfg, resident.into_iter().rev())
+        };
+        // The FTL tables are the largest buffer a run allocates besides
+        // the dataset. Made once the prewarm has freed its temporaries,
+        // they take the same place in every run (DESIGN.md §9). Every
+        // configuration but DRAM-only writes dirty pages back to flash;
+        // DRAM-only never touches the device and makes no tables.
+        let mut flash = FlashDevice::new(cfg.flash_config(), seed ^ 0xF1);
+        if configuration != Configuration::DramOnly {
+            flash.make_ftl_tables();
         }
-        let resident: Vec<u64> = recency
-            .iter()
-            .rev()
-            .filter(|p| lru.contains(**p))
-            .take(capacity)
-            .copied()
-            .collect();
-        let dram_cache =
-            DramCache::prewarmed(dram_cache_cfg, resident.into_iter().rev());
-
-        let mut dram_cache = dram_cache;
         let (msr_sets, msr_ways) = cfg.msr_geometry;
         let mut bc = BacksideController::new(msr_sets, msr_ways, 2);
-        let mut flash = FlashDevice::new(cfg.flash_config(), seed ^ 0xF1);
         // Attach windowed telemetry to every layer up front (collection
         // is pure bookkeeping; the simulated outcome is bit-identical
         // either way).

@@ -24,11 +24,11 @@ use astriflash_workloads::WorkloadKind;
 /// set because `NotificationQueue::drain` drains the ring in place, and
 /// `miss_path` because a switch-on-miss parks the thread without
 /// touching the heap. `msr_admit` is strict too, except for the kinds
-/// in [`MSR_PEAK_KINDS`]. `install` is strict because the FTL's reverse
-/// index is a slab sized by the flash geometry, so a dirty writeback
-/// never grows it, and `queue_cascade` because an event-queue pop only
-/// shrinks the heap (which is born with room for every event a run can
-/// have pending, so no schedule grows it either).
+/// in [`MSR_PEAK_KINDS`]. `install` is strict because the FTL's tables
+/// are sized by the flash geometry and made when the system is built,
+/// so a dirty writeback never allocates, and `queue_cascade` because an
+/// event-queue pop only shrinks the heap (which is born with room for
+/// every event a run can have pending, so no schedule grows it either).
 const STRICT_SCOPES: [Scope; 9] = [
     Scope::QueueCascade,
     Scope::SchedulerPick,

@@ -400,6 +400,13 @@ impl FlashDevice {
         self.planes.iter().map(|p| p.total_erases()).sum()
     }
 
+    /// Makes the FTL's tables now instead of on the first write, so that
+    /// no write allocates (DESIGN.md §14). A device that is never
+    /// written skips this and never pays for them.
+    pub fn make_ftl_tables(&mut self) {
+        self.ftl.make_tables();
+    }
+
     /// The FTL (exposed for inspection in tests).
     pub fn ftl(&self) -> &Ftl {
         &self.ftl

@@ -14,24 +14,28 @@
 use crate::config::FlashConfig;
 use crate::plane::PhysPage;
 
-/// The FTL mapping state, in dense arrays sized by the device geometry.
+/// The FTL mapping state, in dense tables sized by the device geometry.
 ///
-/// The arrays start zeroed, so their pages take no resident memory
-/// until a write touches them: a run writes a few percent of the
-/// logical pages (dirty writebacks and GC migrations), and a DRAM-only
-/// run none.
+/// The tables share one zeroed allocation, made by
+/// [`Ftl::make_tables`] or the first write, so a DRAM-only run, which
+/// never writes to flash, never pays for them. Once made they are
+/// resident in full: an allocator that hands out memory it has used
+/// before must clear it. One allocation rather than one per table also
+/// keeps a process's peak memory the same from run to run (DESIGN.md
+/// §9).
 #[derive(Debug, Clone)]
 pub struct Ftl {
     num_planes: usize,
     blocks_per_plane: usize,
     pages_per_block: usize,
-    /// Forward map, one entry per logical page: 0 = never written, else
-    /// `block * pages_per_block + page + 1` within the page's plane.
-    map: Vec<u32>,
-    /// Reverse index: `pages_per_block` slots per (plane, block), of
-    /// which the first `live[plane, block]` hold its live logical pages.
-    contents: Vec<u32>,
-    live: Vec<u32>,
+    logical_pages: usize,
+    /// Empty until made; then, in order: the forward map, one
+    /// entry per logical page (0 = never written, else
+    /// `block * pages_per_block + page + 1` within the page's plane);
+    /// the reverse index, `pages_per_block` slots per (plane, block), of
+    /// which the first `live` hold the block's live logical pages; and
+    /// the `live` count of each (plane, block).
+    tables: Vec<u32>,
     /// Logical pages written at least once.
     mapped: usize,
 }
@@ -53,14 +57,12 @@ impl Ftl {
                 && (blocks_per_plane * pages_per_block) < u32::MAX as usize,
             "flash geometry exceeds the FTL's u32 page numbers"
         );
-        let blocks = num_planes * blocks_per_plane;
         Ftl {
             num_planes,
             blocks_per_plane,
             pages_per_block,
-            map: vec![0; cfg.num_logical_pages() as usize],
-            contents: vec![0; blocks * pages_per_block],
-            live: vec![0; blocks],
+            logical_pages: cfg.num_logical_pages() as usize,
+            tables: Vec::new(),
             mapped: 0,
         }
     }
@@ -74,20 +76,40 @@ impl Ftl {
 
     /// Current physical location of `logical_page`, if it has been
     /// written since boot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logical_page` is past the device's logical capacity.
     pub fn lookup(&self, logical_page: u64) -> Option<PhysPage> {
-        let code = self.map[logical_page as usize].checked_sub(1)? as usize;
+        assert!(
+            logical_page < self.logical_pages as u64,
+            "logical page {logical_page} past the device's capacity"
+        );
+        let code = self.tables.get(logical_page as usize)?.checked_sub(1)? as usize;
         Some(PhysPage {
             block: (code / self.pages_per_block) as u32,
             page: (code % self.pages_per_block) as u32,
         })
     }
 
-    /// Index of `(plane, block)` in `live`, and the `contents` slots of
-    /// its live pages.
+    /// Makes the tables if they do not exist yet. The first write makes
+    /// them anyway; a device that will be written calls this up front,
+    /// so that no write allocates.
+    pub fn make_tables(&mut self) {
+        if self.tables.is_empty() {
+            let blocks = self.num_planes * self.blocks_per_plane;
+            self.tables = vec![0; self.logical_pages + blocks * (self.pages_per_block + 1)];
+        }
+    }
+
+    /// Index in `tables` of the live count of `(plane, block)`, and the
+    /// slots of its live pages. The tables must exist.
     fn live_slots(&self, plane: usize, block: u32) -> (usize, std::ops::Range<usize>) {
         let b = plane * self.blocks_per_plane + block as usize;
-        let start = b * self.pages_per_block;
-        (b, start..start + self.live[b] as usize)
+        let blocks = self.num_planes * self.blocks_per_plane;
+        let count = self.logical_pages + blocks * self.pages_per_block + b;
+        let start = self.logical_pages + b * self.pages_per_block;
+        (count, start..start + self.tables[count] as usize)
     }
 
     /// Installs a new mapping after an out-of-place write; returns the
@@ -104,28 +126,29 @@ impl Ftl {
         plane: usize,
         new_loc: PhysPage,
     ) -> Option<PhysPage> {
-        let page = logical_page as u32;
         let old = self.lookup(logical_page);
+        self.make_tables();
+        let page = logical_page as u32;
         match old {
             Some(old_loc) => {
                 // Take the page off its old block's list, if it is still
                 // there: the last entry moves into its slot, so drains
                 // see `swap_remove` order.
-                let (b, slots) = self.live_slots(plane, old_loc.block);
-                let live = &mut self.contents[slots];
+                let (count, slots) = self.live_slots(plane, old_loc.block);
+                let live = &mut self.tables[slots];
                 if let Some(pos) = live.iter().position(|&p| p == page) {
                     live[pos] = live[live.len() - 1];
-                    self.live[b] -= 1;
+                    self.tables[count] -= 1;
                 }
             }
             None => self.mapped += 1,
         }
         let code = new_loc.block as usize * self.pages_per_block + new_loc.page as usize + 1;
-        self.map[logical_page as usize] = code as u32;
-        let (b, slots) = self.live_slots(plane, new_loc.block);
+        self.tables[logical_page as usize] = code as u32;
+        let (count, slots) = self.live_slots(plane, new_loc.block);
         assert!(slots.len() < self.pages_per_block, "block over-filled");
-        self.contents[slots.end] = page;
-        self.live[b] += 1;
+        self.tables[slots.end] = page;
+        self.tables[count] += 1;
         old
     }
 
@@ -133,14 +156,20 @@ impl Ftl {
     /// (cleared first) and empties the block's list — the pages garbage
     /// collection must migrate before erasing it.
     pub fn drain_block(&mut self, plane: usize, block: u32, out: &mut Vec<u64>) {
-        let (b, slots) = self.live_slots(plane, block);
         out.clear();
-        out.extend(self.contents[slots].iter().map(|&p| u64::from(p)));
-        self.live[b] = 0;
+        if self.tables.is_empty() {
+            return;
+        }
+        let (count, slots) = self.live_slots(plane, block);
+        out.extend(self.tables[slots].iter().map(|&p| u64::from(p)));
+        self.tables[count] = 0;
     }
 
     /// Number of live logical pages recorded for `(plane, block)`.
     pub fn live_in_block(&self, plane: usize, block: u32) -> usize {
+        if self.tables.is_empty() {
+            return 0;
+        }
         self.live_slots(plane, block).1.len()
     }
 
@@ -228,9 +257,21 @@ mod tests {
 
     #[test]
     fn unwritten_pages_unmapped_but_planed() {
-        let ftl = ftl(3);
+        let mut ftl = ftl(3);
         assert_eq!(ftl.lookup(99), None);
         assert!(ftl.plane_of(99) < 3);
         assert_eq!(ftl.mapped_pages(), 0);
+        // Before the first write the tables do not exist yet.
+        assert_eq!(ftl.live_in_block(2, 3), 0);
+        let mut live = vec![99];
+        ftl.drain_block(2, 3, &mut live);
+        assert!(live.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "past the device's capacity")]
+    fn lookup_past_capacity_panics() {
+        // 16 MiB of 4 KiB pages: page 4096 is the first past the end.
+        ftl(1).lookup(4096);
     }
 }
