@@ -9,7 +9,8 @@
 //! (all of them by default) under `results/`. `regen --check` builds the
 //! same bytes in memory, compares them with `results/`, names every
 //! file that differs or is missing and exits 1; it never writes. Both
-//! print each artifact's wall time to stderr. An unknown flag or
+//! print each artifact's wall time and the datasets it built to stderr,
+//! then the total and the process's peak RSS. An unknown flag or
 //! artifact name prints the usage and exits 2.
 //!
 //! [`ARTIFACTS`] is the only list of committed artifacts: each one's
@@ -30,7 +31,9 @@ use astriflash_core::sweep::{Cell, Sweep};
 use astriflash_cpu::Rob;
 use astriflash_sim::SimRng;
 use astriflash_stats::{CsvDoc, OnlineStats, Percentile, Phase, TextTable};
-use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
+use astriflash_workloads::{
+    dataset_builds, JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE,
+};
 
 /// The seed of every committed artifact.
 const SEED: u64 = 1;
@@ -113,12 +116,15 @@ fn main() -> ExitCode {
         .filter(|a| names.is_empty() || names.contains(a.0))
     {
         let start = Instant::now();
+        let builds_before = dataset_builds();
         let built = build(&opts);
         let secs = start.elapsed().as_secs_f64();
+        let builds = dataset_builds() - builds_before;
+        let timing = format!("{name:<18} {secs:6.1} s {builds:4} builds");
         let contents = match built {
             Ok(contents) => contents,
             Err(e) => {
-                eprintln!("{name:<18} {secs:6.1} s  error: {e}");
+                eprintln!("{timing}  error: {e}");
                 failures += 1;
                 continue;
             }
@@ -148,9 +154,15 @@ fn main() -> ExitCode {
             failures += 1;
             problems.join(", ")
         };
-        eprintln!("{name:<18} {secs:6.1} s  {status}");
+        eprintln!("{timing}  {status}");
     }
-    eprintln!("{:<18} {:6.1} s", "total", total.elapsed().as_secs_f64());
+    eprintln!(
+        "{:<18} {:6.1} s {:4} builds  peak RSS {}",
+        "total",
+        total.elapsed().as_secs_f64(),
+        dataset_builds(),
+        peak_rss()
+    );
     if failures == 0 {
         return ExitCode::SUCCESS;
     }
@@ -161,6 +173,20 @@ fn main() -> ExitCode {
     };
     eprintln!("{failures} artifact(s) failed{hint}");
     ExitCode::FAILURE
+}
+
+/// The process's peak resident set (VmHWM), as `/proc/self/status`
+/// prints it, or `unknown` where there is no such file.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .map(|v| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// `println!` into a `String`.

@@ -3,7 +3,7 @@
 
 use astriflash_flash::FlashConfig;
 use astriflash_mem::{DramCacheConfig, HierarchyConfig};
-use astriflash_workloads::{WorkloadKind, WorkloadParams};
+use astriflash_workloads::{Dataset, WorkloadKind, WorkloadParams};
 
 /// The seven evaluated configurations (§V-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,6 +175,17 @@ impl SystemConfig {
             ways: self.dram_cache_ways.unwrap_or(defaults.ways),
             footprint: self.footprint_cache,
             ..defaults
+        }
+    }
+
+    /// The dataset a run with `seed` drives. The engine's build seed is
+    /// derived from the run seed here and nowhere else, so a sweep groups
+    /// its cells by the dataset `SystemSim::new` forks (DESIGN.md §18).
+    pub fn dataset(&self, seed: u64) -> Dataset {
+        Dataset {
+            kind: self.workload,
+            params: self.workload_params.clone(),
+            seed: seed ^ 0xE17,
         }
     }
 

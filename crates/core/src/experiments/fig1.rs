@@ -11,7 +11,7 @@
 
 use astriflash_mem::PageLru;
 use astriflash_sim::SimRng;
-use astriflash_workloads::{JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
+use astriflash_workloads::{Dataset, JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
 use crate::sweep::Sweep;
 
@@ -32,6 +32,16 @@ pub struct Fig1Point {
 /// Per-core average DRAM bandwidth assumed by the paper (§II-A).
 pub const DRAM_BW_PER_CORE_GBPS: f64 = 0.5;
 
+/// The dataset workload `i` replays. The seed expression is part of the
+/// pinned output contract — do not change it.
+fn dataset(params: &WorkloadParams, kind: WorkloadKind, i: usize, seed: u64) -> Dataset {
+    Dataset {
+        kind,
+        params: params.clone(),
+        seed: seed ^ (i as u64) << 8,
+    }
+}
+
 /// One LRU replay: the page-granularity miss ratio of workload `i` at
 /// `capacity` pages. The seed expressions are part of the pinned output
 /// contract — do not change them.
@@ -43,7 +53,7 @@ fn replay_miss_ratio(
     accesses_per_point: usize,
     seed: u64,
 ) -> f64 {
-    let mut engine = kind.build(params, seed ^ (i as u64) << 8);
+    let mut engine = dataset(params, kind, i, seed).fork();
     let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
     let mut lru = PageLru::new(capacity);
     let mut job = JobBuf::new();
@@ -100,7 +110,7 @@ pub fn sweep_with(
 ) -> Vec<Fig1Point> {
     let num_pages = (params.dataset_bytes / PAGE_SIZE).max(1);
     // Flatten the (fraction × workload) grid: every LRU replay is an
-    // independent cell.
+    // independent cell, and a workload's cells share its dataset.
     let grid: Vec<(f64, WorkloadKind, usize)> = fractions
         .iter()
         .flat_map(|&fraction| {
@@ -110,10 +120,15 @@ pub fn sweep_with(
                 .map(move |(i, &kind)| (fraction, kind, i))
         })
         .collect();
-    let ratios = sweep.map(&grid, |_, &(fraction, kind, i)| {
-        let capacity = ((num_pages as f64 * fraction) as usize).max(1);
-        replay_miss_ratio(params, kind, i, capacity, accesses_per_point, seed)
-    });
+    let ratios = sweep.map_by_dataset(
+        &grid,
+        |&(_, kind, i)| dataset(params, kind, i, seed),
+        |_, &(fraction, kind, i)| {
+            let capacity = ((num_pages as f64 * fraction) as usize).max(1);
+            replay_miss_ratio(params, kind, i, capacity, accesses_per_point, seed)
+        },
+        |_, &(fraction, kind, _)| format!("Fig. 1 replay of {kind} at {fraction}"),
+    );
 
     // Merge in fraction order; the per-fraction mean sums ratios in
     // workload order, exactly as the sequential version did.

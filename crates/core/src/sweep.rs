@@ -7,6 +7,11 @@
 //! the engine merges results back **in input order**, which makes the
 //! output bit-identical regardless of worker count.
 //!
+//! Cells that share a dataset run as one group (DESIGN.md §18):
+//! [`Sweep::run`] holds each dataset from its group's first cell to its
+//! last, so a sweep builds every distinct dataset once, at any worker
+//! count.
+//!
 //! Worker count defaults to the machine's available parallelism and can
 //! be overridden with the `ASTRIFLASH_THREADS` environment variable (or
 //! programmatically via [`Sweep::with_threads`], which tests use to pin
@@ -28,8 +33,10 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use astriflash_trace::Tracer;
+use astriflash_workloads::{Dataset, DatasetHold};
 
 use crate::config::{Configuration, SystemConfig};
 use crate::experiment::{Experiment, Load, PreparedRun, RunReport};
@@ -153,21 +160,23 @@ impl Sweep {
         self.threads
     }
 
-    /// Runs every cell and returns reports **in cell order**.
+    /// Runs every cell and returns reports **in cell order**. Cells run
+    /// grouped by dataset (see [`Sweep::map_by_dataset`]).
     ///
     /// A cell that panics aborts the sweep with a panic message naming
     /// the offending cell (configuration, workload, seed, load), so a
     /// failure deep inside a 100-cell grid is immediately attributable.
     pub fn run(&self, cells: &[Cell]) -> Vec<RunReport> {
-        self.map_described(cells, |_, cell| cell.run(), describe_cell)
+        self.map_by_dataset(cells, cell_dataset, |_, cell| cell.run(), describe_cell)
     }
 
     /// Like [`Sweep::run`], but attaches `tracer` to cell 0. Traced and
     /// untraced runs produce bit-identical reports, so the trace
     /// perturbs no cell.
     pub fn run_with_cell0_trace(&self, cells: &[Cell], tracer: Tracer) -> Vec<RunReport> {
-        self.map_described(
+        self.map_by_dataset(
             cells,
+            cell_dataset,
             |i, cell| {
                 if i == 0 {
                     cell.run_traced(tracer.clone())
@@ -177,6 +186,78 @@ impl Sweep {
             },
             describe_cell,
         )
+    }
+
+    /// [`Sweep::map_described`] over items that each drive one dataset:
+    /// items that share a dataset run one after another as a group, the
+    /// groups in the order of their first items, and each group's
+    /// dataset is held from the sweep's start until the group's last
+    /// item is done. So every distinct dataset is built once, by its
+    /// group's first fork, at any worker count. Results come back in
+    /// input order.
+    ///
+    /// A hold builds nothing, and a group's cells hold its prototype
+    /// while they run anyway. Workers take items in group order, so
+    /// every built prototype belongs to an item some worker is running:
+    /// at most one held dataset per worker, as without grouping.
+    pub fn map_by_dataset<T, R, F, D>(
+        &self,
+        items: &[T],
+        dataset: impl Fn(&T) -> Dataset,
+        f: F,
+        describe: D,
+    ) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+        D: Fn(usize, &T) -> String + Sync,
+    {
+        // Group the items by dataset, in first-appearance order.
+        let mut groups: Vec<(Dataset, Vec<usize>)> = Vec::new();
+        for (i, item) in items.iter().enumerate() {
+            let key = dataset(item);
+            match groups.iter_mut().find(|(g, _)| *g == key) {
+                Some((_, members)) => members.push(i),
+                None => groups.push((key, vec![i])),
+            }
+        }
+        // (group, item) in run order.
+        let order: Vec<(usize, usize)> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(g, (_, members))| members.iter().map(move |&i| (g, i)))
+            .collect();
+        // Each group's hold and how many of its items are not done yet.
+        let held: Vec<(Mutex<Option<DatasetHold>>, AtomicUsize)> = groups
+            .iter()
+            .map(|(key, members)| {
+                (
+                    Mutex::new(Some(key.hold())),
+                    AtomicUsize::new(members.len()),
+                )
+            })
+            .collect();
+        let results = self.map_described(
+            &order,
+            |_, &(g, i)| {
+                let r = f(i, &items[i]);
+                let (hold, left) = &held[g];
+                if left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    drop(hold.lock().unwrap_or_else(|e| e.into_inner()).take());
+                }
+                r
+            },
+            |_, &(_, i)| describe(i, &items[i]),
+        );
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        for (&(_, i), r) in order.iter().zip(results) {
+            slots[i] = Some(r);
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every item ran once"))
+            .collect()
     }
 
     /// Deterministic parallel map: applies `f(index, &item)` to every
@@ -256,6 +337,11 @@ impl Sweep {
             .map(|s| s.expect("every index visited exactly once"))
             .collect()
     }
+}
+
+/// The dataset `cell`'s run forks.
+fn cell_dataset(cell: &Cell) -> Dataset {
+    cell.cfg.dataset(cell.seed)
 }
 
 /// One line identifying a sweep cell in panic messages.

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-use astriflash_cpu::{OooTiming, Rob};
+use astriflash_cpu::{effective_stall_ns, Rob};
 use astriflash_flash::FlashDevice;
 use astriflash_mem::{
     BacksideController, BcAdmission, CacheHierarchy, DramBanks, DramCache, DramTimings,
@@ -203,7 +203,6 @@ struct Core {
     notifications: NotificationQueue,
     tlb: Tlb,
     rob: Rob,
-    timing: OooTiming,
     threads: Vec<Option<Thread>>,
     /// Cold halves of the thread slots, parallel to `threads`.
     cold: Vec<ThreadCold>,
@@ -389,7 +388,7 @@ impl SystemSim {
     pub fn new(cfg: SystemConfig, configuration: Configuration, seed: u64) -> Self {
         cfg.validate();
         let rng = SimRng::new(seed);
-        let mut engine = cfg.workload.fork(&cfg.workload_params, seed ^ 0xE17);
+        let mut engine = cfg.dataset(seed).fork();
         let threads_per_core =
             cfg.effective_threads_per_core(engine.threads_per_core_hint());
         // Pending-queue capacity per core (§IV-D1): the thread count
@@ -408,7 +407,6 @@ impl SystemSim {
                 notifications: NotificationQueue::new(2 * threads_per_core),
                 tlb: Tlb::new(cfg.tlb_geometry.0, cfg.tlb_geometry.1),
                 rob: Rob::a76(),
-                timing: OooTiming::default(),
                 threads: (0..threads_per_core).map(|_| None).collect(),
                 cold: (0..threads_per_core).map(|_| ThreadCold::default()).collect(),
                 arena: JobArena::with_capacity(threads_per_core),
@@ -424,33 +422,41 @@ impl SystemSim {
         let dram_cache_cfg = cfg.dram_cache_config();
         // Prewarm the DRAM cache to its steady-state content: replay the
         // page stream of a batch of jobs through an LRU of the same
-        // capacity and install the survivors (coldest first).
-        let mut dram_cache = {
-            let mut warm_rng = SimRng::new(seed ^ 0x77A7);
-            let capacity = dram_cache_cfg.capacity_pages() as usize;
-            let mut lru = astriflash_mem::PageLru::new(capacity);
-            let mut recency: Vec<u64> = Vec::new();
-            let target_touches = capacity * 8;
-            let mut touches = 0usize;
-            let mut warm_buf = JobBuf::new();
-            while touches < target_touches {
-                engine.fill_job(&mut warm_buf, &mut warm_rng);
+        // capacity and install the survivors (coldest first). DRAM-only
+        // never probes the cache, so it replays nothing and keeps no
+        // tags; its engine still generates the same jobs, so every
+        // configuration starts its run from the same engine state.
+        let capacity = dram_cache_cfg.capacity_pages() as usize;
+        let mut replay = (configuration != Configuration::DramOnly)
+            .then(|| (astriflash_mem::PageLru::new(capacity), Vec::new()));
+        let mut warm_rng = SimRng::new(seed ^ 0x77A7);
+        let mut warm_buf = JobBuf::new();
+        let target_touches = capacity * 8;
+        let mut touches = 0usize;
+        while touches < target_touches {
+            engine.fill_job(&mut warm_buf, &mut warm_rng);
+            if let Some((lru, recency)) = &mut replay {
                 for a in warm_buf.accesses() {
                     let page = a.addr / PAGE_SIZE;
                     if !lru.access(page) {
                         recency.push(page);
                     }
-                    touches += 1;
                 }
             }
-            let resident: Vec<u64> = recency
-                .iter()
-                .rev()
-                .filter(|p| lru.contains(**p))
-                .take(capacity)
-                .copied()
-                .collect();
-            DramCache::prewarmed(dram_cache_cfg, resident.into_iter().rev())
+            touches += warm_buf.accesses().len();
+        }
+        let mut dram_cache = match replay {
+            Some((lru, recency)) => {
+                let resident: Vec<u64> = recency
+                    .iter()
+                    .rev()
+                    .filter(|p| lru.contains(**p))
+                    .take(capacity)
+                    .copied()
+                    .collect();
+                DramCache::prewarmed(dram_cache_cfg, resident.into_iter().rev())
+            }
+            None => DramCache::tagless(dram_cache_cfg),
         };
         // The FTL tables are the largest buffer a run allocates besides
         // the dataset. Made once the prewarm has freed its temporaries,
@@ -1127,9 +1133,8 @@ impl SystemSim {
         } = access;
         if self.cores[core_id].tlb.probe(vpn) {
             if self.hierarchy.l1_probe(core_id, addr, is_write) {
-                let timing = self.cores[core_id].timing;
                 let lat = self.hierarchy.config().l1_latency_ns;
-                t += SimDuration::from_ns(timing.effective_stall_ns(lat));
+                t += SimDuration::from_ns(effective_stall_ns(lat));
                 self.clear_forced(core_id, slot);
                 return AccessResult::Done(t);
             }
@@ -1182,8 +1187,7 @@ impl SystemSim {
     ) -> AccessResult {
         let _prof = prof_scope(ProfScope::AccessRun);
         debug_assert!(run_len > 0, "zero-length spans never reach the run step");
-        let timing = self.cores[core_id].timing;
-        let per = timing.effective_stall_ns(self.hierarchy.config().l1_latency_ns);
+        let per = effective_stall_ns(self.hierarchy.config().l1_latency_ns);
         let cap = hit_run::run_cap(t.saturating_since(slice_start).as_ns(), per, run_len);
         let job_slot = self.cores[core_id].threads[slot]
             .as_ref()
@@ -1255,20 +1259,19 @@ impl SystemSim {
         outcome: HierarchyOutcome,
         mut t: SimTime,
     ) -> AccessResult {
-        let timing = self.cores[core_id].timing;
         match outcome {
             HierarchyOutcome::OnChipHit { latency_ns } => {
-                t += SimDuration::from_ns(timing.effective_stall_ns(latency_ns));
+                t += SimDuration::from_ns(effective_stall_ns(latency_ns));
                 self.clear_forced(core_id, slot);
                 AccessResult::Done(t)
             }
             HierarchyOutcome::OffChipMiss { latency_ns } => {
-                t += SimDuration::from_ns(timing.effective_stall_ns(latency_ns));
+                t += SimDuration::from_ns(effective_stall_ns(latency_ns));
                 if self.configuration == Configuration::DramOnly {
                     let row = access.addr / 8192;
                     let done = self.main_memory.access_row(t, row, 1);
                     let lat = done.saturating_since(t).as_ns();
-                    t += SimDuration::from_ns(timing.effective_stall_ns(lat));
+                    t += SimDuration::from_ns(effective_stall_ns(lat));
                     self.clear_forced(core_id, slot);
                     return AccessResult::Done(t);
                 }
@@ -1293,11 +1296,10 @@ impl SystemSim {
     ) -> AccessResult {
         // Page and in-page block were pre-resolved at generation time.
         let page = access.vpn;
-        let timing = self.cores[core_id].timing;
         match self.dram_cache.probe(t, page, access.block, access.is_write) {
             ProbeOutcome::Hit { done_at } => {
                 let lat = done_at.saturating_since(t).as_ns();
-                let t = t + SimDuration::from_ns(timing.effective_stall_ns(lat));
+                let t = t + SimDuration::from_ns(effective_stall_ns(lat));
                 if self.tracer.enabled() && self.cores[core_id].threads[slot].is_some() {
                     // An MSR-stalled retry can hit if another thread's
                     // fetch installed the page meanwhile: close its span.
@@ -1547,14 +1549,13 @@ impl SystemSim {
     ) -> WalkResult {
         let _prof = prof_scope(ProfScope::PtWalk);
         let no_dp = self.configuration == Configuration::AstriFlashNoDP;
-        let timing = self.cores[core_id].timing;
         for pte_addr in self.walker.walk_addresses(vpn) {
             match self.hierarchy.access(core_id, pte_addr, false) {
                 HierarchyOutcome::OnChipHit { latency_ns } => {
-                    t += SimDuration::from_ns(timing.effective_stall_ns(latency_ns));
+                    t += SimDuration::from_ns(effective_stall_ns(latency_ns));
                 }
                 HierarchyOutcome::OffChipMiss { latency_ns } => {
-                    t += SimDuration::from_ns(timing.effective_stall_ns(latency_ns));
+                    t += SimDuration::from_ns(effective_stall_ns(latency_ns));
                     if !no_dp {
                         // Page tables live in the flat DRAM partition —
                         // a plain DRAM access, walks never touch flash.

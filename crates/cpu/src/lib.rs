@@ -4,8 +4,8 @@
 //!
 //! * [`Rob`] — reorder-buffer occupancy and the pipeline-flush penalty
 //!   paid on every switch-on-miss (§VI-A);
-//! * [`OooTiming`] — the memory-level-parallelism model translating
-//!   cache-hit latencies into effective stall time.
+//! * [`effective_stall_ns`] — the memory-level-parallelism model
+//!   translating cache-hit latencies into effective stall time.
 //!
 //! The switch-on-miss control flow itself is composed in
 //! `astriflash-core`, which also keeps the forward-progress bit. The
@@ -18,4 +18,4 @@ pub mod rob;
 pub mod timing;
 
 pub use rob::Rob;
-pub use timing::OooTiming;
+pub use timing::effective_stall_ns;

@@ -170,6 +170,20 @@ impl DramCache {
         }
     }
 
+    /// Builds a cache that holds no tags, for a system that never probes
+    /// it (DRAM-only): its windows and configuration stay readable, and
+    /// a probe or install panics.
+    pub fn tagless(cfg: DramCacheConfig) -> Self {
+        DramCache {
+            banks: DramBanks::new(cfg.banks, cfg.timings),
+            cfg,
+            sets: Vec::new(),
+            predictor: FootprintPredictor::new(),
+            tick: 0,
+            windows: None,
+        }
+    }
+
     /// Attaches per-window hit/miss telemetry (off by default; pure
     /// bookkeeping, never affects timing or replacement decisions).
     pub fn enable_windows(&mut self, window_ns: u64) {

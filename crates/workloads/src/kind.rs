@@ -133,7 +133,7 @@ impl WorkloadKind {
     }
 
     /// Builds the engine with its dataset structures populated: always a
-    /// fresh build, shared with nothing (see [`WorkloadKind::fork`]).
+    /// fresh build, shared with nothing (see [`crate::Dataset::fork`]).
     pub fn build(&self, params: &WorkloadParams, seed: u64) -> Box<dyn WorkloadEngine> {
         shared::build(*self, params, seed).into_engine()
     }

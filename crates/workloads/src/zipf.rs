@@ -6,6 +6,8 @@
 //! variant hashes ranks onto items so that popular items are scattered
 //! through the key space rather than clustered at low keys.
 
+use std::sync::{Arc, Mutex, OnceLock};
+
 use astriflash_sim::rng::splitmix64;
 use astriflash_sim::SimRng;
 
@@ -113,6 +115,30 @@ fn zeta(n: u64, theta: f64) -> f64 {
     sum
 }
 
+/// [`zeta`], computed once per `(n, theta)` for the life of the
+/// process. ζ is a constant of the key count and skew (YCSB precomputes
+/// it), yet summing its first million terms takes about 21 ms, and every
+/// engine build asks for it. A thread that asks while another computes
+/// the same key waits for that result.
+fn memoized_zeta(n: u64, theta: f64) -> f64 {
+    type Memo = Vec<((u64, u64), Arc<OnceLock<f64>>)>;
+    /// One entry per distinct `(n, theta bits)`: a process builds a few.
+    static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+    let key = (n, theta.to_bits());
+    let slot = {
+        let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+        match memo.iter().find(|(k, _)| *k == key) {
+            Some((_, slot)) => Arc::clone(slot),
+            None => {
+                let slot = Arc::new(OnceLock::new());
+                memo.push((key, Arc::clone(&slot)));
+                slot
+            }
+        }
+    };
+    *slot.get_or_init(|| zeta(n, theta))
+}
+
 impl ZipfGenerator {
     /// Creates a generator over `n` ranks with skew `theta ∈ [0, 1)`.
     /// `theta = 0` degenerates to uniform; YCSB's default is 0.99.
@@ -134,7 +160,7 @@ impl ZipfGenerator {
     pub fn without_table(n: u64, theta: f64) -> Self {
         assert!(n > 0, "zipf domain must be non-empty");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
-        let zetan = zeta(n, theta);
+        let zetan = memoized_zeta(n, theta);
         let zeta2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -406,6 +432,19 @@ mod tests {
             (exact - approx).abs() / exact < 1e-6,
             "exact {exact} vs approx {approx}"
         );
+    }
+
+    #[test]
+    fn memoized_zeta_is_the_summed_zeta() {
+        // Bit-identical to the plain sum, on the first call and on every
+        // later one, across the exact and the tail-approximated range.
+        for &(n, theta) in &[(1_000u64, 0.99), (1_258_291, 0.99), (7, 0.5), (10_000, 0.8)] {
+            let summed = zeta(n, theta).to_bits();
+            for _ in 0..2 {
+                let memoized = memoized_zeta(n, theta).to_bits();
+                assert_eq!(memoized, summed, "n={n} theta={theta}");
+            }
+        }
     }
 
     #[test]

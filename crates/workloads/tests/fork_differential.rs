@@ -2,7 +2,7 @@
 //! §18).
 //!
 //! While a fork of a (kind, params, seed) key is alive,
-//! `WorkloadKind::fork` hands out clones of one prototype. The clones
+//! `Dataset::fork` hands out clones of one prototype. The clones
 //! share the dataset; RBT and Masstree churn copies the nodes it writes.
 //! So a fork must see neither another fork's writes nor leave its own in
 //! the prototype. Two live forks run interleaved here, each against a
@@ -10,7 +10,7 @@
 //! after both have churned, must still start where a fresh build does.
 
 use astriflash_sim::SimRng;
-use astriflash_workloads::{JobBuf, WorkloadEngine, WorkloadKind, WorkloadParams};
+use astriflash_workloads::{Dataset, JobBuf, WorkloadEngine, WorkloadKind, WorkloadParams};
 
 /// Jobs per stream: a few dozen RBT and Masstree churns each.
 const JOBS: usize = 400;
@@ -35,7 +35,12 @@ fn forks_run_like_fresh_builds() {
     for (i, kind) in WorkloadKind::all().into_iter().enumerate() {
         // A seed no other test in this binary forks.
         let seed = 0xF0 + i as u64;
-        let mut forks = [kind.fork(&params, seed), kind.fork(&params, seed)];
+        let dataset = Dataset {
+            kind,
+            params: params.clone(),
+            seed,
+        };
+        let mut forks = [dataset.fork(), dataset.fork()];
         let mut fresh = [kind.build(&params, seed), kind.build(&params, seed)];
         let mut rngs = [1u64, 2].map(|s| [SimRng::new(s), SimRng::new(s)]);
         for job in 0..JOBS {
@@ -49,7 +54,7 @@ fn forks_run_like_fresh_builds() {
             }
         }
         // Both forks are alive, so this is a fork of the same prototype.
-        let mut third = kind.fork(&params, seed);
+        let mut third = dataset.fork();
         let mut fresh = kind.build(&params, seed);
         let mut rngs = [SimRng::new(3), SimRng::new(3)];
         for job in 0..JOBS {

@@ -30,11 +30,11 @@ mkdir -p "$perf_dir"
 echo "==> regen --check: every committed artifact, at 1 and 4 sweep threads"
 # Rebuilds every file under results/ in memory and compares it byte for
 # byte; it writes nothing and exits non-zero naming each file that
-# differs or is missing. Cells of one workload share a dataset build
-# only while they overlap in time (DESIGN.md §18), and the worker count
-# decides which overlap, so pin both extremes. The per-artifact wall
-# times it prints are kept as regen_times.threads<N>.txt (pipefail keeps
-# its exit status).
+# differs or is missing. A sweep builds each dataset once at any worker
+# count (DESIGN.md §18), but the worker count decides which cells run
+# side by side, so pin both extremes. What it prints, each artifact's
+# wall time and dataset builds and the process's peak RSS, is kept as
+# regen_times.threads<N>.txt (pipefail keeps its exit status).
 for threads in 1 4; do
   ASTRIFLASH_THREADS=$threads ./target/release/regen --check 2>&1 |
     tee "$perf_dir/regen_times.threads$threads.txt"
