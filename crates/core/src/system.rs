@@ -937,7 +937,9 @@ impl SystemSim {
         let start = self.queue.now();
         let mut t = start;
         // Records the slice `[start, t)` as the core's busy time; invoked
-        // immediately before every return.
+        // immediately before every return. A step that suspends first
+        // moves `t` to where the core stopped, so the busy span includes
+        // its hit run, tag checks and switch-out.
         macro_rules! account_busy {
             () => {
                 if let Some(w) = self.telem_windows.as_deref_mut() {
@@ -1029,7 +1031,8 @@ impl SystemSim {
                                 .expect("running");
                             th.access_idx += 1;
                         }
-                        AccessResult::Suspended => {
+                        AccessResult::Suspended(stopped) => {
+                            t = stopped;
                             account_busy!();
                             return;
                         }
@@ -1038,7 +1041,8 @@ impl SystemSim {
                 Step::AccessRun { start: run_start, len } => {
                     match self.do_access_run(core_id, slot, run_start, len, t, start) {
                         AccessResult::Done(t2) => t = t2,
-                        AccessResult::Suspended => {
+                        AccessResult::Suspended(stopped) => {
+                            t = stopped;
                             account_busy!();
                             return;
                         }
@@ -1149,7 +1153,7 @@ impl SystemSim {
         self.cores[core_id].tlb.miss_fill(vpn);
         match self.walk_page_table(core_id, slot, vpn, t) {
             WalkResult::Done(t2) => t = t2,
-            WalkResult::Suspended => return AccessResult::Suspended,
+            WalkResult::Suspended(stopped) => return AccessResult::Suspended(stopped),
         }
 
         // 2. On-chip hierarchy.
@@ -1226,7 +1230,7 @@ impl SystemSim {
                             .access_idx += 1;
                         AccessResult::Done(t3)
                     }
-                    AccessResult::Suspended => AccessResult::Suspended,
+                    suspended => suspended,
                 }
             }
             RunStop::L1Miss => {
@@ -1243,7 +1247,7 @@ impl SystemSim {
                             .access_idx += 1;
                         AccessResult::Done(t3)
                     }
-                    AccessResult::Suspended => AccessResult::Suspended,
+                    suspended => suspended,
                 }
             }
         }
@@ -1416,7 +1420,7 @@ impl SystemSim {
                 core.resume_pending = true;
                 self.queue
                     .schedule(retry, Event::Resume { core: core_id as u32 });
-                return AccessResult::Suspended;
+                return AccessResult::Suspended(t);
             }
         }
 
@@ -1508,7 +1512,7 @@ impl SystemSim {
                 if self.pick_next(core_id, t, true) {
                     self.schedule_resume(core_id, t);
                 }
-                AccessResult::Suspended
+                AccessResult::Suspended(t)
             }
             MissPark::QueueFullWaitFor(_oldest) => {
                 // The scheduler waits for the oldest job's flash
@@ -1535,7 +1539,7 @@ impl SystemSim {
         th.blocked_page = page;
         th.parked_at = t;
         // running stays = Some(slot); PageArrived resumes it.
-        AccessResult::Suspended
+        AccessResult::Suspended(t)
     }
 
     /// Radix page-table walk: PTE reads through the hierarchy; their
@@ -1601,11 +1605,11 @@ impl SystemSim {
                                             retry,
                                             Event::Resume { core: core_id as u32 },
                                         );
-                                        return WalkResult::Suspended;
+                                        return WalkResult::Suspended(tag_check_done_at);
                                     }
                                 }
                                 self.block_on_page(core_id, slot, page, t);
-                                return WalkResult::Suspended;
+                                return WalkResult::Suspended(t);
                             }
                         }
                     }
@@ -1616,14 +1620,20 @@ impl SystemSim {
     }
 }
 
+/// How an access step ended: retired at a time, or suspended the core.
 enum AccessResult {
     Done(SimTime),
-    Suspended,
+    /// The thread parked, blocked or stalled on a full MSR set. Carries
+    /// the time the core stopped executing it: after the switch-out for
+    /// a park, the block or stall time otherwise. The slice's busy span
+    /// ends there (DESIGN.md §13).
+    Suspended(SimTime),
 }
 
+/// How a page-table walk ended; `Suspended` as in [`AccessResult`].
 enum WalkResult {
     Done(SimTime),
-    Suspended,
+    Suspended(SimTime),
 }
 
 #[cfg(test)]

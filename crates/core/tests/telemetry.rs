@@ -113,6 +113,39 @@ fn window_counts_sum_to_run_totals() {
     }
 }
 
+/// A core's busy time ends where it stopped executing (DESIGN.md §13).
+/// A one-core closed-loop run never sits idle unless an MSR stall makes
+/// it wait for a retry: a park switches straight to another thread, and
+/// a block waits until the page arrives. So without MSR stalls its
+/// windowed busy time plus its blocked time is the whole run, to the
+/// nanosecond, under every configuration.
+#[test]
+fn one_core_busy_plus_blocked_time_is_the_whole_run() {
+    let cfg = SystemConfig::default()
+        .with_cores(1)
+        .scaled_for_tests()
+        .with_telemetry(small_telem());
+    let cells: Vec<Cell> = Configuration::all()
+        .into_iter()
+        .map(|c| Cell::closed(cfg.clone(), c, 3, 60))
+        .collect();
+    for (cell, report) in cells.iter().zip(Sweep::with_threads(2).run(&cells)) {
+        let label = format!("{:?}", cell.configuration);
+        assert_eq!(report.metrics.count("msr_stalls"), Some(0), "{label}");
+        let blocked = report
+            .metrics
+            .float("blocked_total")
+            .expect("blocked_total") as u64;
+        let t = report.telemetry.as_ref().expect("configured");
+        assert_eq!(t.dropped(), 0, "{label}");
+        assert_eq!(
+            t.core.busy_ns[0].total() + blocked,
+            t.end_ns,
+            "{label}: busy + blocked time is not the run's length"
+        );
+    }
+}
+
 /// Full-scale golden pinning the seed-1 AstriFlash cell that
 /// `telemetry_report` runs (60k jobs at 1M offered jobs/s, 1 ms
 /// windows, 250 us SLO): the complete per-window p99 series, the
