@@ -17,8 +17,8 @@ const DRAM_EXPOSED_PCT: u64 = 85;
 /// nearest ns (halves up):
 ///
 /// * L1-class latencies (≤ 2 ns) are fully hidden in steady state;
-/// * 3–50 ns exposes [`ON_CHIP_EXPOSED_PCT`] %;
-/// * 51–500 ns exposes [`DRAM_EXPOSED_PCT`] %;
+/// * 3–50 ns exposes 35 % (`ON_CHIP_EXPOSED_PCT`);
+/// * 51–500 ns exposes 85 % (`DRAM_EXPOSED_PCT`);
 /// * µs-scale latencies cannot be hidden (§III-B1).
 ///
 /// Integer arithmetic only: a float `round` is a library call on the

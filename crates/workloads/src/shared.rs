@@ -13,7 +13,10 @@
 //! drops, the next request builds again. `Sweep` holds each dataset
 //! from its first cell to its last, so a sweep builds every dataset
 //! once. Keeping prototypes longer would turn a benchmark's repeated
-//! set-ups into cache hits, and hold datasets no cell needs.
+//! set-ups into cache hits, and hold datasets no cell needs. Only the
+//! Zipf normalizer outlives them: `ZipfGenerator::new` memoizes it per
+//! process, so the first build of each key count pays about 20 ms for
+//! it and later builds, reps included, do not.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
