@@ -117,7 +117,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
 
 /// [`zeta`], computed once per `(n, theta)` for the life of the
 /// process. ζ is a constant of the key count and skew (YCSB precomputes
-/// it), yet summing its first million terms takes about 21 ms, and every
+/// it), yet summing its first million terms takes about 20 ms, and every
 /// engine build asks for it. A thread that asks while another computes
 /// the same key waits for that result.
 fn memoized_zeta(n: u64, theta: f64) -> f64 {
@@ -126,6 +126,8 @@ fn memoized_zeta(n: u64, theta: f64) -> f64 {
     static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
     let key = (n, theta.to_bits());
     let slot = {
+        // A push is the only update, so a panic elsewhere while holding
+        // the lock leaves a valid list.
         let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
         match memo.iter().find(|(k, _)| *k == key) {
             Some((_, slot)) => Arc::clone(slot),
