@@ -1,15 +1,17 @@
 //! Fig. 1: DRAM-cache miss ratio and required flash bandwidth vs DRAM
 //! capacity (§II-A).
 //!
-//! A Zipfian page trace over the dataset is replayed through an exact
-//! page-LRU at each capacity point; the required flash bandwidth per
-//! core follows Equation 1:
+//! A Zipfian page trace over the dataset is measured against an exact
+//! page-LRU at every capacity point in one pass per workload: an access
+//! hits an LRU of `c` pages exactly when fewer than `c` other pages were
+//! touched since its page's previous access (its stack distance; Mattson
+//! et al., 1970). The required flash bandwidth per core follows
+//! Equation 1:
 //!
 //! ```text
 //! BW_flash = BW_dram / block_size × miss_rate × page_size
 //! ```
 
-use astriflash_mem::PageLru;
 use astriflash_sim::SimRng;
 use astriflash_workloads::{Dataset, JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE};
 
@@ -42,41 +44,122 @@ fn dataset(params: &WorkloadParams, kind: WorkloadKind, i: usize, seed: u64) -> 
     }
 }
 
-/// One LRU replay: the page-granularity miss ratio of workload `i` at
-/// `capacity` pages. The seed expressions are part of the pinned output
-/// contract — do not change them.
-fn replay_miss_ratio(
+/// Each access's LRU stack distance: how many distinct other pages were
+/// touched since its page's previous access, or `usize::MAX` for a
+/// first access.
+struct StackDistances {
+    /// Per page, the time of its latest access (times count from 1), or
+    /// 0 before its first.
+    latest: Vec<u32>,
+    /// A Fenwick tree over the times so far, with a 1 at every page's
+    /// latest access. `tree[0]` is unused; each access appends a node.
+    tree: Vec<u32>,
+    /// Distinct pages seen: the number of 1s.
+    pages: u32,
+}
+
+impl StackDistances {
+    /// Sized for `pages` pages and `accesses` accesses; it grows past
+    /// either.
+    fn new(pages: u64, accesses: usize) -> Self {
+        let mut tree = Vec::with_capacity(accesses + 1);
+        tree.push(0);
+        StackDistances {
+            latest: vec![0; pages as usize],
+            tree,
+            pages: 0,
+        }
+    }
+
+    fn access(&mut self, page: u64) -> usize {
+        let now = self.tree.len();
+        // The new node covers the times after `now & (now - 1)`, and
+        // every 1 so far lies before `now`.
+        self.tree.push(self.pages - self.count_through(now & (now - 1)));
+        let page = page as usize;
+        if page >= self.latest.len() {
+            self.latest.resize(page + 1, 0);
+        }
+        let stamp = u32::try_from(now).expect("fewer than 2^32 accesses");
+        let previous = std::mem::replace(&mut self.latest[page], stamp) as usize;
+        let distance = if previous == 0 {
+            self.pages += 1;
+            usize::MAX
+        } else {
+            // The 1s after `previous` are the pages touched since.
+            let since = self.pages - self.count_through(previous);
+            self.add(previous, -1);
+            since as usize
+        };
+        self.add(now, 1);
+        distance
+    }
+
+    fn add(&mut self, mut t: usize, delta: i32) {
+        while t < self.tree.len() {
+            self.tree[t] = self.tree[t].wrapping_add_signed(delta);
+            t += t & t.wrapping_neg();
+        }
+    }
+
+    /// The number of 1s at times `1..=t`.
+    fn count_through(&self, mut t: usize) -> u32 {
+        let mut count = 0;
+        while t > 0 {
+            count += self.tree[t];
+            t &= t - 1;
+        }
+        count
+    }
+}
+
+/// Workload `i`'s page-granularity LRU miss ratio at each of
+/// `capacities` pages, from one pass over its trace:
+/// `accesses_per_point` warm-up accesses, then `accesses_per_point / 2`
+/// measured ones, each phase ending at a job boundary. The seed
+/// expressions are part of the pinned output contract — do not change
+/// them.
+fn miss_ratios(
     params: &WorkloadParams,
     kind: WorkloadKind,
     i: usize,
-    capacity: usize,
+    capacities: &[usize],
     accesses_per_point: usize,
     seed: u64,
-) -> f64 {
+) -> Vec<f64> {
     let mut engine = dataset(params, kind, i, seed).fork();
     let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
-    let mut lru = PageLru::new(capacity);
+    // Each phase ends at a job boundary, at most a few hundred accesses
+    // past its target.
+    let mut stack = StackDistances::new(
+        params.dataset_bytes / PAGE_SIZE,
+        accesses_per_point + accesses_per_point / 2 + 1024,
+    );
     let mut job = JobBuf::new();
-    // Warmup phase: fill the cache to steady state.
     let mut touched = 0usize;
     while touched < accesses_per_point {
         engine.fill_job(&mut job, &mut rng);
         for a in job.accesses() {
-            lru.access(a.addr / PAGE_SIZE);
+            stack.access(a.addr / PAGE_SIZE);
             touched += 1;
         }
     }
-    // Measurement phase with counters reset.
-    lru.reset_counters();
+    let mut misses = vec![0u64; capacities.len()];
     let mut measured = 0usize;
     while measured < accesses_per_point / 2 {
         engine.fill_job(&mut job, &mut rng);
         for a in job.accesses() {
-            lru.access(a.addr / PAGE_SIZE);
+            let distance = stack.access(a.addr / PAGE_SIZE);
+            for (m, &capacity) in misses.iter_mut().zip(capacities) {
+                *m += u64::from(distance >= capacity);
+            }
             measured += 1;
         }
     }
-    lru.miss_ratio()
+    misses
+        .iter()
+        .map(|&m| m as f64 / measured.max(1) as f64)
+        .collect()
 }
 
 /// Runs the Fig. 1 sweep: miss ratio averaged over `workloads` at each
@@ -109,35 +192,22 @@ pub fn sweep_with(
     seed: u64,
 ) -> Vec<Fig1Point> {
     let num_pages = (params.dataset_bytes / PAGE_SIZE).max(1);
-    // Flatten the (fraction × workload) grid: every LRU replay is an
-    // independent cell, and a workload's cells share its dataset.
-    let grid: Vec<(f64, WorkloadKind, usize)> = fractions
+    let capacities: Vec<usize> = fractions
         .iter()
-        .flat_map(|&fraction| {
-            workloads
-                .iter()
-                .enumerate()
-                .map(move |(i, &kind)| (fraction, kind, i))
-        })
+        .map(|&fraction| ((num_pages as f64 * fraction) as usize).max(1))
         .collect();
-    let ratios = sweep.map_by_dataset(
-        &grid,
-        |&(_, kind, i)| dataset(params, kind, i, seed),
-        |_, &(fraction, kind, i)| {
-            let capacity = ((num_pages as f64 * fraction) as usize).max(1);
-            replay_miss_ratio(params, kind, i, capacity, accesses_per_point, seed)
-        },
-        |_, &(fraction, kind, _)| format!("Fig. 1 replay of {kind} at {fraction}"),
-    );
+    // One pass per workload, each over a dataset of its own.
+    let ratios = sweep.map(workloads, |i, &kind| {
+        miss_ratios(params, kind, i, &capacities, accesses_per_point, seed)
+    });
 
-    // Merge in fraction order; the per-fraction mean sums ratios in
-    // workload order, exactly as the sequential version did.
+    // The per-fraction mean sums ratios in workload order.
     fractions
         .iter()
         .enumerate()
         .map(|(fi, &fraction)| {
-            let per_wl = &ratios[fi * workloads.len()..(fi + 1) * workloads.len()];
-            let miss_ratio = per_wl.iter().sum::<f64>() / per_wl.len().max(1) as f64;
+            let miss_ratio =
+                ratios.iter().map(|r| r[fi]).sum::<f64>() / workloads.len().max(1) as f64;
             let per_core = DRAM_BW_PER_CORE_GBPS / BLOCK_SIZE as f64
                 * miss_ratio
                 * PAGE_SIZE as f64;
@@ -159,6 +229,99 @@ pub fn default_fractions() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astriflash_mem::PageLru;
+
+    /// The per-capacity replay Fig. 1 ran before its one pass: workload
+    /// `i`'s trace through a [`PageLru`] of `capacity` pages. Returns
+    /// the miss ratio and the pages resident at the end.
+    fn lru_replay(
+        params: &WorkloadParams,
+        kind: WorkloadKind,
+        i: usize,
+        capacity: usize,
+        accesses_per_point: usize,
+        seed: u64,
+    ) -> (f64, usize) {
+        let mut engine = dataset(params, kind, i, seed).fork();
+        let mut rng = SimRng::new(seed ^ 0xF1 ^ (i as u64));
+        let mut lru = PageLru::new(capacity);
+        let mut job = JobBuf::new();
+        let mut touched = 0usize;
+        while touched < accesses_per_point {
+            engine.fill_job(&mut job, &mut rng);
+            for a in job.accesses() {
+                lru.access(a.addr / PAGE_SIZE);
+                touched += 1;
+            }
+        }
+        let mut misses = 0u64;
+        let mut measured = 0usize;
+        while measured < accesses_per_point / 2 {
+            engine.fill_job(&mut job, &mut rng);
+            for a in job.accesses() {
+                misses += u64::from(!lru.access(a.addr / PAGE_SIZE));
+                measured += 1;
+            }
+        }
+        (misses as f64 / measured as f64, lru.len())
+    }
+
+    #[test]
+    fn one_pass_matches_an_lru_replay_per_capacity() {
+        let params = WorkloadParams::tiny_for_tests();
+        let (accesses, seed) = (20_000, 5);
+        for (i, kind) in [WorkloadKind::HashTable, WorkloadKind::Tatp]
+            .into_iter()
+            .enumerate()
+        {
+            let _shared = dataset(&params, kind, i, seed).hold();
+            // An LRU as large as the trace never evicts, so it ends
+            // holding every page the trace touched.
+            let (_, distinct) = lru_replay(&params, kind, i, 2 * accesses, accesses, seed);
+            let capacities = [
+                1,
+                2,
+                distinct / 16,
+                distinct / 4,
+                distinct / 2,
+                distinct - 1,
+                distinct,
+                distinct + 1,
+            ];
+            let one_pass = miss_ratios(&params, kind, i, &capacities, accesses, seed);
+            for (&capacity, ratio) in capacities.iter().zip(one_pass) {
+                let (replayed, _) = lru_replay(&params, kind, i, capacity, accesses, seed);
+                assert_eq!(
+                    ratio.to_bits(),
+                    replayed.to_bits(),
+                    "{kind} at {capacity} of {distinct} pages: {ratio} vs {replayed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stack_distances_grow_past_their_sizing() {
+        // Sized for nothing, so the page table and the tree both grow.
+        // The reference is an LRU stack, most recent first: a page's
+        // distance is its position.
+        let mut stack = StackDistances::new(0, 0);
+        let mut naive: Vec<u64> = Vec::new();
+        let mut x = 11u64;
+        for _ in 0..5_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let page = (x >> 33) % 300;
+            let expected = match naive.iter().position(|&p| p == page) {
+                Some(position) => {
+                    naive.remove(position);
+                    position
+                }
+                None => usize::MAX,
+            };
+            naive.insert(0, page);
+            assert_eq!(stack.access(page), expected, "page {page}");
+        }
+    }
 
     #[test]
     fn miss_ratio_decreases_with_capacity() {

@@ -160,75 +160,63 @@ impl Sweep {
         self.threads
     }
 
-    /// Runs every cell and returns reports **in cell order**. Cells run
-    /// grouped by dataset (see [`Sweep::map_by_dataset`]).
+    /// Runs every cell and returns reports **in cell order**. Cells that
+    /// share a dataset run as one group, so each distinct dataset is
+    /// built once at any worker count (DESIGN.md §18).
     ///
     /// A cell that panics aborts the sweep with a panic message naming
     /// the offending cell (configuration, workload, seed, load), so a
     /// failure deep inside a 100-cell grid is immediately attributable.
     pub fn run(&self, cells: &[Cell]) -> Vec<RunReport> {
-        self.map_by_dataset(cells, cell_dataset, |_, cell| cell.run(), describe_cell)
+        self.run_by_dataset(cells, |_, cell| cell.run())
     }
 
     /// Like [`Sweep::run`], but attaches `tracer` to cell 0. Traced and
     /// untraced runs produce bit-identical reports, so the trace
     /// perturbs no cell.
     pub fn run_with_cell0_trace(&self, cells: &[Cell], tracer: Tracer) -> Vec<RunReport> {
-        self.map_by_dataset(
-            cells,
-            cell_dataset,
-            |i, cell| {
-                if i == 0 {
-                    cell.run_traced(tracer.clone())
-                } else {
-                    cell.run()
-                }
-            },
-            describe_cell,
-        )
+        self.run_by_dataset(cells, |i, cell| {
+            if i == 0 {
+                cell.run_traced(tracer.clone())
+            } else {
+                cell.run()
+            }
+        })
     }
 
-    /// [`Sweep::map_described`] over items that each drive one dataset:
-    /// items that share a dataset run one after another as a group, the
-    /// groups in the order of their first items, and each group's
+    /// Runs `run(i, cell)` for every cell on [`Sweep::map_described`]:
+    /// cells that share a dataset run one after another as a group, the
+    /// groups in the order of their first cells, and each group's
     /// dataset is held from the sweep's start until the group's last
-    /// item is done. So every distinct dataset is built once, by its
-    /// group's first fork, at any worker count. Results come back in
-    /// input order.
+    /// cell is done. So every distinct dataset is built once, by its
+    /// group's first fork, at any worker count. Reports come back in
+    /// cell order.
     ///
     /// A hold builds nothing, and a group's cells hold its prototype
-    /// while they run anyway. Workers take items in group order, so
-    /// every built prototype belongs to an item some worker is running:
+    /// while they run anyway. Workers take cells in group order, so
+    /// every built prototype belongs to a cell some worker is running:
     /// at most one held dataset per worker, as without grouping.
-    pub fn map_by_dataset<T, R, F, D>(
+    fn run_by_dataset(
         &self,
-        items: &[T],
-        dataset: impl Fn(&T) -> Dataset,
-        f: F,
-        describe: D,
-    ) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        D: Fn(usize, &T) -> String + Sync,
-    {
-        // Group the items by dataset, in first-appearance order.
+        cells: &[Cell],
+        run: impl Fn(usize, &Cell) -> RunReport + Sync,
+    ) -> Vec<RunReport> {
+        // Group the cells by dataset, in first-appearance order.
         let mut groups: Vec<(Dataset, Vec<usize>)> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            let key = dataset(item);
+        for (i, cell) in cells.iter().enumerate() {
+            let key = cell.cfg.dataset(cell.seed);
             match groups.iter_mut().find(|(g, _)| *g == key) {
                 Some((_, members)) => members.push(i),
                 None => groups.push((key, vec![i])),
             }
         }
-        // (group, item) in run order.
+        // (group, cell) in run order.
         let order: Vec<(usize, usize)> = groups
             .iter()
             .enumerate()
             .flat_map(|(g, (_, members))| members.iter().map(move |&i| (g, i)))
             .collect();
-        // Each group's hold and how many of its items are not done yet.
+        // Each group's hold and how many of its cells are not done yet.
         let held: Vec<(Mutex<Option<DatasetHold>>, AtomicUsize)> = groups
             .iter()
             .map(|(key, members)| {
@@ -238,25 +226,25 @@ impl Sweep {
                 )
             })
             .collect();
-        let results = self.map_described(
+        let reports = self.map_described(
             &order,
             |_, &(g, i)| {
-                let r = f(i, &items[i]);
+                let report = run(i, &cells[i]);
                 let (hold, left) = &held[g];
                 if left.fetch_sub(1, Ordering::AcqRel) == 1 {
                     drop(hold.lock().unwrap_or_else(|e| e.into_inner()).take());
                 }
-                r
+                report
             },
-            |_, &(_, i)| describe(i, &items[i]),
+            |_, &(_, i)| describe_cell(i, &cells[i]),
         );
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (&(_, i), r) in order.iter().zip(results) {
-            slots[i] = Some(r);
+        let mut slots: Vec<Option<RunReport>> = (0..cells.len()).map(|_| None).collect();
+        for (&(_, i), report) in order.iter().zip(reports) {
+            slots[i] = Some(report);
         }
         slots
             .into_iter()
-            .map(|s| s.expect("every item ran once"))
+            .map(|s| s.expect("every cell ran once"))
             .collect()
     }
 
@@ -337,11 +325,6 @@ impl Sweep {
             .map(|s| s.expect("every index visited exactly once"))
             .collect()
     }
-}
-
-/// The dataset `cell`'s run forks.
-fn cell_dataset(cell: &Cell) -> Dataset {
-    cell.cfg.dataset(cell.seed)
 }
 
 /// One line identifying a sweep cell in panic messages.

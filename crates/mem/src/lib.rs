@@ -6,8 +6,8 @@
 //! serialized RAS/CAS operations, FR-FCFS-style bank scheduling), the
 //! **backside controller** with its in-DRAM **Miss Status Row** (MSR)
 //! tracking hundreds of concurrent misses, the evict buffer, and dirty
-//! writebacks. A page-granularity LRU model (`page_cache`) supports the
-//! Fig. 1 miss-ratio sweep.
+//! writebacks. A page-granularity LRU (`page_cache`) picks the pages the
+//! DRAM-cache prewarm installs.
 //!
 //! All components are passive state machines: they take the current
 //! [`astriflash_sim::SimTime`] and return outcomes with completion times

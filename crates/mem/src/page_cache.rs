@@ -1,9 +1,9 @@
-//! Exact page-granularity LRU, used for the Fig. 1 miss-ratio sweep
-//! ("we examine the DRAM miss ratio while varying the DRAM-to-flash
-//! capacity ratio", §II-A).
+//! Exact page-granularity LRU. The DRAM-cache prewarm replays a batch
+//! of jobs through one to choose the pages it installs, and Fig. 1's
+//! one-pass miss ratios are tested against it.
 //!
 //! Implemented as a hash map plus an intrusive doubly-linked list over a
-//! slot arena, so a sweep over millions of accesses is O(1) per access.
+//! slot arena, so a replay of millions of accesses is O(1) per access.
 
 use astriflash_sim::PageMap;
 
@@ -36,8 +36,6 @@ pub struct PageLru {
     head: u32, // MRU
     tail: u32, // LRU
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl PageLru {
@@ -54,8 +52,6 @@ impl PageLru {
             head: NIL,
             tail: NIL,
             capacity: capacity_pages,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -89,14 +85,12 @@ impl PageLru {
     /// evicting the LRU page if at capacity.
     pub fn access(&mut self, page: u64) -> bool {
         if let Some(idx) = self.map.get(page) {
-            self.hits += 1;
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
             }
             return true;
         }
-        self.misses += 1;
         let idx = if self.map.len() >= self.capacity {
             // Reuse the LRU slot.
             let idx = self.tail;
@@ -133,33 +127,6 @@ impl PageLru {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
-
-    /// Hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss ratio over all accesses so far.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Resets the hit/miss counters (e.g. after a warmup phase) without
-    /// touching residency.
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -186,20 +153,6 @@ mod tests {
         assert!(c.access(5));
         assert!(!c.access(6));
         assert!(!c.contains(5));
-    }
-
-    #[test]
-    fn counters_and_reset() {
-        let mut c = PageLru::new(2);
-        c.access(1);
-        c.access(1);
-        c.access(2);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 2);
-        assert!((c.miss_ratio() - 2.0 / 3.0).abs() < 1e-9);
-        c.reset_counters();
-        assert_eq!(c.hits(), 0);
-        assert!(c.contains(1), "reset keeps residency");
     }
 
     #[test]
@@ -233,6 +186,5 @@ mod tests {
                 assert!(!c.access(p), "round {round} page {p}");
             }
         }
-        assert_eq!(c.hits(), 0);
     }
 }
