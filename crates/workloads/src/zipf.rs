@@ -5,38 +5,21 @@
 //! are drawn with probability `P(r) ∝ 1/r^theta`, and a *scrambled*
 //! variant hashes ranks onto items so that popular items are scattered
 //! through the key space rather than clustered at low keys.
+//!
+//! Every draw takes the exact inverse CDF. A lookup table over the
+//! uniform draw pays only where most of its buckets fall inside one
+//! rank, and at the default scale (0.1–1.26 M keys, θ = 0.99) only
+//! 44–56 % do (DESIGN.md §9).
 
 use std::sync::{Arc, Mutex, OnceLock};
 
 use astriflash_sim::rng::splitmix64;
 use astriflash_sim::SimRng;
 
-/// Buckets of the cached inverse-CDF table: a power of two so the
-/// `u * BUCKETS` bucket computation is an exact scaling (no rounding),
-/// making the bucket ↔ `[b/K, (b+1)/K)` correspondence exact.
-const TABLE_BUCKETS: usize = 1 << 14;
-/// Sentinel marking a bucket whose draws must take the exact slow path.
-/// Entries are u32 (64 KiB total) to keep the table cache-resident;
-/// domains too large for u32 ranks simply skip the table.
-const SLOW_BUCKET: u32 = u32::MAX;
-/// Minimum fast-path fraction for the table to be kept. Below this the
-/// table is a net loss — most draws pay the lookup, a mispredicted
-/// branch, *and* the full formula — so the generator discards it and
-/// every draw takes the plain path. Measured crossover on the churn
-/// microbench: ≥0.9 coverage is ~2.9x, ~0.67 is ~1.4x, ≤0.5 is a wash
-/// to a slight regression.
-const MIN_TABLE_COVERAGE: f64 = 0.6;
-
 /// Generator of Zipf-distributed ranks in `[0, n)`.
 ///
-/// Sampling is the standard YCSB inverse-CDF, accelerated by a
-/// 16 Ki-bucket lookup table over the uniform draw: buckets provably
-/// contained in a single rank resolve without calling `powf`, and only
-/// buckets straddling a rank (or case) boundary fall back to the exact
-/// formula. The table is kept only when its fast-path coverage clears
-/// `MIN_TABLE_COVERAGE` — below that most draws would pay the lookup
-/// *and* the formula. Either way the sampler is **sequence-identical**
-/// to the plain formula — see [`ZipfGenerator::without_table`].
+/// Sampling is the standard YCSB inverse CDF, with ζ(n, θ) computed once
+/// per process for each key count and skew.
 ///
 /// # Example
 ///
@@ -49,34 +32,15 @@ const MIN_TABLE_COVERAGE: f64 = 0.6;
 /// let rank = zipf.sample(&mut rng);
 /// assert!(rank < 1_000_000);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ZipfGenerator {
     n: u64,
     theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
     /// `0.5^theta`, hoisted out of the per-draw rank-1 test.
     half_pow_theta: f64,
-    /// Per-bucket precomputed rank, or [`SLOW_BUCKET`]. `None` when the
-    /// constants make bucket classification unsound (or `theta == 0`),
-    /// or when fast coverage falls below [`MIN_TABLE_COVERAGE`].
-    table: Option<Vec<u32>>,
-}
-
-impl std::fmt::Debug for ZipfGenerator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ZipfGenerator")
-            .field("n", &self.n)
-            .field("theta", &self.theta)
-            .field("alpha", &self.alpha)
-            .field("zetan", &self.zetan)
-            .field("eta", &self.eta)
-            .field("zeta2", &self.zeta2)
-            .field("table_coverage", &self.table_coverage())
-            .finish()
-    }
 }
 
 /// The deterministic rank→id mapping behind
@@ -149,17 +113,6 @@ impl ZipfGenerator {
     ///
     /// Panics if `n == 0` or `theta` is outside `[0, 1)`.
     pub fn new(n: u64, theta: f64) -> Self {
-        let mut zipf = Self::without_table(n, theta);
-        zipf.table = zipf.build_table();
-        zipf
-    }
-
-    /// Like [`ZipfGenerator::new`] but never builds the inverse-CDF
-    /// table: every draw takes the exact formula path. The reference
-    /// implementation for the differential tests and perf baselines —
-    /// [`sample`](ZipfGenerator::sample) draws the same sequence either
-    /// way.
-    pub fn without_table(n: u64, theta: f64) -> Self {
         assert!(n > 0, "zipf domain must be non-empty");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0, 1)");
         let zetan = memoized_zeta(n, theta);
@@ -172,104 +125,7 @@ impl ZipfGenerator {
             alpha,
             zetan,
             eta,
-            zeta2,
             half_pow_theta: 0.5f64.powf(theta),
-            table: None,
-        }
-    }
-
-    /// Builds the per-bucket rank table. A bucket gets a concrete rank
-    /// only when *every* `u` it covers provably resolves to that rank
-    /// under the exact formula; anything uncertain stays a slow bucket.
-    fn build_table(&self) -> Option<Vec<u32>> {
-        // theta == 0 bypasses the inverse CDF entirely; degenerate
-        // constants (n == 2 gives eta == 0) make the monotonicity
-        // argument vacuous; ranks past u32 don't fit the table entries.
-        // In all those cases skip the table and stay on the exact path.
-        if self.theta == 0.0
-            || self.n >= u64::from(u32::MAX)
-            || !(self.eta.is_finite() && self.eta > 0.0)
-            || !(self.zetan.is_finite() && self.zetan > 0.0)
-        {
-            return None;
-        }
-        let mut table = vec![SLOW_BUCKET; TABLE_BUCKETS];
-        for (b, slot) in table.iter_mut().enumerate() {
-            // Dyadic endpoints are exact; `next_down` makes the upper
-            // endpoint the largest f64 still inside the bucket.
-            let u_lo = b as f64 / TABLE_BUCKETS as f64;
-            let u_hi = ((b + 1) as f64 / TABLE_BUCKETS as f64).next_down();
-            *slot = self.classify_bucket(u_lo, u_hi);
-        }
-        // Keep the table only where it pays for itself. Large skewed
-        // domains (figure scale: n ≈ 2^20, theta = 0.99) pack many rank
-        // boundaries per bucket, leaving only ~45% fast coverage — there
-        // the pure formula path is faster, and dropping the table is
-        // sequence-neutral by construction.
-        let fast = table.iter().filter(|&&r| r != SLOW_BUCKET).count();
-        if (fast as f64) < MIN_TABLE_COVERAGE * TABLE_BUCKETS as f64 {
-            return None;
-        }
-        Some(table)
-    }
-
-    /// Decides bucket `[u_lo, u_hi]` (inclusive in f64 terms).
-    ///
-    /// Soundness rests on weak monotonicity of the per-draw arithmetic:
-    /// `u * zetan` and `eta * u - eta + 1` are single correctly-rounded
-    /// monotone ops, so interior draws are bracketed by the endpoints.
-    /// `powf` is not guaranteed monotone, so formula-region buckets are
-    /// additionally required to clear a 4-ulp margin from both rank
-    /// boundaries before they are trusted.
-    fn classify_bucket(&self, u_lo: f64, u_hi: f64) -> u32 {
-        let uz_lo = u_lo * self.zetan;
-        let uz_hi = u_hi * self.zetan;
-        if uz_hi < 1.0 {
-            return 0;
-        }
-        let case1_edge = 1.0 + self.half_pow_theta;
-        if uz_lo >= 1.0 && uz_hi < case1_edge {
-            return 1;
-        }
-        if uz_lo < case1_edge {
-            return SLOW_BUCKET; // straddles a closed-form case edge
-        }
-        let v_lo = self.formula_value(u_lo);
-        let v_hi = self.formula_value(u_hi);
-        if !v_lo.is_finite() || !v_hi.is_finite() {
-            return SLOW_BUCKET;
-        }
-        let r = v_lo as u64;
-        if v_hi as u64 != r {
-            return SLOW_BUCKET;
-        }
-        let clamped = r.min(self.n - 1);
-        // n < u32::MAX (checked in build_table), so the clamped rank
-        // always fits an entry without colliding with the sentinel.
-        debug_assert!(clamped < u64::from(SLOW_BUCKET));
-        let margin_lo = v_lo - r as f64;
-        let margin_hi = (r as f64 + 1.0) - v_hi;
-        if margin_lo > 4.0 * f64::EPSILON * v_lo && margin_hi > 4.0 * f64::EPSILON * v_hi {
-            clamped as u32
-        } else {
-            SLOW_BUCKET
-        }
-    }
-
-    /// The continuous inverse-CDF value whose floor is the formula-path
-    /// rank.
-    fn formula_value(&self, u: f64) -> f64 {
-        self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)
-    }
-
-    /// Fraction of uniform-draw space served by the table's fast path
-    /// (0.0 when the table is disabled).
-    pub fn table_coverage(&self) -> f64 {
-        match &self.table {
-            None => 0.0,
-            Some(t) => {
-                t.iter().filter(|&&r| r != SLOW_BUCKET).count() as f64 / TABLE_BUCKETS as f64
-            }
         }
     }
 
@@ -278,31 +134,16 @@ impl ZipfGenerator {
         self.n
     }
 
-    /// Skew parameter.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws a rank in `[0, n)`; rank 0 is the most popular.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         if self.theta == 0.0 {
             return rng.gen_range(self.n);
         }
-        let u = rng.gen_f64();
-        if let Some(table) = &self.table {
-            // Exact because TABLE_BUCKETS is a power of two.
-            let rank = table[(u * TABLE_BUCKETS as f64) as usize];
-            if rank != SLOW_BUCKET {
-                return u64::from(rank);
-            }
-        }
-        self.rank_for(u)
+        self.rank_for(rng.gen_f64())
     }
 
-    /// The exact inverse CDF: maps a uniform draw `u ∈ [0, 1)` to its
-    /// rank. This is the reference the table fast path must agree with;
-    /// public for boundary regression tests.
-    pub fn rank_for(&self, u: f64) -> u64 {
+    /// The inverse CDF: maps a uniform draw `u ∈ [0, 1)` to its rank.
+    fn rank_for(&self, u: f64) -> u64 {
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -341,11 +182,6 @@ impl ZipfGenerator {
     pub fn cumulative(&self, k: u64) -> f64 {
         let k = k.min(self.n);
         zeta(k.max(1), self.theta) / self.zetan * if k == 0 { 0.0 } else { 1.0 }
-    }
-
-    /// The `zeta(2, theta)` constant (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
@@ -468,32 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn table_is_sequence_identical_to_formula() {
-        // The tentpole invariant: the accelerated sampler must produce
-        // the exact draw sequence of the plain formula, for every rank
-        // including the closed-form 0/1 cases and the clamp region.
-        for &(n, theta) in &[
-            (1_000u64, 0.99),
-            (10_000, 0.8),
-            (1_000_000, 0.99),
-            (7, 0.5),
-            (2, 0.5),
-            (1, 0.3),
-            (100, 0.01),
-        ] {
-            let fast = ZipfGenerator::new(n, theta);
-            let slow = ZipfGenerator::without_table(n, theta);
-            let mut rng_a = SimRng::new(0x5EED ^ n ^ theta.to_bits());
-            let mut rng_b = SimRng::new(0x5EED ^ n ^ theta.to_bits());
-            for i in 0..100_000 {
-                let a = fast.sample(&mut rng_a);
-                let b = slow.sample(&mut rng_b);
-                assert_eq!(a, b, "divergence at draw {i} (n={n}, theta={theta})");
-            }
-        }
-    }
-
-    #[test]
     fn rank_for_extreme_draws_stay_in_domain() {
         let zipf = ZipfGenerator::new(1000, 0.99);
         assert_eq!(zipf.rank_for(0.0), 0);
@@ -519,26 +329,5 @@ mod tests {
             assert!(r >= last, "rank regressed at u={u}: {r} < {last}");
             last = r;
         }
-    }
-
-    #[test]
-    fn table_engages_only_where_it_pays() {
-        // Small/hot domains are almost fully covered by single-rank
-        // buckets — the table is kept and nearly every draw skips powf.
-        let small = ZipfGenerator::new(1_000, 0.99);
-        assert!(
-            small.table_coverage() > 0.9,
-            "coverage {}",
-            small.table_coverage()
-        );
-        // At figure scale (n = 1e6, theta = 0.99) only ~45% of
-        // uniform-draw space is single-rank — below MIN_TABLE_COVERAGE —
-        // so the table must be discarded and draws take the plain path.
-        let large = ZipfGenerator::new(1_000_000, 0.99);
-        assert_eq!(large.table_coverage(), 0.0);
-        // Degenerate constants (n == 2 → eta == 0) must disable the
-        // table rather than risk misclassification.
-        assert_eq!(ZipfGenerator::new(2, 0.5).table_coverage(), 0.0);
-        assert_eq!(ZipfGenerator::new(100, 0.0).table_coverage(), 0.0);
     }
 }

@@ -15,8 +15,7 @@ use std::cell::Cell;
 
 use astriflash_workloads::{WorkloadKind, WorkloadParams};
 
-/// Blocks at least this large count as dataset-sized. Smaller ones,
-/// such as the 64 KiB Zipf table a generator may drop, do not.
+/// Blocks at least this large count as dataset-sized.
 const LARGE: usize = 1 << 20;
 
 thread_local! {
