@@ -7,7 +7,6 @@
 //! 96 % load.
 
 use crate::config::{Configuration, SystemConfig};
-use crate::experiment::Experiment;
 use crate::sweep::{Cell, Sweep};
 
 /// One load point of one system's tail-latency curve.
@@ -54,37 +53,44 @@ pub fn sweep_with(
     seed: u64,
 ) -> Fig10Curves {
     // The saturation calibration run gates everything else, so it runs
-    // up front; both curves' load points then fan out as one grid.
-    let sat_report = Experiment::new(base.clone(), Configuration::DramOnly)
-        .seed(seed)
-        .jobs_per_core(jobs_per_point.max(100) / base.cores.max(1) as u64 + 50)
-        .run();
+    // up front; both curves' load points then run as one grid.
+    let sat_report = Cell::closed(
+        base.clone(),
+        Configuration::DramOnly,
+        seed,
+        jobs_per_point.max(100) / base.cores.max(1) as u64 + 50,
+    )
+    .run();
     let saturation = sat_report.throughput_jobs_per_sec;
     let base_service_ns = sat_report.mean_service_ns;
 
     // The `seed ^ 0xF10` expression is part of the pinned output
     // contract — do not change it.
-    let grid: Vec<(Configuration, f64)> = [Configuration::DramOnly, Configuration::AstriFlash]
+    let cells: Vec<Cell> = [Configuration::DramOnly, Configuration::AstriFlash]
         .iter()
-        .flat_map(|&conf| loads.iter().map(move |&load| (conf, load)))
+        .flat_map(|&conf| {
+            loads.iter().map(move |&load| {
+                let lambda = load * saturation; // jobs/s
+                Cell::open(
+                    base.clone(),
+                    conf,
+                    seed ^ 0xF10,
+                    1e9 / lambda,
+                    jobs_per_point,
+                )
+            })
+        })
         .collect();
-    let points = sweep.map(&grid, |_, &(conf, load)| {
-        let lambda = load * saturation; // jobs/s
-        let mean_interarrival_ns = 1e9 / lambda;
-        let r = Cell::open(
-            base.clone(),
-            conf,
-            seed ^ 0xF10,
-            mean_interarrival_ns,
-            jobs_per_point,
-        )
-        .run();
-        Fig10Point {
+    let points: Vec<Fig10Point> = loads
+        .iter()
+        .cycle()
+        .zip(sweep.run(&cells))
+        .map(|(&load, r)| Fig10Point {
             offered_load: load,
             achieved_load: r.throughput_jobs_per_sec / saturation,
             p99_norm: r.p99_response_ns as f64 / base_service_ns,
-        }
-    });
+        })
+        .collect();
 
     Fig10Curves {
         base_service_ns,

@@ -34,11 +34,25 @@ echo "==> regen --check: every committed artifact, at 1 and 4 sweep threads"
 # count (DESIGN.md §18), but the worker count decides which cells run
 # side by side, so pin both extremes. What it prints, each artifact's
 # wall time and dataset builds and the process's peak RSS, is kept as
-# regen_times.threads<N>.txt (pipefail keeps its exit status).
+# regen_times.threads<N>.txt (pipefail keeps its exit status), and the
+# next step compares the two runs' build counts.
 for threads in 1 4; do
   ASTRIFLASH_THREADS=$threads ./target/release/regen --check 2>&1 |
     tee "$perf_dir/regen_times.threads$threads.txt"
 done
+
+echo "==> regen --check: dataset builds agree at 1 and 4 threads"
+# Each artifact's build count (the number before "builds") and the
+# total must not depend on the worker count.
+builds() {
+  awk '{ for (i = 2; i <= NF; i++) if ($i == "builds") print $1, $(i - 1) }' \
+    "$perf_dir/regen_times.threads$1.txt"
+}
+if [ -z "$(builds 1)" ] || [ "$(builds 1)" != "$(builds 4)" ]; then
+  echo "dataset builds (artifact, count) differ between 1 and 4 threads:"
+  diff <(builds 1) <(builds 4) || true
+  exit 1
+fi
 
 echo "==> benchmark package tests (unit tests + --smoke of all five workloads)"
 # benchmark/ is a cargo workspace of its own, so --workspace never
