@@ -420,12 +420,16 @@ impl SystemSim {
 
         let dataset_bytes = cfg.workload_params.dataset_bytes;
         let dram_cache_cfg = cfg.dram_cache_config();
-        // Prewarm the DRAM cache to its steady-state content: replay the
-        // page stream of a batch of jobs through an LRU of the same
-        // capacity and install the survivors (coldest first). DRAM-only
-        // never probes the cache, so it replays nothing and keeps no
-        // tags; its engine still generates the same jobs, so every
-        // configuration starts its run from the same engine state.
+        // Prewarm the DRAM cache: replay the page stream of jobs worth
+        // 8 × capacity page touches through an LRU of the same capacity
+        // and install the pages it holds at the end (coldest first).
+        // The replay touches fewer distinct pages than the cache holds
+        // (16–86 % of it at the default scale), so the LRU never evicts
+        // and a run starts with the cache partly empty, not at its
+        // steady-state content. DRAM-only never probes the cache, so it
+        // replays nothing and keeps no tags; its engine still generates
+        // the same jobs, so every configuration starts its run from the
+        // same engine state.
         let capacity = dram_cache_cfg.capacity_pages() as usize;
         let mut replay = (configuration != Configuration::DramOnly)
             .then(|| (astriflash_mem::PageLru::new(capacity), Vec::new()));
