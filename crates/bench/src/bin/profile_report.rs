@@ -52,10 +52,11 @@ use astriflash_trace::{export, json, Tracer};
 const PROF_PID: u32 = 2;
 
 /// The per-access memory-path summary line: how much of the run the
-/// interpreter's TLB+L1 path costs, per simulated access.
+/// interpreter's access path costs, per simulated access. Every access
+/// goes through `access_run`, whose inclusive time holds the TLB-miss
+/// path (`do_access`) it calls.
 fn memory_path_line(m: &MeasuredProfile) -> String {
-    let path_ns = m.profile.totals(Scope::DoAccess).incl_ns as f64
-        + m.profile.totals(Scope::AccessRun).incl_ns as f64;
+    let path_ns = m.profile.totals(Scope::AccessRun).incl_ns as f64;
     let accesses = m.run.metrics.count("tlb_accesses").unwrap_or(0);
     let share = if m.wall_ns > 0.0 {
         path_ns / m.wall_ns * 100.0
@@ -68,7 +69,7 @@ fn memory_path_line(m: &MeasuredProfile) -> String {
         0.0
     };
     format!(
-        "memory path (do_access + access_run incl): {:.1} ms = {share:.1} % of run, \
+        "memory path (access_run incl): {:.1} ms = {share:.1} % of run, \
          {per_access:.1} ns/access over {accesses} accesses",
         path_ns / 1e6
     )

@@ -1,7 +1,7 @@
 //! AstriFlash full-system composition — the paper's primary contribution
 //! assembled from the substrate crates.
 //!
-//! The [`system::SystemSim`] event loop wires cores (ROB flush, OoO
+//! The simulator's event loop wires cores (ROB flush, OoO
 //! overlap, TLB), the on-chip cache hierarchy, the
 //! hardware-managed DRAM cache (frontside + backside controllers, Miss
 //! Status Row), flash, the user-level thread scheduler, and the OS
@@ -17,17 +17,18 @@
 //! | `OsSwap` | traditional demand paging |
 //! | `FlashSync` | synchronous flash access (FlatFlash-like) |
 //!
+//! A run is one [`sweep::Cell`]: a system config, a configuration, a
+//! seed and a load point. Every run ends in an
+//! [`experiment::RunReport`].
+//!
 //! # Example
 //!
 //! ```
 //! use astriflash_core::config::{Configuration, SystemConfig};
-//! use astriflash_core::experiment::Experiment;
+//! use astriflash_core::sweep::Cell;
 //!
 //! let cfg = SystemConfig::default().with_cores(2).scaled_for_tests();
-//! let report = Experiment::new(cfg, Configuration::AstriFlash)
-//!     .seed(42)
-//!     .jobs_per_core(30)
-//!     .run();
+//! let report = Cell::closed(cfg, Configuration::AstriFlash, 42, 30).run();
 //! assert!(report.jobs_completed > 0);
 //! ```
 
@@ -39,12 +40,11 @@ pub mod experiments;
 mod hit_run;
 pub mod queueing;
 pub mod sweep;
-pub mod system;
+mod system;
 pub mod telemetry;
 
 pub use config::{Configuration, SystemConfig};
-pub use experiment::{Experiment, Load, PreparedRun, RunReport};
+pub use experiment::{Load, PreparedRun, RunReport};
 pub use queueing::QueueModel;
 pub use sweep::{Cell, Sweep};
-pub use system::SystemSim;
 pub use telemetry::{TelemetryCfg, TelemetryReport, ViolationInterval};

@@ -39,7 +39,8 @@ use astriflash_trace::Tracer;
 use astriflash_workloads::{Dataset, DatasetHold};
 
 use crate::config::{Configuration, SystemConfig};
-use crate::experiment::{Experiment, Load, PreparedRun, RunReport};
+use crate::experiment::{Load, PreparedRun, RunReport};
+use crate::system::SystemSim;
 
 /// One independent simulation cell of a sweep grid.
 #[derive(Debug, Clone)]
@@ -94,24 +95,30 @@ impl Cell {
         self.prepare().run()
     }
 
-    /// Builds this cell's simulation without running it (see
-    /// [`Experiment::prepare`]): the benchmark prepares outside the
-    /// timed region and times only [`PreparedRun::run`].
+    /// Builds this cell's simulation without running it (allocation-heavy:
+    /// cache arrays, DRAM prewarm replay), so callers that time the
+    /// simulation — the benchmark above all — keep construction out of
+    /// the measured region and time only [`PreparedRun::run`].
+    /// [`Cell::run`] is exactly `prepare().run()`, so prepared and direct
+    /// runs are bit-identical.
+    ///
+    /// The workload's dataset is built only if no other live simulation
+    /// of the same workload, parameters and seed holds one; otherwise
+    /// this one shares it (DESIGN.md §18).
     pub fn prepare(&self) -> PreparedRun {
-        Experiment::new(self.cfg.clone(), self.configuration)
-            .seed(self.seed)
-            .load(self.load)
-            .prepare()
+        PreparedRun {
+            sim: SystemSim::new(self.cfg.clone(), self.configuration, self.seed),
+            load: self.load,
+        }
     }
 
-    /// Runs this cell with an observability tracer attached. The report
-    /// is bit-identical to [`Cell::run`]; only the tracer fills up.
+    /// Runs this cell with an observability tracer attached (see
+    /// [`astriflash_trace`]). The report is bit-identical to
+    /// [`Cell::run`]; only the tracer fills up.
     pub fn run_traced(&self, tracer: Tracer) -> RunReport {
-        Experiment::new(self.cfg.clone(), self.configuration)
-            .seed(self.seed)
-            .load(self.load)
-            .tracer(tracer)
-            .run()
+        let mut run = self.prepare();
+        run.sim.set_tracer(tracer);
+        run.run()
     }
 }
 
@@ -390,20 +397,23 @@ mod tests {
     }
 
     #[test]
-    fn run_matches_direct_experiment() {
-        let cell = Cell::closed(cfg(), Configuration::AstriFlash, 5, 20);
-        let direct = Experiment::new(cfg(), Configuration::AstriFlash)
-            .seed(5)
-            .jobs_per_core(20)
-            .run();
-        let swept = Sweep::with_threads(2).run(std::slice::from_ref(&cell));
-        assert_eq!(swept.len(), 1);
-        assert_eq!(
-            swept[0].throughput_jobs_per_sec.to_bits(),
-            direct.throughput_jobs_per_sec.to_bits()
-        );
-        assert_eq!(swept[0].p99_service_ns, direct.p99_service_ns);
-        assert_eq!(swept[0].render(), direct.render());
+    fn sweep_run_matches_cell_run() {
+        let cells = [
+            Cell::closed(cfg(), Configuration::AstriFlash, 5, 20),
+            Cell::open(cfg(), Configuration::AstriFlash, 5, 30_000.0, 100),
+        ];
+        let swept = Sweep::with_threads(2).run(&cells);
+        assert_eq!(swept.len(), cells.len());
+        for (cell, swept) in cells.iter().zip(&swept) {
+            let direct = cell.run();
+            assert_eq!(
+                swept.throughput_jobs_per_sec.to_bits(),
+                direct.throughput_jobs_per_sec.to_bits()
+            );
+            assert_eq!(swept.p99_service_ns, direct.p99_service_ns);
+            assert_eq!(swept.events_processed, direct.events_processed);
+            assert_eq!(swept.render(), direct.render());
+        }
     }
 
     #[test]

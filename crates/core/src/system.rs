@@ -27,12 +27,12 @@ use astriflash_cpu::{effective_stall_ns, Rob};
 use astriflash_flash::FlashDevice;
 use astriflash_mem::{
     BacksideController, BcAdmission, CacheHierarchy, DramBanks, DramCache, DramTimings,
-    HierarchyOutcome, LevelTotals, ProbeOutcome, Waiter,
+    HierarchyOutcome, ProbeOutcome, Waiter,
 };
 use astriflash_os::{OsPagingCosts, PageTableWalker, Tlb};
 use astriflash_prof::{scope as prof_scope, Scope as ProfScope};
 use astriflash_sim::{EventQueue, PageMap, SimDuration, SimRng, SimTime};
-use astriflash_stats::{Histogram, OnlineStats, Phase, PhaseSet};
+use astriflash_stats::{Histogram, MetricSet, OnlineStats, Percentile, Phase, PhaseSet};
 use astriflash_trace::{Track, Tracer};
 use astriflash_uthread::{Completion, MissPark, NotificationQueue, Pick, Policy, Scheduler};
 use astriflash_workloads::{
@@ -40,6 +40,7 @@ use astriflash_workloads::{
 };
 
 use crate::config::{Configuration, SystemConfig};
+use crate::experiment::{Load, RunReport};
 use crate::hit_run::{self, RunStop};
 use crate::telemetry::{CoreWindows, TelemetryReport};
 
@@ -187,7 +188,6 @@ impl MissAttr {
 
 #[derive(Debug, Default, Clone, Copy)]
 struct CoreStats {
-    jobs_done: u64,
     dram_cache_misses: u64,
     thread_switches: u64,
     switch_overhead_ns: u64,
@@ -230,97 +230,13 @@ impl Core {
     }
 }
 
-/// Aggregate run statistics exposed to [`crate::experiment`].
-#[derive(Debug)]
-pub struct SystemStats {
-    /// Jobs completed after warmup.
-    pub measured_jobs: u64,
-    /// All jobs completed (including warmup).
-    pub total_jobs: u64,
-    /// Service-time distribution (ns): dequeue → completion, flash waits
-    /// included, queueing excluded (§V-A).
-    pub service_ns: Histogram,
-    /// Response-time distribution (ns): arrival → completion.
-    pub response_ns: Histogram,
-    /// When measurement began.
-    pub measuring_since: SimTime,
-    /// When the run ended (last completion / cap).
-    pub ended_at: SimTime,
-    /// DRAM-cache misses observed after warmup.
-    pub dram_cache_misses: u64,
-    /// Thread/context switches performed.
-    pub switches: u64,
-    /// Aggregate switch overhead (ns).
-    pub switch_overhead_ns: u64,
-    /// Core-time lost blocked on synchronous flash (ns).
-    pub blocked_ns: u64,
-    /// Forward-progress synchronous completions.
-    pub forced_synchronous: u64,
-    /// Page-table walk reads served from flash (noDP pathology).
-    pub pt_walk_flash_reads: u64,
-    /// Streaming moments of service time (for CV reporting; §III-A's
-    /// queueing model assumes near-memoryless service).
-    pub service_stats: OnlineStats,
-    /// Backside-controller admissions stalled on a full MSR set.
-    pub msr_stalls: u64,
-    /// High-water mark of concurrent DRAM-cache misses in the MSR.
-    pub msr_max_occupancy: usize,
-    /// Flash page reads issued.
-    pub flash_reads: u64,
-    /// Bytes moved from flash by reads.
-    pub flash_read_bytes: u64,
-    /// Dirty-page writebacks to flash.
-    pub flash_writebacks: u64,
-    /// Events popped from the simulation queue over the whole run (every
-    /// one a model event, so tracing leaves it unchanged) — the
-    /// denominator for kernel-throughput (events/sec) metrics.
-    pub events_processed: u64,
-    /// Chip-wide per-level on-chip hit/miss totals (private levels
-    /// summed over cores), for the hit-rate breakdown in reports.
-    pub level_totals: LevelTotals,
-    /// TLB hits summed over cores.
-    pub tlb_hits: u64,
-    /// TLB misses summed over cores.
-    pub tlb_misses: u64,
-    /// Per-phase latency attribution of completed miss lifecycles
-    /// (DESIGN.md §11); empty when the run never missed.
-    pub phases: PhaseSet,
-    /// Time-resolved telemetry (DESIGN.md §13); `Some` iff the run was
-    /// configured with `SystemConfig::telemetry`. Collection never
-    /// changes the simulated outcome, so every other field is
-    /// bit-identical with telemetry on or off.
-    pub telemetry: Option<TelemetryReport>,
-}
-
-impl SystemStats {
-    /// Hit rate from a (hits, misses) pair; 0 when nothing was accessed.
-    fn rate(hits: u64, misses: u64) -> f64 {
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// L1 hit rate across cores.
-    pub fn l1_hit_rate(&self) -> f64 {
-        Self::rate(self.level_totals.l1_hits, self.level_totals.l1_misses)
-    }
-
-    /// L2 hit rate across cores.
-    pub fn l2_hit_rate(&self) -> f64 {
-        Self::rate(self.level_totals.l2_hits, self.level_totals.l2_misses)
-    }
-
-    /// Shared-LLC hit rate.
-    pub fn llc_hit_rate(&self) -> f64 {
-        Self::rate(self.level_totals.llc_hits, self.level_totals.llc_misses)
-    }
-
-    /// TLB hit rate across cores.
-    pub fn tlb_hit_rate(&self) -> f64 {
-        Self::rate(self.tlb_hits, self.tlb_misses)
+/// Hit rate from a (hits, misses) pair; 0 when nothing was accessed.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let total = hits + misses;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
     }
 }
 
@@ -333,8 +249,10 @@ fn max_pending_events(cfg: &SystemConfig) -> usize {
     cfg.cores + sets * ways + 1
 }
 
-/// The composed full-system simulator.
-pub struct SystemSim {
+/// The composed full-system simulator: built by
+/// [`Cell::prepare`](crate::sweep::Cell::prepare), run once by
+/// [`SystemSim::run`].
+pub(crate) struct SystemSim {
     cfg: SystemConfig,
     configuration: Configuration,
     queue: EventQueue<Event>,
@@ -351,7 +269,6 @@ pub struct SystemSim {
     cores: Vec<Core>,
     closed_loop: bool,
     arrivals: Option<PoissonArrivals>,
-    next_arrival_core: usize,
     jobs_target: u64,
     warmup_jobs: u64,
     total_jobs: u64,
@@ -385,7 +302,7 @@ pub struct SystemSim {
 impl SystemSim {
     /// Builds the system for `configuration`, seeding every component
     /// deterministically from `seed`.
-    pub fn new(cfg: SystemConfig, configuration: Configuration, seed: u64) -> Self {
+    pub(crate) fn new(cfg: SystemConfig, configuration: Configuration, seed: u64) -> Self {
         cfg.validate();
         let rng = SimRng::new(seed);
         let mut engine = cfg.dataset(seed).fork();
@@ -502,7 +419,6 @@ impl SystemSim {
             cores,
             closed_loop: true,
             arrivals: None,
-            next_arrival_core: 0,
             jobs_target: 0,
             warmup_jobs: 0,
             total_jobs: 0,
@@ -528,18 +444,13 @@ impl SystemSim {
     /// component (BC, flash, per-core schedulers). Enabling tracing
     /// never changes the simulated outcome: every emission is stamped
     /// with sim time and schedules no event.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.bc.set_tracer(tracer.clone());
         self.flash.set_tracer(tracer.clone());
         for (i, core) in self.cores.iter_mut().enumerate() {
             core.scheduler.set_tracer(tracer.clone(), i as u32);
         }
         self.tracer = tracer;
-    }
-
-    /// The configuration being simulated.
-    pub fn configuration(&self) -> Configuration {
-        self.configuration
     }
 
     fn switch_cost_ns(&self) -> u64 {
@@ -550,37 +461,40 @@ impl SystemSim {
         }
     }
 
-    /// Runs closed-loop to saturation: every core keeps its thread slots
-    /// full from an infinite job queue. Measures `jobs_per_core` jobs per
-    /// core after warming up with `WARMUP_FRACTION` extra jobs.
-    pub fn run_closed_loop(mut self, jobs_per_core: u64) -> SystemStats {
-        self.closed_loop = true;
-        let measured_target = jobs_per_core * self.cfg.cores as u64;
+    /// Runs the simulation under `load` and condenses it into the run's
+    /// report. A closed loop keeps every core's thread slots full from an
+    /// infinite job queue; an open loop feeds Poisson arrivals of the
+    /// given system-wide mean inter-arrival time. Either way the run
+    /// completes `WARMUP_FRACTION` of its measured quota as warm-up first.
+    pub(crate) fn run(mut self, load: Load) -> RunReport {
+        let measured_target = match load {
+            Load::Closed { jobs_per_core } => {
+                for core in 0..self.cfg.cores {
+                    self.schedule_resume(core, SimTime::ZERO);
+                }
+                jobs_per_core * self.cfg.cores as u64
+            }
+            Load::Open {
+                mean_interarrival_ns,
+                total_jobs,
+            } => {
+                self.closed_loop = false;
+                let mut arrivals = PoissonArrivals::new(mean_interarrival_ns);
+                let first = arrivals.next_arrival(&mut self.rng);
+                self.arrivals = Some(arrivals);
+                // The first job lands on core 0; `on_arrival` spreads
+                // the rest over the cores.
+                self.queue.schedule(first, Event::Arrival { core: 0 });
+                total_jobs
+            }
+        };
         self.warmup_jobs = ((measured_target as f64 * WARMUP_FRACTION) as u64).max(1);
         self.jobs_target = self.warmup_jobs + measured_target;
-        for core in 0..self.cfg.cores {
-            self.schedule_resume(core, SimTime::ZERO);
-        }
         self.event_loop();
         self.finish()
     }
 
-    /// Runs open-loop with Poisson arrivals of the given mean
-    /// inter-arrival time (system-wide) until `total_jobs` complete.
-    pub fn run_open_loop(mut self, mean_interarrival_ns: f64, total_jobs: u64) -> SystemStats {
-        self.closed_loop = false;
-        self.warmup_jobs = ((total_jobs as f64 * WARMUP_FRACTION) as u64).max(1);
-        self.jobs_target = self.warmup_jobs + total_jobs;
-        let mut arrivals = PoissonArrivals::new(mean_interarrival_ns);
-        let first = arrivals.next_arrival(&mut self.rng);
-        self.arrivals = Some(arrivals);
-        let core = self.next_arrival_core as u32;
-        self.queue.schedule(first, Event::Arrival { core });
-        self.event_loop();
-        self.finish()
-    }
-
-    fn finish(mut self) -> SystemStats {
+    fn finish(mut self) -> RunReport {
         // Close any spans still open at end-of-run (threads parked or
         // blocked when the job target / time cap hit) so every trace is
         // well-formed.
@@ -633,48 +547,85 @@ impl SystemSim {
             report.emit_gauges(&self.tracer);
             report
         });
-        let mut stats = SystemStats {
-            measured_jobs: self.measured_jobs,
-            total_jobs: self.total_jobs,
-            service_ns: self.service_ns,
-            response_ns: self.response_ns,
-            measuring_since: self.measuring_since,
-            ended_at: self.queue.now(),
-            dram_cache_misses: 0,
-            switches: 0,
-            switch_overhead_ns: 0,
-            blocked_ns: 0,
-            forced_synchronous: 0,
-            pt_walk_flash_reads: 0,
-            msr_stalls: self.bc.stats().stalls,
-            msr_max_occupancy: self.bc.msr().max_occupancy(),
-            flash_reads: self.flash.stats().reads,
-            flash_read_bytes: self.flash.stats().read_bytes,
-            flash_writebacks: self.bc.stats().writebacks,
+        let ended_at = self.queue.now();
+        let mut sum = CoreStats::default();
+        let (mut tlb_hits, mut tlb_misses) = (0, 0);
+        for c in &self.cores {
+            tlb_hits += c.tlb.hits();
+            tlb_misses += c.tlb.misses();
+            sum.dram_cache_misses += c.stats.dram_cache_misses;
+            sum.thread_switches += c.stats.thread_switches;
+            sum.switch_overhead_ns += c.stats.switch_overhead_ns;
+            sum.blocked_ns += c.stats.blocked_ns;
+            sum.forced_synchronous += c.stats.forced_synchronous;
+            sum.pt_walk_flash_reads += c.stats.pt_walk_flash_reads;
+        }
+        let levels = self.hierarchy.level_totals();
+        let cores = self.cfg.cores;
+        let measured = ended_at.saturating_since(self.measuring_since);
+        let span = measured.as_secs_f64();
+        let throughput = if span > 0.0 {
+            self.measured_jobs as f64 / span
+        } else {
+            0.0
+        };
+        let miss_interval_us = if sum.dram_cache_misses > 0 {
+            measured.as_us_f64() * cores as f64 / sum.dram_cache_misses as f64
+        } else {
+            f64::INFINITY
+        };
+
+        let mut metrics = MetricSet::new();
+        metrics.set_text("configuration", self.configuration.name());
+        metrics.set_text("workload", self.cfg.workload.name());
+        metrics.set_count("cores", cores as u64);
+        metrics.set_count("jobs_measured", self.measured_jobs);
+        metrics.set_count("jobs_total", self.total_jobs);
+        metrics.set_float("throughput_jobs_per_sec", throughput);
+        metrics.set_latency_ns("service_mean", self.service_ns.mean() as u64);
+        metrics.set_latency_ns("service_p99", self.service_ns.value_at(Percentile::P99));
+        metrics.set_latency_ns("response_p99", self.response_ns.value_at(Percentile::P99));
+        metrics.set_count("dram_cache_misses", sum.dram_cache_misses);
+        metrics.set_count("switches", sum.thread_switches);
+        metrics.set_latency_ns("switch_overhead_total", sum.switch_overhead_ns);
+        metrics.set_latency_ns("blocked_total", sum.blocked_ns);
+        metrics.set_count("forced_synchronous", sum.forced_synchronous);
+        metrics.set_count("pt_walk_flash_reads", sum.pt_walk_flash_reads);
+        metrics.set_count("msr_stalls", self.bc.stats().stalls);
+        metrics.set_count("msr_max_occupancy", self.bc.msr().max_occupancy() as u64);
+        metrics.set_count("flash_reads", self.flash.stats().reads);
+        metrics.set_count("flash_read_bytes", self.flash.stats().read_bytes);
+        metrics.set_count("flash_writebacks", self.bc.stats().writebacks);
+        metrics.set_float("service_cv", self.service_stats.coefficient_of_variation());
+        metrics.set_float("miss_interval_us", miss_interval_us);
+        // Per-level on-chip + TLB hit-rate breakdown, with the raw
+        // access counts so rates can be re-weighted across runs.
+        metrics.set_float("l1_hit_rate", hit_rate(levels.l1_hits, levels.l1_misses));
+        metrics.set_float("l2_hit_rate", hit_rate(levels.l2_hits, levels.l2_misses));
+        metrics.set_float("llc_hit_rate", hit_rate(levels.llc_hits, levels.llc_misses));
+        metrics.set_float("tlb_hit_rate", hit_rate(tlb_hits, tlb_misses));
+        metrics.set_count("l1_accesses", levels.l1_hits + levels.l1_misses);
+        metrics.set_count("llc_accesses", levels.llc_hits + levels.llc_misses);
+        metrics.set_count("tlb_accesses", tlb_hits + tlb_misses);
+
+        RunReport {
+            configuration: self.configuration,
+            workload: self.cfg.workload.name(),
+            cores,
+            jobs_completed: self.measured_jobs,
+            measured_seconds: span,
+            throughput_jobs_per_sec: throughput,
+            mean_service_ns: self.service_ns.mean(),
+            p99_service_ns: self.service_ns.value_at(Percentile::P99),
+            p99_response_ns: self.response_ns.value_at(Percentile::P99),
+            miss_interval_us,
+            service_hist: self.service_ns,
+            response_hist: self.response_ns,
             events_processed: self.queue.popped_total(),
-            service_stats: self.service_stats,
-            level_totals: self.hierarchy.level_totals(),
-            tlb_hits: 0,
-            tlb_misses: 0,
             phases: self.phases,
             telemetry,
-        };
-        for c in &self.cores {
-            stats.tlb_hits += c.tlb.hits();
-            stats.tlb_misses += c.tlb.misses();
-            stats.dram_cache_misses += c.stats.dram_cache_misses;
-            stats.switches += c.stats.thread_switches;
-            stats.switch_overhead_ns += c.stats.switch_overhead_ns;
-            stats.blocked_ns += c.stats.blocked_ns;
-            stats.forced_synchronous += c.stats.forced_synchronous;
-            stats.pt_walk_flash_reads += c.stats.pt_walk_flash_reads;
+            metrics,
         }
-        stats
-    }
-
-    /// End-of-run simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
     }
 
     fn event_loop(&mut self) {
@@ -727,9 +678,8 @@ impl SystemSim {
         // smooth per-core arrivals into Erlang-k and flatten the tails.
         if let Some(arrivals) = &mut self.arrivals {
             let t = arrivals.next_arrival(&mut self.rng);
-            let target = self.rng.gen_range(self.cores.len() as u64) as usize;
-            self.next_arrival_core = target;
-            self.queue.schedule(t, Event::Arrival { core: target as u32 });
+            let target = self.rng.gen_range(self.cores.len() as u64) as u32;
+            self.queue.schedule(t, Event::Arrival { core: target });
         }
         if self.cores[core].running.is_none() {
             self.schedule_resume(core, now);
@@ -980,14 +930,8 @@ impl SystemSim {
             // Fetch the next step of the job without holding the borrow.
             enum Step {
                 Compute(u64),
-                /// One access through `do_access`: the forced-progress
-                /// path, which must retire its access even on a miss.
-                Access(MemoryAccess),
                 /// The op's remaining contiguous slab span, consumed as
-                /// a TLB+L1 hit run (DESIGN.md §15). Only fetched when
-                /// the thread is not in forced-progress state, so the
-                /// per-access `clear_forced` check is hoisted out of
-                /// the dominant hit path entirely.
+                /// a TLB+L1 hit run (DESIGN.md §15).
                 AccessRun { start: u32, len: u32 },
                 JobDone,
             }
@@ -1003,13 +947,9 @@ impl SystemSim {
                         th.compute_done = true;
                         Step::Compute(op.compute_ns)
                     } else if th.access_idx < op.access_len {
-                        if th.forced {
-                            Step::Access(buf.access(op.access_start + th.access_idx))
-                        } else {
-                            Step::AccessRun {
-                                start: op.access_start + th.access_idx,
-                                len: op.access_len - th.access_idx,
-                            }
+                        Step::AccessRun {
+                            start: op.access_start + th.access_idx,
+                            len: op.access_len - th.access_idx,
                         }
                     } else {
                         th.op_idx += 1;
@@ -1025,22 +965,6 @@ impl SystemSim {
                     let core = &mut self.cores[core_id];
                     core.rob.advance(ns);
                     t += SimDuration::from_ns(ns);
-                }
-                Step::Access(access) => {
-                    match self.do_access(core_id, slot, access, t) {
-                        AccessResult::Done(t2) => {
-                            t = t2;
-                            let th = self.cores[core_id].threads[slot]
-                                .as_mut()
-                                .expect("running");
-                            th.access_idx += 1;
-                        }
-                        AccessResult::Suspended(stopped) => {
-                            t = stopped;
-                            account_busy!();
-                            return;
-                        }
-                    }
                 }
                 Step::AccessRun { start: run_start, len } => {
                     match self.do_access_run(core_id, slot, run_start, len, t, start) {
@@ -1083,7 +1007,6 @@ impl SystemSim {
         self.cores[core_id].arena.release(th.job_slot);
         self.cores[core_id].cold[slot] = ThreadCold::default();
         self.cores[core_id].running = None;
-        self.cores[core_id].stats.jobs_done += 1;
         self.total_jobs += 1;
         if let Some(w) = self.telem_windows.as_deref_mut() {
             // Warmup completions are included deliberately: the warm-up
@@ -1116,15 +1039,11 @@ impl SystemSim {
         }
     }
 
-    /// Issues one memory access; returns the advanced time or suspends
-    /// the core (thread parked or blocked).
-    ///
-    /// The dominant case — TLB hit then L1 hit — is resolved inline with
-    /// two masked probes ([`Tlb::probe`], [`CacheHierarchy::l1_probe`])
-    /// and no outcome enum; every counter and replacement decision along
-    /// that path is identical to the full walk below, which handles the
-    /// miss cases in the historical order (TLB fill before the page-table
-    /// walk, so a walk that suspends retries as a TLB hit).
+    /// Serves an access whose TLB probe missed ([`RunStop::TlbMiss`]; a
+    /// missing probe changes no state): fills the TLB, walks the page
+    /// table, then takes the full on-chip walk. The TLB is filled before
+    /// the walk, as the hardware installs the walker's result, so a walk
+    /// that suspends retries as a TLB hit.
     fn do_access(
         &mut self,
         core_id: usize,
@@ -1133,35 +1052,12 @@ impl SystemSim {
         mut t: SimTime,
     ) -> AccessResult {
         let _prof = prof_scope(ProfScope::DoAccess);
-        let MemoryAccess {
-            addr,
-            vpn,
-            is_write,
-            ..
-        } = access;
-        if self.cores[core_id].tlb.probe(vpn) {
-            if self.hierarchy.l1_probe(core_id, addr, is_write) {
-                let lat = self.hierarchy.config().l1_latency_ns;
-                t += SimDuration::from_ns(effective_stall_ns(lat));
-                self.clear_forced(core_id, slot);
-                return AccessResult::Done(t);
-            }
-            // Translation cached but L1 missed: finish the walk the L1
-            // probe started.
-            let outcome = self.hierarchy.miss_walk(core_id, addr, is_write);
-            return self.finish_access(core_id, slot, access, outcome, t);
-        }
-
-        // 1. Address translation (the TLB is filled before the walk, as
-        //    the hardware installs the walker's result).
-        self.cores[core_id].tlb.miss_fill(vpn);
-        match self.walk_page_table(core_id, slot, vpn, t) {
+        self.cores[core_id].tlb.miss_fill(access.vpn);
+        match self.walk_page_table(core_id, slot, access.vpn, t) {
             WalkResult::Done(t2) => t = t2,
             WalkResult::Suspended(stopped) => return AccessResult::Suspended(stopped),
         }
-
-        // 2. On-chip hierarchy.
-        let outcome = self.hierarchy.access(core_id, addr, is_write);
+        let outcome = self.hierarchy.access(core_id, access.addr, access.is_write);
         self.finish_access(core_id, slot, access, outcome, t)
     }
 
@@ -1169,10 +1065,12 @@ impl SystemSim {
     /// leading TLB-hit+L1-hit run of the running thread's remaining
     /// accesses (`run_len` slab entries starting at `run_start`) with
     /// [`hit_run::scan`], then hands the first non-hit access — if it
-    /// falls inside the slice budget — to the scalar miss machinery.
+    /// falls inside the slice budget — to the miss machinery: a TLB miss
+    /// to [`SystemSim::do_access`], an L1 miss to the on-chip walk the
+    /// L1 probe started.
     ///
-    /// The result equals `run_len` per-access steps of
-    /// [`SystemSim::do_access`] because:
+    /// The result equals a per-access loop that probes the TLB, then
+    /// the L1, and stops at the first miss, because:
     ///
     /// * the run is capped by [`hit_run::run_cap`] to the accesses the
     ///   slice budget admits, so no probe is issued that a per-access
@@ -1181,9 +1079,9 @@ impl SystemSim {
     ///   probe loop does (checked by its unit test);
     /// * every hit charges the same `effective_stall_ns(l1_latency)`,
     ///   so one multiply advances time exactly as N scalar additions;
-    /// * the caller only fetches a run when the thread is not in
-    ///   forced-progress state, where `clear_forced` is a no-op — the
-    ///   per-access branch is hoisted, not skipped.
+    /// * a hit retires its access, so a forced-progress thread's bit is
+    ///   cleared once the run consumed one, before the stop access is
+    ///   served — where the per-access loop clears it at its first hit.
     fn do_access_run(
         &mut self,
         core_id: usize,
@@ -1214,47 +1112,37 @@ impl SystemSim {
         // accumulated stall once (per-access value × count — identical
         // to N scalar additions of the same rounded per-access stall).
         let t2 = t + SimDuration::from_ns(per * consumed as u64);
-        self.cores[core_id].threads[slot]
+        let th = self.cores[core_id].threads[slot]
             .as_mut()
-            .expect("running thread")
-            .access_idx += consumed;
+            .expect("running thread");
+        th.access_idx += consumed;
+        if consumed > 0 {
+            th.forced = false;
+        }
 
-        match stop {
-            RunStop::Exhausted => AccessResult::Done(t2),
+        // A miss stops the scan within budget by construction
+        // (consumed < cap).
+        let result = match stop {
+            RunStop::Exhausted => return AccessResult::Done(t2),
             RunStop::TlbMiss => {
-                // Within budget by construction (consumed < cap). The
-                // scalar path re-probes the TLB, which on a miss is
-                // stateless, then fills and walks as usual.
                 let access = stop_access.expect("miss access is inside the span");
-                match self.do_access(core_id, slot, access, t2) {
-                    AccessResult::Done(t3) => {
-                        self.cores[core_id].threads[slot]
-                            .as_mut()
-                            .expect("running thread")
-                            .access_idx += 1;
-                        AccessResult::Done(t3)
-                    }
-                    suspended => suspended,
-                }
+                self.do_access(core_id, slot, access, t2)
             }
             RunStop::L1Miss => {
                 // Translation already probed (hit); finish the walk the
-                // L1 probe started — the same continuation `do_access`
-                // takes on its TLB-hit/L1-miss path.
+                // L1 probe started.
                 let access = stop_access.expect("miss access is inside the span");
                 let outcome = self.hierarchy.miss_walk(core_id, access.addr, access.is_write);
-                match self.finish_access(core_id, slot, access, outcome, t2) {
-                    AccessResult::Done(t3) => {
-                        self.cores[core_id].threads[slot]
-                            .as_mut()
-                            .expect("running thread")
-                            .access_idx += 1;
-                        AccessResult::Done(t3)
-                    }
-                    suspended => suspended,
-                }
+                self.finish_access(core_id, slot, access, outcome, t2)
             }
+        };
+        if let AccessResult::Done(_) = result {
+            self.cores[core_id].threads[slot]
+                .as_mut()
+                .expect("running thread")
+                .access_idx += 1;
         }
+        result
     }
 
     /// Applies an on-chip outcome: charge the latency, then either finish
@@ -1645,49 +1533,56 @@ mod tests {
     use super::*;
     use crate::telemetry::TelemetryCfg;
 
-    fn quick(cfg: Configuration) -> SystemStats {
+    const QUICK: Load = Load::Closed { jobs_per_core: 40 };
+
+    fn quick(cfg: Configuration) -> RunReport {
         let config = SystemConfig::default().with_cores(2).scaled_for_tests();
-        SystemSim::new(config, cfg, 7).run_closed_loop(40)
+        SystemSim::new(config, cfg, 7).run(QUICK)
+    }
+
+    fn count(r: &RunReport, name: &str) -> u64 {
+        r.metrics.count(name).expect("every run reports its counts")
     }
 
     #[test]
     fn dram_only_completes_jobs() {
-        let stats = quick(Configuration::DramOnly);
-        assert!(stats.measured_jobs >= 80);
-        assert_eq!(stats.dram_cache_misses, 0);
-        assert!(stats.service_ns.mean() > 0.0);
+        let r = quick(Configuration::DramOnly);
+        assert!(r.jobs_completed >= 80);
+        assert_eq!(count(&r, "dram_cache_misses"), 0);
+        assert!(r.mean_service_ns > 0.0);
     }
 
     #[test]
     fn astriflash_misses_and_switches() {
-        let stats = quick(Configuration::AstriFlash);
-        assert!(stats.measured_jobs > 0);
-        assert!(stats.dram_cache_misses > 0, "flash-backed run must miss");
-        assert!(stats.switches > 0);
+        let r = quick(Configuration::AstriFlash);
+        assert!(r.jobs_completed > 0);
+        assert!(count(&r, "dram_cache_misses") > 0, "flash-backed run must miss");
+        assert!(count(&r, "switches") > 0);
     }
 
     #[test]
     fn flash_sync_blocks_instead_of_switching() {
-        let stats = quick(Configuration::FlashSync);
-        assert!(stats.blocked_ns > 0, "Flash-Sync must block on flash");
+        let r = quick(Configuration::FlashSync);
+        let blocked = r.metrics.float("blocked_total").expect("blocked time is reported");
+        assert!(blocked > 0.0, "Flash-Sync must block on flash");
     }
 
     #[test]
     fn deterministic_across_runs() {
         let a = quick(Configuration::AstriFlash);
         let b = quick(Configuration::AstriFlash);
-        assert_eq!(a.measured_jobs, b.measured_jobs);
-        assert_eq!(a.dram_cache_misses, b.dram_cache_misses);
-        assert_eq!(a.service_ns.mean(), b.service_ns.mean());
+        assert_eq!(a.jobs_completed, b.jobs_completed);
+        assert_eq!(count(&a, "dram_cache_misses"), count(&b, "dram_cache_misses"));
+        assert_eq!(a.mean_service_ns.to_bits(), b.mean_service_ns.to_bits());
     }
 
     /// Gauge lanes per name in a traced run of `config`.
-    fn traced_gauges(config: SystemConfig) -> (SystemStats, Vec<(&'static str, u32)>) {
+    fn traced_gauges(config: SystemConfig) -> (RunReport, Vec<(&'static str, u32)>) {
         use astriflash_trace::EventKind;
         let tracer = Tracer::ring(1 << 16);
         let mut sim = SystemSim::new(config, Configuration::AstriFlash, 7);
         sim.set_tracer(tracer.clone());
-        let stats = sim.run_closed_loop(40);
+        let report = sim.run(QUICK);
         let evs = tracer.finish();
         assert!(evs.iter().any(|e| e.name == "miss"));
         let mut gauges: Vec<(&'static str, u32)> = evs
@@ -1699,7 +1594,7 @@ mod tests {
             .collect();
         gauges.sort_unstable();
         gauges.dedup();
-        (stats, gauges)
+        (report, gauges)
     }
 
     #[test]
@@ -1710,13 +1605,8 @@ mod tests {
             .scaled_for_tests()
             .with_telemetry(TelemetryCfg::default().with_window_ns(10_000));
         let (traced, gauges) = traced_gauges(config);
-        assert_eq!(plain.measured_jobs, traced.measured_jobs);
-        assert_eq!(plain.ended_at, traced.ended_at);
+        assert_eq!(plain.render(), traced.render());
         assert_eq!(plain.events_processed, traced.events_processed);
-        assert_eq!(
-            plain.service_ns.mean().to_bits(),
-            traced.service_ns.mean().to_bits()
-        );
         assert!(gauges.contains(&("msr_occupancy", 0)));
         for core in 0..2 {
             assert!(gauges.contains(&("win_core_util", core)), "core {core}");
@@ -1747,13 +1637,13 @@ mod tests {
 
     #[test]
     fn events_processed_counts_the_run() {
-        let stats = quick(Configuration::AstriFlash);
+        let r = quick(Configuration::AstriFlash);
         assert!(
-            stats.events_processed > stats.measured_jobs,
+            r.events_processed > r.jobs_completed,
             "every job takes at least one event"
         );
         let again = quick(Configuration::AstriFlash);
-        assert_eq!(stats.events_processed, again.events_processed);
+        assert_eq!(r.events_processed, again.events_processed);
     }
 
     #[test]
@@ -1779,9 +1669,11 @@ mod tests {
     #[test]
     fn open_loop_measures_response_time() {
         let config = SystemConfig::default().with_cores(2).scaled_for_tests();
-        let stats =
-            SystemSim::new(config, Configuration::AstriFlash, 9).run_open_loop(30_000.0, 100);
-        assert!(stats.measured_jobs > 0);
-        assert!(stats.response_ns.mean() >= stats.service_ns.mean() * 0.5);
+        let r = SystemSim::new(config, Configuration::AstriFlash, 9).run(Load::Open {
+            mean_interarrival_ns: 30_000.0,
+            total_jobs: 100,
+        });
+        assert!(r.jobs_completed > 0);
+        assert!(r.response_hist.mean() >= r.service_hist.mean() * 0.5);
     }
 }

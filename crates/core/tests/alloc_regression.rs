@@ -15,7 +15,7 @@
 static ALLOC: astriflash_prof::CountingAlloc = astriflash_prof::CountingAlloc;
 
 use astriflash_core::config::{Configuration, SystemConfig};
-use astriflash_core::experiment::Experiment;
+use astriflash_core::sweep::Cell;
 use astriflash_prof::Scope;
 use astriflash_workloads::WorkloadKind;
 
@@ -67,15 +67,15 @@ const LONG_JOBS: u64 = 400;
 
 /// Per-scope allocation totals of one run and the MSR's peak occupancy.
 fn hot_allocs(kind: WorkloadKind, jobs_per_core: u64) -> (astriflash_prof::Report, u64) {
-    let prepared = Experiment::new(
+    let prepared = Cell::closed(
         SystemConfig::default()
             .with_cores(2)
             .scaled_for_tests()
             .with_workload(kind),
         Configuration::AstriFlash,
+        9,
+        jobs_per_core,
     )
-    .seed(9)
-    .jobs_per_core(jobs_per_core)
     .prepare();
     // The session opens after prepare() so construction and DRAM prewarm
     // are excluded: only the run itself is attributed.

@@ -24,17 +24,15 @@
 //! and its constant stay paired.
 
 use astriflash_core::config::{Configuration, SystemConfig};
-use astriflash_core::experiment::{Experiment, Load, RunReport};
+use astriflash_core::experiment::{Load, RunReport};
+use astriflash_core::sweep::Cell;
 use astriflash_stats::Phase;
 use astriflash_testkit::TestRng;
 use astriflash_workloads::WorkloadKind;
 
 struct Case {
     label: String,
-    cfg: SystemConfig,
-    configuration: Configuration,
-    seed: u64,
-    load: Load,
+    cell: Cell,
 }
 
 /// FNV-1a over everything a probe-set divergence could move.
@@ -68,10 +66,7 @@ fn check(cases: Vec<Case>, pinned: &[u64]) {
     assert_eq!(cases.len(), pinned.len(), "one pinned digest per case");
     let mut actual = Vec::with_capacity(cases.len());
     for case in &cases {
-        let report = Experiment::new(case.cfg.clone(), case.configuration)
-            .seed(case.seed)
-            .load(case.load)
-            .run();
+        let report = case.cell.run();
         assert!(
             report.jobs_completed > 0,
             "{}: vacuous run, nothing was measured",
@@ -110,10 +105,7 @@ fn astriflash_cases(
             let cfg = tweak(g, base_cfg());
             Case {
                 label: format!("{name} seed={seed}"),
-                cfg,
-                configuration: Configuration::AstriFlash,
-                seed,
-                load: Load::Closed { jobs_per_core },
+                cell: Cell::closed(cfg, Configuration::AstriFlash, seed, jobs_per_core),
             }
         })
         .collect()
@@ -162,13 +154,15 @@ fn random_configs_match_pinned_digests() {
                     "{configuration:?}/{workload:?} tlb=({tlb_entries},{tlb_ways}) \
                      thr={threads} seed={seed}"
                 ),
-                cfg: base_cfg()
-                    .with_workload(workload)
-                    .with_tlb_geometry(tlb_entries, tlb_ways)
-                    .with_threads_per_core(threads),
-                configuration,
-                seed,
-                load,
+                cell: Cell {
+                    cfg: base_cfg()
+                        .with_workload(workload)
+                        .with_tlb_geometry(tlb_entries, tlb_ways)
+                        .with_threads_per_core(threads),
+                    configuration,
+                    seed,
+                    load,
+                },
             }
         })
         .collect();

@@ -8,16 +8,17 @@
 //! bit pattern, the full rendered report compared as a string.
 
 use astriflash_core::config::{Configuration, SystemConfig};
-use astriflash_core::experiment::{Experiment, RunReport};
+use astriflash_core::experiment::RunReport;
+use astriflash_core::sweep::Cell;
 use astriflash_prof::Scope;
 
 fn run(config: Configuration) -> RunReport {
-    Experiment::new(
+    Cell::closed(
         SystemConfig::default().with_cores(2).scaled_for_tests(),
         config,
+        7,
+        40,
     )
-    .seed(7)
-    .jobs_per_core(40)
     .run()
 }
 
@@ -62,16 +63,14 @@ fn profiling_does_not_perturb_the_run() {
 
 #[test]
 fn profiling_a_prepared_run_changes_nothing() {
-    let cfg = SystemConfig::default().with_cores(2).scaled_for_tests();
-    let plain = Experiment::new(cfg.clone(), Configuration::AstriFlash)
-        .seed(11)
-        .jobs_per_core(30)
-        .prepare()
-        .run();
-    let prepared = Experiment::new(cfg, Configuration::AstriFlash)
-        .seed(11)
-        .jobs_per_core(30)
-        .prepare();
+    let cell = Cell::closed(
+        SystemConfig::default().with_cores(2).scaled_for_tests(),
+        Configuration::AstriFlash,
+        11,
+        30,
+    );
+    let plain = cell.prepare().run();
+    let prepared = cell.prepare();
     let session = astriflash_prof::begin();
     let profiled = prepared.run();
     let report = session.finish();

@@ -143,7 +143,7 @@ pub struct FlashReadTiming {
     /// When the channel transfer completed.
     pub transfer_done: SimTime,
     /// When the data is available at the host (transfer + controller
-    /// overhead) — the value `read_bytes` returns.
+    /// overhead) — the value [`FlashDevice::read`] returns.
     pub done: SimTime,
 }
 
@@ -223,19 +223,13 @@ impl FlashDevice {
     /// Reads a 4 KiB logical page; returns when the data has fully
     /// arrived at the host.
     pub fn read(&mut self, now: SimTime, logical_page: u64) -> SimTime {
-        self.read_bytes(now, logical_page, FlashConfig::PAGE_BYTES)
+        self.read_bytes_timed(now, logical_page, FlashConfig::PAGE_BYTES).done
     }
 
-    /// Partial-page read: the array access costs full tR, but only
-    /// `bytes` cross the channel (the footprint-cache optimization,
-    /// §II-A — bandwidth, not latency, is what footprints save).
-    pub fn read_bytes(&mut self, now: SimTime, logical_page: u64, bytes: u64) -> SimTime {
-        self.read_bytes_timed(now, logical_page, bytes).done
-    }
-
-    /// [`FlashDevice::read_bytes`] with a per-phase timing breakdown of
-    /// the read, for latency attribution. Timing, statistics, RNG draws
-    /// and trace emission are identical to `read_bytes`.
+    /// Partial-page read with a per-phase timing breakdown, for latency
+    /// attribution: the array access costs full tR, but only `bytes`
+    /// cross the channel (the footprint-cache optimization, §II-A —
+    /// bandwidth, not latency, is what footprints save).
     pub fn read_bytes_timed(
         &mut self,
         now: SimTime,

@@ -38,8 +38,6 @@ pub struct DramBanks {
     timings: DramTimings,
     busy_until: Vec<SimTime>,
     open_row: Vec<Option<u64>>,
-    row_hits: u64,
-    row_misses: u64,
 }
 
 impl DramBanks {
@@ -54,18 +52,16 @@ impl DramBanks {
             timings,
             busy_until: vec![SimTime::ZERO; banks],
             open_row: vec![None; banks],
-            row_hits: 0,
-            row_misses: 0,
         }
     }
 
     /// Number of banks.
-    pub fn num_banks(&self) -> usize {
+    fn num_banks(&self) -> usize {
         self.busy_until.len()
     }
 
     /// The bank servicing `row`.
-    pub fn bank_of(&self, row: u64) -> usize {
+    fn bank_of(&self, row: u64) -> usize {
         (row % self.num_banks() as u64) as usize
     }
 
@@ -73,67 +69,34 @@ impl DramBanks {
     /// one burst each, starting no earlier than `now`. Returns the
     /// completion time.
     pub fn access_row(&mut self, now: SimTime, row: u64, cas_ops: u32) -> SimTime {
-        let bank = self.bank_of(row);
         let t = self.timings;
-        let start = self.busy_until[bank].max(now);
-        let mut d = SimDuration::ZERO;
-        match self.open_row[bank] {
-            Some(open) if open == row => {
-                self.row_hits += 1;
-            }
-            Some(_) => {
-                self.row_misses += 1;
-                d += SimDuration::from_ns(t.t_precharge_ns + t.t_activate_ns);
-            }
-            None => {
-                self.row_misses += 1;
-                d += SimDuration::from_ns(t.t_activate_ns);
-            }
-        }
-        self.open_row[bank] = Some(row);
-        d += SimDuration::from_ns((t.t_cas_ns + t.t_burst_ns) * cas_ops as u64);
-        self.busy_until[bank] = start + d;
-        self.busy_until[bank]
+        self.open_and_occupy(now, row, (t.t_cas_ns + t.t_burst_ns) * cas_ops as u64)
     }
 
     /// Streaming access: opens `row` (if needed), pays one CAS, then
     /// pipelines `bursts` back-to-back 64 B bursts — the cost model for
     /// reading or writing a whole 4 KiB page within one open row.
     pub fn access_row_stream(&mut self, now: SimTime, row: u64, bursts: u32) -> SimTime {
+        let t = self.timings;
+        self.open_and_occupy(now, row, t.t_cas_ns + t.t_burst_ns * bursts as u64)
+    }
+
+    /// The open-row step both accesses share: starting no earlier than
+    /// `now` and the bank's last command, opens `row` (an open row skips
+    /// the activate; a different one pays the precharge too), then
+    /// holds the bank for `column_ns`. Returns the completion time.
+    fn open_and_occupy(&mut self, now: SimTime, row: u64, column_ns: u64) -> SimTime {
         let bank = self.bank_of(row);
         let t = self.timings;
-        let start = self.busy_until[bank].max(now);
-        let mut d = SimDuration::ZERO;
-        match self.open_row[bank] {
-            Some(open) if open == row => self.row_hits += 1,
-            Some(_) => {
-                self.row_misses += 1;
-                d += SimDuration::from_ns(t.t_precharge_ns + t.t_activate_ns);
-            }
-            None => {
-                self.row_misses += 1;
-                d += SimDuration::from_ns(t.t_activate_ns);
-            }
-        }
+        let open_ns = match self.open_row[bank] {
+            Some(open) if open == row => 0,
+            Some(_) => t.t_precharge_ns + t.t_activate_ns,
+            None => t.t_activate_ns,
+        };
         self.open_row[bank] = Some(row);
-        d += SimDuration::from_ns(t.t_cas_ns + t.t_burst_ns * bursts as u64);
-        self.busy_until[bank] = start + d;
+        let start = self.busy_until[bank].max(now);
+        self.busy_until[bank] = start + SimDuration::from_ns(open_ns + column_ns);
         self.busy_until[bank]
-    }
-
-    /// Row-buffer hit count.
-    pub fn row_hits(&self) -> u64 {
-        self.row_hits
-    }
-
-    /// Row-buffer miss count.
-    pub fn row_misses(&self) -> u64 {
-        self.row_misses
-    }
-
-    /// The timing parameters.
-    pub fn timings(&self) -> DramTimings {
-        self.timings
     }
 }
 
@@ -147,7 +110,6 @@ mod tests {
         let done = b.access_row(SimTime::ZERO, 0, 1);
         // activate + cas + burst = 14 + 14 + 4.
         assert_eq!(done.as_ns(), 32);
-        assert_eq!(b.row_misses(), 1);
     }
 
     #[test]
@@ -156,7 +118,6 @@ mod tests {
         let first = b.access_row(SimTime::ZERO, 0, 1);
         let second = b.access_row(first, 0, 1);
         assert_eq!((second - first).as_ns(), 18, "cas + burst only");
-        assert_eq!(b.row_hits(), 1);
     }
 
     #[test]

@@ -146,8 +146,8 @@ impl CacheHierarchy {
         self.miss_walk(core, addr, is_write)
     }
 
-    /// L1 hit-path probe for composed fast paths (e.g. the combined
-    /// TLB+L1 check in the system's `do_access`): returns whether `addr`
+    /// Scalar L1 hit-path probe, the per-access reference for
+    /// [`CacheHierarchy::l1_probe_run`]: returns whether `addr`
     /// hit `core`'s L1 — state and counters update exactly as the hit
     /// arm of [`CacheHierarchy::access`] — without constructing an
     /// outcome. On `false` nothing was touched; the caller must finish

@@ -43,8 +43,6 @@ pub struct MissStatusRow {
     ways: usize,
     occupancy: usize,
     max_occupancy: usize,
-    duplicates: u64,
-    full_rejections: u64,
     /// Recycled waiter vectors: completed entries return their (cleared)
     /// allocation here so steady-state admission never allocates.
     waiter_pool: Vec<Vec<Waiter>>,
@@ -66,8 +64,6 @@ impl MissStatusRow {
             ways,
             occupancy: 0,
             max_occupancy: 0,
-            duplicates: 0,
-            full_rejections: 0,
             waiter_pool: Vec::new(),
         }
     }
@@ -83,11 +79,9 @@ impl MissStatusRow {
         let set = &mut self.sets[set_idx];
         if let Some(e) = set.iter_mut().find(|e| e.page == page) {
             e.waiters.push(waiter);
-            self.duplicates += 1;
             return MsrAdmission::Duplicate;
         }
         if set.len() >= ways {
-            self.full_rejections += 1;
             return MsrAdmission::Full;
         }
         let mut waiters = self.waiter_pool.pop().unwrap_or_default();
@@ -128,16 +122,6 @@ impl MissStatusRow {
         self.max_occupancy
     }
 
-    /// Requests deduplicated against an in-flight miss.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Admissions rejected because the target set was full.
-    pub fn full_rejections(&self) -> u64 {
-        self.full_rejections
-    }
-
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
         self.sets.len() * self.ways
@@ -163,7 +147,6 @@ mod tests {
         assert_eq!(waiters, vec![W0, W1]);
         assert!(!msr.is_pending(10));
         assert_eq!(msr.occupancy(), 0);
-        assert_eq!(msr.duplicates(), 1);
     }
 
     #[test]
@@ -172,7 +155,6 @@ mod tests {
         // Pages 0 and 2 map to set 0 (mod 2).
         assert_eq!(msr.admit(0, W0), MsrAdmission::Inserted);
         assert_eq!(msr.admit(2, W0), MsrAdmission::Full);
-        assert_eq!(msr.full_rejections(), 1);
         // Other set unaffected.
         assert_eq!(msr.admit(1, W0), MsrAdmission::Inserted);
         // Completion frees the way.

@@ -1,11 +1,10 @@
 //! Counting global-allocator wrapper.
 //!
 //! [`CountingAlloc`] forwards every call to the system allocator and, when
-//! the `alloc-count` feature is on and a profiling session is active,
-//! charges the allocation to the innermost active scope of the allocating
-//! thread. `realloc` growth is charged as one event for the grown delta;
-//! frees are not tracked (the profiler answers "who allocates on the hot
-//! path", not "what is live").
+//! a profiling session is active, charges the allocation to the innermost
+//! active scope of the allocating thread. `realloc` growth is charged as
+//! one event for the grown delta; frees are not tracked (the profiler
+//! answers "who allocates on the hot path", not "what is live").
 //!
 //! Binaries opt in explicitly:
 //!
@@ -27,7 +26,6 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
-        #[cfg(feature = "alloc-count")]
         if !ptr.is_null() {
             crate::tree::note_alloc(layout.size() as u64);
         }
@@ -36,7 +34,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc_zeroed(layout);
-        #[cfg(feature = "alloc-count")]
         if !ptr.is_null() {
             crate::tree::note_alloc(layout.size() as u64);
         }
@@ -45,7 +42,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = System.realloc(ptr, layout, new_size);
-        #[cfg(feature = "alloc-count")]
         if !new_ptr.is_null() && new_size > layout.size() {
             crate::tree::note_alloc((new_size - layout.size()) as u64);
         }

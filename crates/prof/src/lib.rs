@@ -17,10 +17,10 @@
 //!   `prof.overhead_pct`, which `perf_gate` caps (DESIGN.md §12).
 //! * **Allocation attribution.** [`CountingAlloc`] wraps the system
 //!   allocator and charges each allocation to the innermost active scope of
-//!   the allocating thread (feature `alloc-count`, default on). Binaries opt
-//!   in with `#[global_allocator]`; the profiler's own bookkeeping is
-//!   excluded by construction (it allocates only while the thread-local
-//!   state is borrowed, which the counter detects and skips).
+//!   the allocating thread. Binaries opt in with `#[global_allocator]`;
+//!   the profiler's own bookkeeping is excluded by construction (it
+//!   allocates only while the thread-local state is borrowed, which the
+//!   counter detects and skips).
 //!
 //! # Example
 //!
@@ -70,7 +70,8 @@ pub enum Scope {
     SchedulerPick = 5,
     /// Job generation into a recycled arena slot (`fill_job`).
     FillJob = 6,
-    /// Single-access fast path (fused TLB+L1 probe and memory path).
+    /// An access whose TLB probe missed: TLB fill, page walk and the
+    /// memory path (`do_access`).
     DoAccess = 7,
     /// Batched TLB+L1 hit-run interpreter (`do_access_run`).
     AccessRun = 8,

@@ -142,12 +142,6 @@ impl JobBuf {
         self.ops[idx as usize]
     }
 
-    /// The `idx`-th slab access (copied; 24 bytes).
-    #[inline]
-    pub fn access(&self, idx: u32) -> MemoryAccess {
-        self.accesses[idx as usize]
-    }
-
     /// All ops in program order.
     pub fn ops(&self) -> &[FlatOp] {
         &self.ops
@@ -299,7 +293,7 @@ mod tests {
         assert_eq!(buf.op(0), FlatOp { compute_ns: 100, access_start: 0, access_len: 2 });
         assert_eq!(buf.op(1), FlatOp { compute_ns: 50, access_start: 2, access_len: 0 });
         assert_eq!(buf.op(2), FlatOp { compute_ns: 25, access_start: 2, access_len: 1 });
-        assert_eq!(buf.access(2).addr, 128);
+        assert_eq!(buf.accesses()[2].addr, 128);
         assert!(!buf.is_empty());
     }
 

@@ -18,14 +18,9 @@ fn main() {
 
     println!("building engines and simulating (seed 42)...\n");
 
-    let dram = Experiment::new(config.clone(), Configuration::DramOnly)
-        .seed(42)
-        .jobs_per_core(200)
-        .run();
-    let astri = Experiment::new(config.clone(), Configuration::AstriFlash)
-        .seed(42)
-        .jobs_per_core(200)
-        .run();
+    let (seed, jobs_per_core) = (42, 200);
+    let dram = Cell::closed(config.clone(), Configuration::DramOnly, seed, jobs_per_core).run();
+    let astri = Cell::closed(config, Configuration::AstriFlash, seed, jobs_per_core).run();
 
     println!("DRAM-only:");
     println!("{}", dram.render());

@@ -32,10 +32,7 @@ fn main() {
         Configuration::AstriFlashIdeal,
         Configuration::AstriFlashNoPS,
     ] {
-        let r = Experiment::new(config.clone(), conf)
-            .seed(3)
-            .jobs_per_core(250)
-            .run();
+        let r = Cell::closed(config.clone(), conf, 3, 250).run();
         t.row_owned(vec![
             conf.name().to_string(),
             format!("{:.0}", r.throughput_jobs_per_sec),

@@ -16,10 +16,7 @@ fn main() {
         .scaled_for_tests();
 
     // Measure the DRAM-only saturation point first.
-    let sat = Experiment::new(config.clone(), Configuration::DramOnly)
-        .seed(7)
-        .jobs_per_core(300)
-        .run();
+    let sat = Cell::closed(config.clone(), Configuration::DramOnly, 7, 300).run();
     let saturation = sat.throughput_jobs_per_sec;
     let base_service = sat.mean_service_ns;
     println!(
@@ -31,10 +28,7 @@ fn main() {
     for load in [0.3, 0.5, 0.7, 0.85] {
         let interarrival_ns = 1e9 / (load * saturation);
         let p99_norm = |conf: Configuration| {
-            let r = Experiment::new(config.clone(), conf)
-                .seed(7)
-                .open_loop(interarrival_ns, 1_500)
-                .run();
+            let r = Cell::open(config.clone(), conf, 7, interarrival_ns, 1_500).run();
             r.p99_response_ns as f64 / base_service
         };
         table.row_owned(vec![

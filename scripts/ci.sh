@@ -9,6 +9,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
+echo "==> examples: run each once"
+# The build above only compiles them; a non-zero exit fails here. Each
+# takes well under a second.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "    $name"
+  "./target/release/examples/$name" > /dev/null
+done
+
 echo "==> cargo test (fast lane: kernel and memory-path crates)"
 # The event-queue and FTL reference models and the SoA cache/TLB
 # differential suites live here; running them first gives the quickest

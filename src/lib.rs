@@ -8,10 +8,9 @@
 //! use astriflash::prelude::*;
 //!
 //! let config = SystemConfig::default().with_cores(4);
-//! let report = Experiment::new(config, Configuration::AstriFlash)
-//!     .seed(1)
-//!     .jobs_per_core(50)
-//!     .run();
+//! let seed = 1;
+//! let jobs_per_core = 50;
+//! let report = Cell::closed(config, Configuration::AstriFlash, seed, jobs_per_core).run();
 //! assert!(report.throughput_jobs_per_sec > 0.0);
 //! ```
 
@@ -31,7 +30,8 @@ pub use astriflash_workloads as workloads;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use astriflash_core::config::{Configuration, SystemConfig};
-    pub use astriflash_core::experiment::{Experiment, RunReport};
+    pub use astriflash_core::experiment::RunReport;
+    pub use astriflash_core::sweep::Cell;
     pub use astriflash_core::queueing::{mm1_p99, mmk_p99, QueueModel};
     pub use astriflash_sim::{SimDuration, SimRng, SimTime};
     pub use astriflash_stats::{Histogram, Percentile};

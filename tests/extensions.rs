@@ -14,16 +14,13 @@ fn cfg() -> SystemConfig {
 
 #[test]
 fn footprint_mode_trades_bytes_for_fetches() {
-    let base = Experiment::new(cfg(), Configuration::AstriFlash)
-        .seed(3)
-        .jobs_per_core(120)
-        .run();
-    let fp = Experiment::new(
+    let base = Cell::closed(cfg(), Configuration::AstriFlash, 3, 120).run();
+    let fp = Cell::closed(
         cfg().with_footprint_cache(true),
         Configuration::AstriFlash,
+        3,
+        120,
     )
-    .seed(3)
-    .jobs_per_core(120)
     .run();
 
     let bytes_per_read = |r: &RunReport| {
@@ -43,10 +40,13 @@ fn footprint_mode_trades_bytes_for_fetches() {
 #[test]
 fn footprint_mode_is_deterministic_too() {
     let run = || {
-        Experiment::new(cfg().with_footprint_cache(true), Configuration::AstriFlash)
-            .seed(11)
-            .jobs_per_core(80)
-            .run()
+        Cell::closed(
+            cfg().with_footprint_cache(true),
+            Configuration::AstriFlash,
+            11,
+            80,
+        )
+        .run()
     };
     let a = run();
     let b = run();
@@ -59,10 +59,7 @@ fn footprint_mode_is_deterministic_too() {
 
 #[test]
 fn metrics_surface_is_complete() {
-    let r = Experiment::new(cfg(), Configuration::AstriFlash)
-        .seed(5)
-        .jobs_per_core(60)
-        .run();
+    let r = Cell::closed(cfg(), Configuration::AstriFlash, 5, 60).run();
     for key in [
         "jobs_measured",
         "throughput_jobs_per_sec",

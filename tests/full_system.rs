@@ -11,10 +11,7 @@ fn test_config(cores: usize) -> SystemConfig {
 }
 
 fn run(conf: Configuration, seed: u64) -> RunReport {
-    Experiment::new(test_config(2), conf)
-        .seed(seed)
-        .jobs_per_core(120)
-        .run()
+    Cell::closed(test_config(2), conf, seed, 120).run()
 }
 
 #[test]
@@ -79,12 +76,12 @@ fn all_jobs_complete_and_histograms_are_populated() {
 fn miss_interval_lands_in_paper_band_at_scale() {
     // §V-A: "the benchmarks trigger a DRAM-cache miss every 5-25 µs".
     // Verified at the full default scale for the Fig. 10 workload.
-    let r = Experiment::new(
+    let r = Cell::closed(
         SystemConfig::default().with_cores(4),
         Configuration::AstriFlash,
+        3,
+        150,
     )
-    .seed(3)
-    .jobs_per_core(150)
     .run();
     assert!(
         (4.0..40.0).contains(&r.miss_interval_us),
@@ -122,10 +119,7 @@ fn service_time_includes_flash_waits() {
 fn open_loop_response_includes_queueing() {
     let cfg = test_config(2);
     // Load the system heavily: response must exceed service.
-    let r = Experiment::new(cfg, Configuration::DramOnly)
-        .seed(17)
-        .open_loop(9_000.0, 300)
-        .run();
+    let r = Cell::open(cfg, Configuration::DramOnly, 17, 9_000.0, 300).run();
     assert!(r.p99_response_ns >= r.p99_service_ns);
     assert!(r.response_hist.mean() >= r.service_hist.mean());
 }
@@ -153,14 +147,8 @@ fn nodp_pays_flash_page_table_walks() {
 
 #[test]
 fn more_cores_scale_throughput_for_astriflash() {
-    let two = Experiment::new(test_config(2), Configuration::AstriFlash)
-        .seed(23)
-        .jobs_per_core(120)
-        .run();
-    let four = Experiment::new(test_config(4), Configuration::AstriFlash)
-        .seed(23)
-        .jobs_per_core(120)
-        .run();
+    let two = Cell::closed(test_config(2), Configuration::AstriFlash, 23, 120).run();
+    let four = Cell::closed(test_config(4), Configuration::AstriFlash, 23, 120).run();
     assert!(
         four.throughput_jobs_per_sec > two.throughput_jobs_per_sec * 1.5,
         "AstriFlash should scale: {} -> {}",

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use astriflash::core::config::{Configuration, SystemConfig};
-use astriflash::core::sweep::{Cell, Sweep};
+use astriflash::core::sweep::Sweep;
 use astriflash::prelude::*;
 use astriflash::trace::{export, json, EventKind, TraceEvent, Tracer};
 
@@ -18,11 +18,8 @@ fn cfg() -> SystemConfig {
 
 fn traced_run(seed: u64) -> (RunReport, Vec<TraceEvent>) {
     let tracer = Tracer::ring(1 << 20);
-    let report = Experiment::new(cfg(), Configuration::AstriFlash)
-        .seed(seed)
-        .jobs_per_core(120)
-        .tracer(tracer.clone())
-        .run();
+    let report =
+        Cell::closed(cfg(), Configuration::AstriFlash, seed, 120).run_traced(tracer.clone());
     (report, tracer.finish())
 }
 
@@ -41,10 +38,7 @@ fn same_seed_runs_produce_byte_identical_traces() {
 
 #[test]
 fn tracing_does_not_change_the_report() {
-    let plain = Experiment::new(cfg(), Configuration::AstriFlash)
-        .seed(11)
-        .jobs_per_core(120)
-        .run();
+    let plain = Cell::closed(cfg(), Configuration::AstriFlash, 11, 120).run();
     let (traced, events) = traced_run(11);
     assert!(!events.is_empty(), "tracing must actually record something");
     assert_eq!(plain.render(), traced.render());
