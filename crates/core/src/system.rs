@@ -267,7 +267,7 @@ pub(crate) struct SystemSim {
     flash: FlashDevice,
     walker: PageTableWalker,
     cores: Vec<Core>,
-    closed_loop: bool,
+    /// Poisson arrivals of an open-loop run; `None` in a closed loop.
     arrivals: Option<PoissonArrivals>,
     jobs_target: u64,
     warmup_jobs: u64,
@@ -417,7 +417,6 @@ impl SystemSim {
             flash,
             walker,
             cores,
-            closed_loop: true,
             arrivals: None,
             jobs_target: 0,
             warmup_jobs: 0,
@@ -478,7 +477,6 @@ impl SystemSim {
                 mean_interarrival_ns,
                 total_jobs,
             } => {
-                self.closed_loop = false;
                 let mut arrivals = PoissonArrivals::new(mean_interarrival_ns);
                 let first = arrivals.next_arrival(&mut self.rng);
                 self.arrivals = Some(arrivals);
@@ -807,7 +805,7 @@ impl SystemSim {
     /// Scheduler invocation; returns whether a thread is now running.
     fn pick_next(&mut self, core_id: usize, now: SimTime, after_miss: bool) -> bool {
         let _prof = prof_scope(ProfScope::SchedulerPick);
-        let closed = self.closed_loop;
+        let closed = self.arrivals.is_none();
         let core = &mut self.cores[core_id];
         // Read the queue pair before deciding (§IV-D2): arrived pages
         // make their parked threads ready.
@@ -1606,7 +1604,16 @@ mod tests {
             .with_telemetry(TelemetryCfg::default().with_window_ns(10_000));
         let (traced, gauges) = traced_gauges(config);
         assert_eq!(plain.render(), traced.render());
+        assert_eq!(plain.jobs_completed, traced.jobs_completed);
         assert_eq!(plain.events_processed, traced.events_processed);
+        assert_eq!(
+            plain.measured_seconds.to_bits(),
+            traced.measured_seconds.to_bits()
+        );
+        assert_eq!(
+            plain.mean_service_ns.to_bits(),
+            traced.mean_service_ns.to_bits()
+        );
         assert!(gauges.contains(&("msr_occupancy", 0)));
         for core in 0..2 {
             assert!(gauges.contains(&("win_core_util", core)), "core {core}");
