@@ -9,9 +9,10 @@
 //! (all of them by default) under `results/`. `regen --check` builds the
 //! same bytes in memory, compares them with `results/`, names every
 //! file that differs or is missing and exits 1; it never writes. Both
-//! print each artifact's wall time and the datasets it built to stderr,
-//! then the total and the process's peak RSS. An unknown flag or
-//! artifact name prints the usage and exits 2.
+//! print each artifact's wall time, the datasets it built and, in
+//! parentheses, the host seconds those builds took (summed over sweep
+//! threads) to stderr, then the total and the process's peak RSS. An
+//! unknown flag or artifact name prints the usage and exits 2.
 //!
 //! [`ARTIFACTS`] is the only list of committed artifacts: each one's
 //! scale, seed and files. Every file is byte-identical at any
@@ -32,7 +33,8 @@ use astriflash_cpu::Rob;
 use astriflash_sim::SimRng;
 use astriflash_stats::{CsvDoc, OnlineStats, Percentile, Phase, TextTable};
 use astriflash_workloads::{
-    dataset_builds, JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE, PAGE_SIZE,
+    dataset_build_seconds, dataset_builds, JobBuf, WorkloadKind, WorkloadParams, BLOCK_SIZE,
+    PAGE_SIZE,
 };
 
 /// The seed of every committed artifact.
@@ -116,11 +118,12 @@ fn main() -> ExitCode {
         .filter(|a| names.is_empty() || names.contains(a.0))
     {
         let start = Instant::now();
-        let builds_before = dataset_builds();
+        let (builds_before, build_secs_before) = (dataset_builds(), dataset_build_seconds());
         let built = build(&opts);
         let secs = start.elapsed().as_secs_f64();
         let builds = dataset_builds() - builds_before;
-        let timing = format!("{name:<18} {secs:6.1} s {builds:4} builds");
+        let build_secs = dataset_build_seconds() - build_secs_before;
+        let timing = format!("{name:<18} {secs:6.1} s {builds:4} builds ({build_secs:.1} s)");
         let contents = match built {
             Ok(contents) => contents,
             Err(e) => {
@@ -157,10 +160,11 @@ fn main() -> ExitCode {
         eprintln!("{timing}  {status}");
     }
     eprintln!(
-        "{:<18} {:6.1} s {:4} builds  peak RSS {}",
+        "{:<18} {:6.1} s {:4} builds ({:.1} s)  peak RSS {}",
         "total",
         total.elapsed().as_secs_f64(),
         dataset_builds(),
+        dataset_build_seconds(),
         peak_rss()
     );
     if failures == 0 {

@@ -248,11 +248,6 @@ impl BacksideController {
         (installed_at, dirty_victim)
     }
 
-    /// Whether a read for `page` is in flight.
-    pub fn is_pending(&self, page: u64) -> bool {
-        self.msr.is_pending(page)
-    }
-
     /// Outstanding misses.
     pub fn outstanding(&self) -> usize {
         self.msr.occupancy()
@@ -301,7 +296,7 @@ mod tests {
         let (mut bc, mut cache) = setup();
         let adm = bc.admit(SimTime::ZERO, 42, W, &mut cache);
         assert!(matches!(adm, BcAdmission::IssueFlashRead { .. }));
-        assert!(bc.is_pending(42));
+        assert_eq!(bc.outstanding(), 1);
         let (installed_at, waiters, wb) = complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
         assert_eq!(waiters, vec![W]);
         assert!(wb.is_none());

@@ -107,11 +107,6 @@ impl MissStatusRow {
         }
     }
 
-    /// Whether a miss for `page` is in flight.
-    pub fn is_pending(&self, page: u64) -> bool {
-        self.sets[self.set_of(page)].iter().any(|e| e.page == page)
-    }
-
     /// Outstanding misses.
     pub fn occupancy(&self) -> usize {
         self.occupancy
@@ -139,14 +134,15 @@ mod tests {
     fn insert_then_duplicate_then_complete() {
         let mut msr = MissStatusRow::new(4, 2);
         assert_eq!(msr.admit(10, W0), MsrAdmission::Inserted);
+        // Page 10 is pending: a second miss to it coalesces.
         assert_eq!(msr.admit(10, W1), MsrAdmission::Duplicate);
-        assert!(msr.is_pending(10));
         assert_eq!(msr.occupancy(), 1);
         let mut waiters = Vec::new();
         msr.complete_into(10, &mut waiters);
         assert_eq!(waiters, vec![W0, W1]);
-        assert!(!msr.is_pending(10));
         assert_eq!(msr.occupancy(), 0);
+        // Completion ended it: the next miss to page 10 is a new entry.
+        assert_eq!(msr.admit(10, W1), MsrAdmission::Inserted);
     }
 
     #[test]

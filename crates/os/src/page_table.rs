@@ -60,16 +60,6 @@ impl PageTableWalker {
         }
         out
     }
-
-    /// The region base address.
-    pub fn region_base(&self) -> u64 {
-        self.region_base
-    }
-
-    /// The region size in table pages.
-    pub fn region_pages(&self) -> u64 {
-        self.region_pages
-    }
 }
 
 #[cfg(test)]

@@ -77,19 +77,30 @@ impl BNode {
     /// The child slot a descent toward `key` takes: the number of keys
     /// `<= key`. Keys are sorted, so this is their partition point; a
     /// branch-free count over at most `CAP` keys beats a binary search,
-    /// whose branches a descent mispredicts at every level.
+    /// whose branches a descent mispredicts at every level. A key at or
+    /// past the last key takes the last slot without the count: every
+    /// key of an ascending build does, at every level.
     fn slot_for(&self, key: u64) -> usize {
-        self.keys().iter().map(|&k| usize::from(k <= key)).sum()
+        match self.keys().last() {
+            Some(&last) if key < last => self.keys().iter().map(|&k| usize::from(k <= key)).sum(),
+            _ => self.len(),
+        }
     }
 
     /// Position of `key` in a leaf: `Ok` where it sits, or `Err` where it
-    /// would be inserted (the number of keys `< key`).
+    /// would be inserted (the number of keys `< key`). A key past the
+    /// last key goes at the end without the count, as in `slot_for`.
     fn find(&self, key: u64) -> Result<usize, usize> {
-        let pos: usize = self.keys().iter().map(|&k| usize::from(k < key)).sum();
-        if pos < self.len() && self.keys[pos] == key {
-            Ok(pos)
-        } else {
-            Err(pos)
+        match self.keys().last() {
+            Some(&last) if key <= last => {
+                let pos: usize = self.keys().iter().map(|&k| usize::from(k < key)).sum();
+                if self.keys[pos] == key {
+                    Ok(pos)
+                } else {
+                    Err(pos)
+                }
+            }
+            _ => Err(self.len()),
         }
     }
 

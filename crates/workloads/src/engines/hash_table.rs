@@ -36,6 +36,8 @@ pub struct HashTable {
     write_fraction: f64,
     bucket_array_base: u64,
     num_buckets: u64,
+    /// Address of node slot 0; slot `s` is at `node_base + s * 64`.
+    node_base: u64,
     record_base: u64,
     record_bytes: u64,
     /// Bucket `b`'s chain is `chain[offsets[b]..offsets[b + 1]]`.
@@ -45,11 +47,18 @@ pub struct HashTable {
     chain: Arc<Vec<ChainNode>>,
 }
 
-/// One chain node: the key it holds and its simulated address.
+/// One chain node, 8 B: the key it holds and the slot of its simulated
+/// node, counted from the start of the bucket slabs (the overflow region
+/// follows them).
 #[derive(Debug, Clone, Copy)]
 struct ChainNode {
     key: u32,
-    node_addr: u64,
+    slot: u32,
+}
+
+/// Node slot `slot` as a chain entry's `u32`.
+fn node_slot(slot: u64) -> u32 {
+    u32::try_from(slot).expect("hash-chain node slot beyond u32")
 }
 
 /// The bucket `key` hashes to in a table of `num_buckets`.
@@ -82,24 +91,26 @@ impl HashTable {
         // Per-bucket node slabs + an overflow region for long chains.
         let node_base = alloc.alloc(num_buckets * SLOTS_PER_BUCKET * NODE_BYTES);
         let overflow_base = alloc.alloc(n * NODE_BYTES / 4 + NODE_BYTES);
+        // Allocations are block-aligned, so the overflow region starts at
+        // a whole slot past `node_base`.
+        let overflow_slot = (overflow_base - node_base) / NODE_BYTES;
         // Records are laid out by key so popularity clusters share pages.
         let record_base = alloc.alloc(n * params.record_bytes);
 
         // Counting sort of the keys by bucket. First the chain lengths,
-        // in `offsets[b + 1]`. Then, bucket by bucket, the chains' slots
-        // are laid out: a slot within the bucket's slab gets its slab
-        // address, one past it none yet, and `offsets[b + 1]` becomes the
-        // bucket's start, its write cursor. Last, every key goes in
-        // ascending key order to its bucket's cursor, which keeps each
-        // chain (and the overflow region) in the order keys were
-        // inserted; a slot without an address takes the next overflow
-        // node. The cursors end at their chains' ends, which with
-        // `offsets[0] = 0` are the final offsets. The build allocates
-        // only the two arrays the engine keeps: a temporary freed in
-        // between would leave a hole in the heap that later allocations
-        // split, and the process's peak memory would then vary from run
-        // to run.
-        const NO_ADDR: u64 = u64::MAX;
+        // in `offsets[b + 1]`. Then, bucket by bucket, the chains' entries
+        // are laid out: one within the bucket's slab gets its slab slot,
+        // one past it none yet, and `offsets[b + 1]` becomes the bucket's
+        // start, its write cursor. Last, every key goes in ascending key
+        // order to its bucket's cursor, which keeps each chain (and the
+        // overflow region) in the order keys were inserted; an entry
+        // without a slot takes the next overflow node. The cursors end
+        // at their chains' ends, which with `offsets[0] = 0` are the
+        // final offsets. The build allocates only the two arrays the
+        // engine keeps: a temporary freed in between would leave a hole
+        // in the heap that later allocations split, and the process's
+        // peak memory would then vary from run to run.
+        const NO_SLOT: u32 = u32::MAX;
         let mut offsets = vec![0u32; num_buckets as usize + 1];
         for key in 0..n {
             offsets[bucket_of(key, num_buckets) + 1] += 1;
@@ -110,10 +121,10 @@ impl HashTable {
             offsets[b as usize + 1] = chain.len() as u32;
             chain.extend((0..u64::from(len)).map(|pos| ChainNode {
                 key: 0,
-                node_addr: if pos < SLOTS_PER_BUCKET {
-                    node_base + (b * SLOTS_PER_BUCKET + pos) * NODE_BYTES
+                slot: if pos < SLOTS_PER_BUCKET {
+                    node_slot(b * SLOTS_PER_BUCKET + pos)
                 } else {
-                    NO_ADDR
+                    NO_SLOT
                 },
             }));
         }
@@ -123,8 +134,8 @@ impl HashTable {
             let node = &mut chain[*cursor as usize];
             *cursor += 1;
             node.key = key as u32;
-            if node.node_addr == NO_ADDR {
-                node.node_addr = overflow_base + overflow_used * NODE_BYTES;
+            if node.slot == NO_SLOT {
+                node.slot = node_slot(overflow_slot + overflow_used);
                 overflow_used += 1;
             }
         }
@@ -141,6 +152,7 @@ impl HashTable {
             write_fraction: 0.10,
             bucket_array_base,
             num_buckets,
+            node_base,
             record_base,
             record_bytes: params.record_bytes,
             // `Arc::new` moves the vectors' headers, not their contents.
@@ -152,6 +164,11 @@ impl HashTable {
     /// Bucket `bucket`'s chain in walk order.
     fn chain(&self, bucket: usize) -> &[ChainNode] {
         &self.chain[self.offsets[bucket] as usize..self.offsets[bucket + 1] as usize]
+    }
+
+    /// Simulated address of a chain entry's node.
+    fn node_addr(&self, node: ChainNode) -> u64 {
+        self.node_base + u64::from(node.slot) * NODE_BYTES
     }
 
     /// Simulated address of `key`'s record.
@@ -166,8 +183,8 @@ impl HashTable {
         let slot_addr = self.bucket_array_base + bucket as u64 * 8;
         out.push(MemoryAccess::read(slot_addr / BLOCK_SIZE * BLOCK_SIZE));
         // Chain walk up to and including this key's node.
-        for node in self.chain(bucket) {
-            out.push(MemoryAccess::read(node.node_addr));
+        for &node in self.chain(bucket) {
+            out.push(MemoryAccess::read(self.node_addr(node)));
             if u64::from(node.key) == key {
                 break;
             }
@@ -222,6 +239,12 @@ mod tests {
     }
 
     #[test]
+    fn chain_entry_is_eight_bytes() {
+        // DESIGN.md §17: a key and a node slot, no padding.
+        assert_eq!(std::mem::size_of::<ChainNode>(), 8);
+    }
+
+    #[test]
     fn lookup_walks_chain_to_target() {
         let e = engine();
         // Pick a key that is not at the head of its chain, if one exists.
@@ -233,7 +256,7 @@ mod tests {
             .expect("some chain has length > 1");
         let accesses = trace(&e, key, false);
         // The trace must include the key's own node.
-        let own = node_of(&e, key).node_addr;
+        let own = e.node_addr(node_of(&e, key));
         assert!(accesses.iter().any(|a| a.addr == own));
         // And at least: bucket slot + 2 nodes + 2 record blocks.
         assert!(accesses.len() >= 5);
@@ -249,7 +272,7 @@ mod tests {
             .key as u64;
         let node_accesses = trace(&e, head_key, false)
             .iter()
-            .filter(|a| e.chain.iter().any(|c| c.node_addr == a.addr))
+            .filter(|a| e.chain.iter().any(|&c| e.node_addr(c) == a.addr))
             .count();
         assert_eq!(node_accesses, 1);
     }

@@ -22,8 +22,6 @@ const NODE_BYTES: u64 = 64;
 const NIL: u32 = u32::MAX >> 1;
 /// Colour bit, kept in the spare top bit of a node's parent link.
 const RED_BIT: u32 = 1 << 31;
-/// Keys whose descents [`RbArena::insert_shuffled`] keeps in flight.
-const LOOKAHEAD: usize = 48;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Color {
@@ -75,9 +73,10 @@ impl RbLayout {
 /// A red-black tree over the keys `0..capacity`, stored key-indexed: the
 /// node of key `k` lives in slot `k` (DESIGN.md §17).
 ///
-/// Insert, delete and the rotations compare slots only for identity,
-/// never for order, so this layout builds exactly the tree shapes an
-/// insertion-ordered arena builds from the same operation sequence.
+/// Delete and the rotations compare slots only for identity, and insert
+/// puts a key where a descent from the root would, so this layout builds
+/// exactly the tree shapes an insertion-ordered arena builds from the
+/// same operation sequence.
 ///
 /// A clone of an engine's tree shares its nodes: it copies a chunk of
 /// them only when it first writes one (DESIGN.md §18).
@@ -209,6 +208,13 @@ impl RbArena {
         self.set_parent(x, y);
     }
 
+    /// Whether slot `n`'s key is in the tree. Every inserted node but the
+    /// root has a parent, and a node out of the tree has none: `new`
+    /// starts every node detached and `delete` detaches what it removes.
+    fn contains(&self, n: u32) -> bool {
+        n == self.root || self.parent(n) != NIL
+    }
+
     /// Inserts `key`; duplicate keys are rejected (returns `false`).
     ///
     /// # Panics
@@ -220,132 +226,105 @@ impl RbArena {
             "key {key} outside the arena's 0..{}",
             self.nodes.len()
         );
-        // Standard BST descent.
-        let mut parent = NIL;
-        let mut cur = self.root;
-        while cur != NIL {
-            parent = cur;
-            let ck = u64::from(cur);
-            if key == ck {
-                return false;
-            }
-            cur = if key < ck {
-                self.left(cur)
-            } else {
-                self.right(cur)
-            };
-        }
         let idx = key as u32;
-        *self.node_mut(idx) = Node {
+        if self.contains(idx) {
+            return false;
+        }
+        self.attach(idx);
+        true
+    }
+
+    /// Links the key of slot `n`, not in the tree, in as a red leaf where
+    /// a descent from the root would end, then rebalances.
+    ///
+    /// That place is found from `n`'s in-order neighbours among the
+    /// inserted keys, by scanning the slots next to `n`, not by a
+    /// descent: in any BST one of the two neighbours is the other's
+    /// ancestor, so exactly one has the free link toward `n`, and it is
+    /// where the descent ends. If the predecessor's right link is free,
+    /// `n` goes there (the successor, if any, is its ancestor);
+    /// otherwise the successor is the leftmost node of the predecessor's
+    /// right subtree, and `n` goes on its free left link. A key with one
+    /// neighbour goes under it, and the first key is the root.
+    fn attach(&mut self, n: u32) {
+        let pred = (0..n).rev().find(|&s| self.contains(s));
+        let parent = match pred {
+            Some(p) if self.right(p) == NIL => {
+                self.set_right(p, n);
+                p
+            }
+            _ => match (n + 1..self.nodes.len() as u32).find(|&s| self.contains(s)) {
+                Some(s) => {
+                    self.set_left(s, n);
+                    s
+                }
+                None => {
+                    debug_assert!(
+                        pred.is_none(),
+                        "{n}'s predecessor has a right child but {n} no successor"
+                    );
+                    self.root = n;
+                    NIL
+                }
+            },
+        };
+        *self.node_mut(n) = Node {
             left: NIL,
             right: NIL,
             parent_red: parent | RED_BIT,
         };
         self.len += 1;
-        if parent == NIL {
-            self.root = idx;
-        } else if key < u64::from(parent) {
-            self.set_left(parent, idx);
-        } else {
-            self.set_right(parent, idx);
-        }
-        self.insert_fixup(idx);
-        true
+        self.insert_fixup(n);
     }
 
     /// Inserts every key of `0..capacity` into this empty tree, in the
     /// order [`SimRng::shuffle`] puts `0..capacity` in: the tree is the one
     /// [`RbArena::insert`] builds from that list key by key.
     ///
-    /// A build inserts a million keys in random order, and every descent
-    /// is a chain of dependent loads that mostly miss the cache. So while
-    /// key `i` is inserted, one read-only cursor per key `i+1..=i+48`
-    /// walks one level further down the tree toward its key. The cursors
-    /// are independent, so their misses overlap, and by its turn each
-    /// key's path is cached. Cursors never write, so a cursor that an
-    /// earlier insert left off its key's path only wastes its loads.
-    ///
     /// The shuffled list is never allocated. An uninserted key's node is
-    /// free until its insert overwrites all of it, so the shuffle runs
-    /// over the `right` links, position `p` holding the `p`-th key, and a
-    /// second pass links the keys through their own `left` links: the
-    /// `left` of the `p`-th key holds the key `LOOKAHEAD` places later.
-    /// The loop reads the `p`-th key's link just before inserting it, when
-    /// it needs that later key, so consecutive reads do not wait on one
-    /// another.
+    /// out of the tree until its insert overwrites all of it, so the
+    /// shuffle runs over the `right` links, position `p` holding the
+    /// `p`-th key, and a second pass chains the keys through their own
+    /// `left` links: the `left` of the `p`-th key holds the next key. The
+    /// loop reads that link just before it inserts the key. Neither pass
+    /// writes a parent link, which is what tells an insert whether a slot
+    /// is in the tree.
     ///
     /// # Panics
     ///
     /// Panics if the tree is not empty.
     pub fn insert_shuffled(&mut self, rng: &mut SimRng) {
         assert!(self.is_empty(), "insert_shuffled needs an empty tree");
-        let n = self.nodes.len();
+        let n = self.nodes.len() as u32;
+        if n == 0 {
+            return;
+        }
         for p in 0..n {
-            self.set_right(p as u32, p as u32);
+            self.set_right(p, p);
         }
         for i in (1..n).rev() {
-            let j = rng.gen_range(i as u64 + 1) as u32;
-            let (at_i, at_j) = (self.right(i as u32), self.right(j));
-            self.set_right(i as u32, at_j);
+            let j = rng.gen_range(u64::from(i) + 1) as u32;
+            let (at_i, at_j) = (self.right(i), self.right(j));
+            self.set_right(i, at_j);
             self.set_right(j, at_i);
         }
-        for p in LOOKAHEAD..n {
-            let (key, later) = (self.right((p - LOOKAHEAD) as u32), self.right(p as u32));
-            self.set_left(key, later);
+        for p in 1..n {
+            let (key, next) = (self.right(p - 1), self.right(p));
+            self.set_left(key, next);
         }
-
-        const RING: usize = LOOKAHEAD + 1;
-        // Key m and its cursor sit at `ahead[m % RING]`; a NIL cursor
-        // means "start at the root".
-        let mut ahead = [(0u64, NIL); RING];
-        let key_at = |arena: &Self, m: usize, ahead: &[(u64, u32); RING]| {
-            u64::from(if m < LOOKAHEAD {
-                arena.right(m as u32)
-            } else {
-                arena.left(ahead[(m - LOOKAHEAD) % RING].0 as u32)
-            })
-        };
-        for m in 0..n.min(RING) {
-            ahead[m].0 = key_at(self, m, &ahead);
+        let mut key = self.right(0);
+        for _ in 0..n {
+            let next = self.left(key);
+            self.attach(key);
+            key = next;
         }
-        for i in 0..n {
-            let key = ahead[i % RING].0;
-            for m in i + 1..n.min(i + RING) {
-                let (ahead_key, cursor) = &mut ahead[m % RING];
-                *cursor = self.step_toward(*cursor, *ahead_key);
-            }
-            self.insert(key);
-            // Key i's slot passes to key i + RING.
-            if i + RING < n {
-                ahead[i % RING] = (key_at(self, i + RING, &ahead), NIL);
-            }
-        }
-        debug_assert_eq!(self.len, n, "a key was inserted twice");
+        debug_assert_eq!(self.len, n as usize, "a key was inserted twice");
     }
 
     /// Moves the nodes into storage that clones share (see
     /// [`CowVec::freeze`]); the build's last step.
     pub(crate) fn freeze(&mut self) {
         self.nodes.freeze();
-    }
-
-    /// One level of a read-only descent toward `key` from `cursor` (from
-    /// the root if `cursor` is NIL). Stays put at the bottom.
-    fn step_toward(&self, cursor: u32, key: u64) -> u32 {
-        if cursor == NIL {
-            return self.root;
-        }
-        let node = self.node(cursor);
-        let next = if key < u64::from(cursor) {
-            node.left
-        } else {
-            node.right
-        };
-        if next == NIL {
-            cursor
-        } else {
-            next
-        }
     }
 
     fn insert_fixup(&mut self, mut z: u32) {
@@ -395,22 +374,14 @@ impl RbArena {
         self.set_color(root, Color::Black);
     }
 
-    /// Removes `key` from the tree; returns its record address, or
-    /// `None` if absent. Classic CLRS deletion with an explicit-parent
-    /// adaptation for the arena's `NIL` sentinel.
+    /// Removes `key` from the tree and detaches its node; returns its
+    /// record address, or `None` if absent. Classic CLRS deletion with an
+    /// explicit-parent adaptation for the arena's `NIL` sentinel.
     pub fn delete(&mut self, key: u64) -> Option<u64> {
-        // Find the node.
-        let mut z = self.root;
-        while z != NIL {
-            let k = u64::from(z);
-            if key == k {
-                break;
-            }
-            z = if key < k { self.left(z) } else { self.right(z) };
-        }
-        if z == NIL {
+        if key >= self.nodes.len() as u64 || !self.contains(key as u32) {
             return None;
         }
+        let z = key as u32;
 
         // y: the node actually spliced out; x: the child that replaces
         // it (may be NIL, with parent tracked explicitly).
@@ -453,6 +424,7 @@ impl RbArena {
         if y_original_color == Color::Black {
             self.delete_fixup(x, x_parent);
         }
+        *self.node_mut(z) = DETACHED;
         self.len -= 1;
         Some(self.layout.record_addr(key))
     }

@@ -39,5 +39,5 @@ pub use arrival::PoissonArrivals;
 pub use job::{FlatOp, JobArena, JobBuf, MemoryAccess, WorkloadEngine};
 pub use kind::{WorkloadKind, WorkloadParams};
 pub use popularity::KeyChooser;
-pub use shared::{dataset_builds, Dataset, DatasetHold, EngineFork};
+pub use shared::{dataset_build_seconds, dataset_builds, Dataset, DatasetHold, EngineFork};
 pub use zipf::ZipfGenerator;

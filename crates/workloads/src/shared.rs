@@ -21,6 +21,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::time::Instant;
 
 use crate::engines;
 use crate::job::WorkloadEngine;
@@ -47,6 +48,9 @@ impl<E: WorkloadEngine + Clone + Sync + 'static> Prototype for E {
 
 /// Datasets built so far by this process.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
+/// Host nanoseconds those builds took, summed over the threads that ran
+/// them.
+static BUILD_NS: AtomicU64 = AtomicU64::new(0);
 
 /// How many datasets this process has built so far, by
 /// [`WorkloadKind::build`] and by the registry's prototypes together.
@@ -54,10 +58,17 @@ pub fn dataset_builds() -> u64 {
     BUILDS.load(Ordering::Relaxed)
 }
 
+/// Host seconds the builds [`dataset_builds`] counts have taken so far,
+/// summed over threads: builds that ran side by side both count.
+pub fn dataset_build_seconds() -> f64 {
+    BUILD_NS.load(Ordering::Relaxed) as f64 * 1e-9
+}
+
 /// Builds `kind`'s engine.
 pub(crate) fn build(kind: WorkloadKind, params: &WorkloadParams, seed: u64) -> Box<dyn Prototype> {
     BUILDS.fetch_add(1, Ordering::Relaxed);
-    match kind {
+    let start = Instant::now();
+    let engine: Box<dyn Prototype> = match kind {
         WorkloadKind::ArraySwap => Box::new(engines::ArraySwap::new(params, seed)),
         WorkloadKind::HashTable => Box::new(engines::HashTable::new(params, seed)),
         WorkloadKind::RbTree => Box::new(engines::RbTree::new(params, seed)),
@@ -65,7 +76,9 @@ pub(crate) fn build(kind: WorkloadKind, params: &WorkloadParams, seed: u64) -> B
         WorkloadKind::Tatp => Box::new(engines::Tatp::new(params, seed)),
         WorkloadKind::Tpcc => Box::new(engines::Tpcc::new(params, seed)),
         WorkloadKind::Silo => Box::new(engines::Silo::new(params, seed)),
-    }
+    };
+    BUILD_NS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    engine
 }
 
 /// What an engine build depends on: two builds of one `Dataset` are the

@@ -993,8 +993,29 @@ fn rb_step(
     assert_eq!(a, b, "descent to {probe} at step {step}");
 }
 
-/// Random insert / delete / churn streams: every return value and every
-/// descent agrees with the insertion-ordered oracle, step by step.
+/// A prefix of `0..capacity` in one of three orders: ascending (every
+/// key's only neighbour is its predecessor), descending (its successor),
+/// or zig-zag from both ends inward, `0, capacity - 1, 1, ...`, where
+/// from the third key on the predecessor's right link is often taken.
+fn ordered_keys(g: &mut TestRng, capacity: u64) -> Vec<u64> {
+    let order = g.u32_in(0..3);
+    let take = g.usize_in(0..capacity as usize + 1);
+    (0..capacity)
+        .map(|i| match order {
+            0 => i,
+            1 => capacity - 1 - i,
+            _ if i % 2 == 0 => i / 2,
+            _ => capacity - 1 - i / 2,
+        })
+        .take(take)
+        .collect()
+}
+
+/// Insert / delete / churn streams: every return value and every descent
+/// agrees with the insertion-ordered oracle, step by step. Half the cases
+/// first insert keys in ascending, descending or zig-zag order, which
+/// place keys under each kind of neighbour; the random steps then delete
+/// and churn in the trees those orders build.
 #[test]
 fn rb_arena_matches_insertion_ordered_oracle() {
     prop_check!(cases: 48, |g| {
@@ -1002,6 +1023,12 @@ fn rb_arena_matches_insertion_ordered_oracle() {
         let steps = g.usize_in(1..2_000);
         let mut new = RbArena::new(capacity, LAYOUT);
         let mut old = old_rb::RbArena::new();
+        if g.any_bool() {
+            for key in ordered_keys(g, capacity) {
+                assert_eq!(new.insert(key), old_insert(&mut old, LAYOUT, key), "insert {key}");
+            }
+            assert_same_rb(&new, &old, capacity);
+        }
         for step in 0..steps {
             rb_step(g, &mut new, &mut old, LAYOUT, capacity, step);
         }
@@ -1009,10 +1036,11 @@ fn rb_arena_matches_insertion_ordered_oracle() {
     });
 }
 
-/// `insert_shuffled` inserts `0..capacity` in `SimRng::shuffle` order,
-/// and neither its lookahead cursors nor its in-node key list change the
-/// tree: it equals the oracle's key-by-key build of the shuffled list, at
-/// capacities on both sides of the lookahead window.
+/// `insert_shuffled` inserts `0..capacity` in `SimRng::shuffle` order:
+/// the tree equals the oracle's key-by-key build of the shuffled list.
+/// The build keeps that list in the uninserted nodes' own links, so this
+/// also checks that no scratch link is taken for a tree link. Small
+/// capacities reach the empty and one-key trees.
 #[test]
 fn rb_shuffled_build_matches_key_by_key_oracle() {
     prop_check!(cases: 24, |g| {

@@ -42,9 +42,9 @@ echo "==> regen --check: every committed artifact, at 1 and 4 sweep threads"
 # differs or is missing. A sweep builds each dataset once at any worker
 # count (DESIGN.md §18), but the worker count decides which cells run
 # side by side, so pin both extremes. What it prints, each artifact's
-# wall time and dataset builds and the process's peak RSS, is kept as
-# regen_times.threads<N>.txt (pipefail keeps its exit status), and the
-# next step compares the two runs' build counts.
+# wall time, dataset builds and their host seconds, and the process's
+# peak RSS, is kept as regen_times.threads<N>.txt (pipefail keeps its
+# exit status), and the next step compares the two runs' build counts.
 for threads in 1 4; do
   ASTRIFLASH_THREADS=$threads ./target/release/regen --check 2>&1 |
     tee "$perf_dir/regen_times.threads$threads.txt"
