@@ -1,4 +1,4 @@
-//! Arena-backed B+-tree index shared by the Masstree and Silo engines.
+//! Arena-backed B+-tree indexes of the Masstree and Silo engines.
 //!
 //! Masstree is a trie of B+-trees; for 8-byte integer keys it degenerates
 //! to a single B+-tree layer, which is what we model. Nodes carry
@@ -8,7 +8,10 @@
 //! values sit in inline arrays, so building or churning the index makes
 //! no per-node heap allocation. The array is copy-on-write, so a clone of
 //! an engine's tree copies only the nodes it writes (DESIGN.md §18).
+//! Silo never writes its index, so it keeps the same tree frozen and
+//! without slack, as a [`DenseBPlusTree`].
 
+use crate::address_space::BLOCK_SIZE;
 use crate::engines::cow::CowVec;
 use crate::job::MemoryAccess;
 
@@ -26,6 +29,21 @@ const CAP: usize = MAX_KEYS + 1;
 const MAX_DEPTH: usize = 16;
 
 const NIL: u32 = u32::MAX;
+
+/// The child slot a descent toward `key` takes past a node's sorted
+/// `keys`: the number of keys `<= key`, their partition point. A
+/// branch-free count over at most `CAP` keys beats a binary search,
+/// whose branches a descent mispredicts at every level. A key at or
+/// past the last key takes the last slot without the count: every key
+/// of an ascending build does, at every level.
+fn slot_for<K: Copy + Into<u64>>(keys: &[K], key: u64) -> usize {
+    match keys.last() {
+        Some(&last) if key < last.into() => {
+            keys.iter().map(|&k| usize::from(k.into() <= key)).sum()
+        }
+        _ => keys.len(),
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct BNode {
@@ -74,17 +92,8 @@ impl BNode {
         self.vals[slot] as u32
     }
 
-    /// The child slot a descent toward `key` takes: the number of keys
-    /// `<= key`. Keys are sorted, so this is their partition point; a
-    /// branch-free count over at most `CAP` keys beats a binary search,
-    /// whose branches a descent mispredicts at every level. A key at or
-    /// past the last key takes the last slot without the count: every
-    /// key of an ascending build does, at every level.
     fn slot_for(&self, key: u64) -> usize {
-        match self.keys().last() {
-            Some(&last) if key < last => self.keys().iter().map(|&k| usize::from(k <= key)).sum(),
-            _ => self.len(),
-        }
+        slot_for(self.keys(), key)
     }
 
     /// Position of `key` in a leaf: `Ok` where it sits, or `Err` where it
@@ -331,12 +340,7 @@ impl BPlusTree {
     /// Inserts `key → record`; replaces the record if the key exists
     /// (returns `false` in that case). `alloc` provides addresses for any
     /// newly created nodes.
-    pub fn insert(
-        &mut self,
-        key: u64,
-        record: u64,
-        alloc: &mut dyn FnMut(u64) -> u64,
-    ) -> bool {
+    pub fn insert(&mut self, key: u64, record: u64, alloc: &mut dyn FnMut(u64) -> u64) -> bool {
         // Descend, remembering the path for splits.
         let mut path = [(0u32, 0u8); MAX_DEPTH];
         let mut depth = 0;
@@ -528,6 +532,254 @@ impl BPlusTree {
     }
 }
 
+/// The B+-tree an ascending build of the dense keys `0..n` leaves, frozen:
+/// Silo's index, which no run writes (DESIGN.md §17). Its nodes, their
+/// simulated addresses, its `alloc` calls and every descent are those of
+/// a [`BPlusTree`] that inserts `0..n` in order; only the host layout
+/// differs. A [`BPlusTree`] node keeps room for keys that later inserts
+/// would bring, and such a build leaves every leaf but the last at 7 of
+/// its 15 key slots. This tree keeps no room: a leaf is its first key and
+/// its key count, as its keys are consecutive; the records sit in one
+/// array by key; and each internal node's keys and children sit side by
+/// side in one shared array. Every field takes 4 bytes: keys and node
+/// ordinals fit `u32`, and addresses are stored as block numbers, which
+/// cover a 256 GiB simulated space. That is about 7 B per key, where the
+/// [`BPlusTree`] takes 43.
+///
+/// # Example
+///
+/// ```
+/// use astriflash_workloads::engines::btree_index::DenseBPlusTree;
+/// let mut node = |ordinal| 0x1000 + ordinal * 256;
+/// let mut build = DenseBPlusTree::build(100, &mut node);
+/// for key in 0..100 {
+///     build.push(0x10_0000 + key * 64, &mut node);
+/// }
+/// let tree = build.finish();
+/// let mut trace = Vec::new();
+/// assert_eq!(tree.lookup_trace(42, &mut trace), Some(0x10_0000 + 42 * 64));
+/// assert_eq!(trace.len(), tree.height());
+/// ```
+#[derive(Debug)]
+pub struct DenseBPlusTree {
+    /// Every node, by ordinal.
+    nodes: Vec<DenseNode>,
+    /// Each internal node's keys, then its children's ordinals.
+    inner: Vec<u32>,
+    /// The record block of each key.
+    records: Vec<u32>,
+    root: u32,
+    height: usize,
+}
+
+/// A node of a [`DenseBPlusTree`]: 12 B.
+#[derive(Debug, Clone, Copy)]
+struct DenseNode {
+    /// The node's simulated address, in blocks.
+    block: u32,
+    /// A leaf's first key, or where an internal node's keys start in
+    /// `inner`.
+    at: u32,
+    len: u8,
+    leaf: bool,
+}
+
+/// `addr` as a block number, as a [`DenseBPlusTree`] stores it.
+fn block_of(addr: u64) -> u32 {
+    assert_eq!(
+        addr % BLOCK_SIZE,
+        0,
+        "a dense index stores block-aligned addresses"
+    );
+    u32::try_from(addr / BLOCK_SIZE).expect("a dense index addresses fewer than 2^32 blocks")
+}
+
+/// The simulated address of block `block`.
+fn address(block: u32) -> u64 {
+    u64::from(block) * BLOCK_SIZE
+}
+
+impl DenseBPlusTree {
+    /// Starts a build of the keys `0..n`. `alloc` gives the first leaf,
+    /// the root while it is the only node, its simulated address, as in
+    /// [`BPlusTree::with_capacity`].
+    pub fn build(n: u64, alloc: &mut dyn FnMut(u64) -> u64) -> DenseBuild {
+        let keys = u32::try_from(n).expect("a dense index numbers its keys in u32");
+        // An ascending build makes fewer than `n / 6 + 16` nodes (see
+        // `BPlusTree::with_capacity`). Every node but the root is one
+        // child in `inner`, and an internal node has fewer keys than
+        // children, so nothing here grows past what it reserves.
+        let max_nodes = keys as usize / 6 + 16;
+        let mut tree = DenseBPlusTree {
+            nodes: Vec::with_capacity(max_nodes),
+            inner: Vec::with_capacity(2 * max_nodes),
+            records: Vec::with_capacity(n as usize),
+            root: 0,
+            height: 1,
+        };
+        let leaf = tree.new_node(true, 0, alloc);
+        DenseBuild {
+            tree,
+            leaf,
+            spine: [(0, BNode::new(false, 0, &[], &[0])); MAX_DEPTH],
+            depth: 0,
+        }
+    }
+
+    /// Number of keys stored.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the tree holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Tree height in node levels (1 for a lone leaf).
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    /// Looks up `key`, pushing one read per visited node, as
+    /// [`BPlusTree::lookup_trace`] does. Returns the record address if
+    /// present.
+    pub fn lookup_trace(&self, key: u64, out: &mut Vec<MemoryAccess>) -> Option<u64> {
+        let mut node = self.nodes[self.root as usize];
+        while !node.leaf {
+            out.push(MemoryAccess::read(address(node.block)));
+            let (at, len) = (node.at as usize, usize::from(node.len));
+            let slot = slot_for(&self.inner[at..at + len], key);
+            node = self.nodes[self.inner[at + len + slot] as usize];
+        }
+        out.push(MemoryAccess::read(address(node.block)));
+        let pos = key.wrapping_sub(u64::from(node.at));
+        (pos < u64::from(node.len)).then(|| address(self.records[key as usize]))
+    }
+
+    /// A node with a fresh ordinal and the address `alloc` gives it,
+    /// called with the ordinal as [`BPlusTree`] calls it.
+    fn new_node(&mut self, leaf: bool, at: u32, alloc: &mut dyn FnMut(u64) -> u64) -> u32 {
+        let ordinal = self.nodes.len() as u32;
+        let block = block_of(alloc(u64::from(ordinal)));
+        self.nodes.push(DenseNode {
+            block,
+            at,
+            len: 0,
+            leaf,
+        });
+        ordinal
+    }
+
+    /// Stores the keys and children of internal node `ordinal`, which no
+    /// later key changes.
+    fn settle(&mut self, ordinal: u32, node: &BNode) {
+        let at = u32::try_from(self.inner.len()).expect("inner arrays fit u32 offsets");
+        // Keys are below `n` and children are ordinals: both fit `u32`.
+        let words = node.keys().iter().chain(&node.vals[..node.vals_len()]);
+        self.inner.extend(words.map(|&w| w as u32));
+        let dense = &mut self.nodes[ordinal as usize];
+        dense.at = at;
+        dense.len = node.len;
+    }
+}
+
+/// A [`DenseBPlusTree`] being built (see [`DenseBPlusTree::build`]).
+/// Only the last node of each level can still change, so those are all
+/// the build keeps as whole nodes.
+#[derive(Debug)]
+pub struct DenseBuild {
+    tree: DenseBPlusTree,
+    /// The ordinal of the last leaf.
+    leaf: u32,
+    /// The last internal node of each level with its ordinal, the lowest
+    /// level first.
+    spine: [(u32, BNode); MAX_DEPTH],
+    /// Internal levels so far.
+    depth: usize,
+}
+
+impl DenseBuild {
+    /// Adds the next key, `0` first, with its record address. `alloc`
+    /// gives the nodes its splits make their addresses, called as
+    /// [`BPlusTree::insert`] calls it for that key.
+    pub fn push(&mut self, record: u64, alloc: &mut dyn FnMut(u64) -> u64) {
+        let tree = &mut self.tree;
+        tree.records.push(block_of(record));
+        let leaf = &mut tree.nodes[self.leaf as usize];
+        leaf.len += 1;
+        if usize::from(leaf.len) <= MAX_KEYS {
+            return;
+        }
+        // Split as `BPlusTree::split` splits a leaf: the first half
+        // stays, and the new leaf starts at the middle key, which goes up.
+        let (len, mid) = (leaf.len, leaf.len / 2);
+        leaf.len = mid;
+        let sep = leaf.at + u32::from(mid);
+        let right = tree.new_node(true, sep, alloc);
+        tree.nodes[right as usize].len = len - mid;
+        let left = std::mem::replace(&mut self.leaf, right);
+        self.add_child(left, u64::from(sep), right, alloc);
+    }
+
+    /// Adds separator `sep` and the new node `right` after `left` in
+    /// their parent, splitting upward as far as [`BPlusTree::insert`]
+    /// does.
+    fn add_child(
+        &mut self,
+        mut left: u32,
+        mut sep: u64,
+        mut right: u32,
+        alloc: &mut dyn FnMut(u64) -> u64,
+    ) {
+        for level in 0..MAX_DEPTH {
+            if level == self.depth {
+                // `left` was the root: grow a level.
+                let root = self.tree.new_node(false, 0, alloc);
+                let children = [u64::from(left), u64::from(right)];
+                self.spine[level] = (root, BNode::new(false, 0, &[sep], &children));
+                self.depth += 1;
+                return;
+            }
+            let (ordinal, node) = &mut self.spine[level];
+            let (end_key, end_val) = (node.len(), node.vals_len());
+            node.insert(end_key, sep, end_val, u64::from(right));
+            if node.len() <= MAX_KEYS {
+                return;
+            }
+            // Split as `BPlusTree::split` splits an internal node: the
+            // middle key goes up, and its right child leads the new node.
+            let new = self.tree.new_node(false, 0, alloc);
+            let (len, mid) = (node.len(), node.len() / 2);
+            let up = node.keys[mid];
+            let right_node = BNode::new(
+                false,
+                0,
+                &node.keys[mid + 1..len],
+                &node.vals[mid + 1..len + 1],
+            );
+            node.len = mid as u8;
+            self.tree.settle(*ordinal, node);
+            (left, sep, right) = (*ordinal, up, new);
+            self.spine[level] = (new, right_node);
+        }
+        panic!("a dense index deeper than {MAX_DEPTH} levels");
+    }
+
+    /// The built tree.
+    pub fn finish(mut self) -> DenseBPlusTree {
+        for &(ordinal, node) in &self.spine[..self.depth] {
+            self.tree.settle(ordinal, &node);
+        }
+        self.tree.root = match self.depth {
+            0 => self.leaf,
+            d => self.spine[d - 1].0,
+        };
+        self.tree.height = self.depth + 1;
+        self.tree
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,7 +838,9 @@ mod tests {
         let mut x = 1u64;
         let mut keys = Vec::new();
         for _ in 0..3000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             keys.push(x >> 16);
         }
         keys.sort_unstable();
@@ -701,5 +955,59 @@ mod tests {
         assert_eq!(t.lookup_trace(1, &mut trace), None);
         assert_eq!(trace.len(), 1);
         t.validate();
+    }
+
+    /// Builds `0..n` both ways, records and nodes drawn from one logged
+    /// counter per side as the Silo build draws them: the dense tree
+    /// makes the same `alloc` calls and gives every key, and the keys
+    /// past the end, the same record and descent as the inserts.
+    fn assert_dense_matches_inserts(n: u64) {
+        fn logged(log: &mut Vec<u64>, next: &mut u64, ordinal: u64) -> u64 {
+            log.push(ordinal);
+            *next += 256;
+            *next
+        }
+        let (mut log_a, mut log_b) = (Vec::new(), Vec::new());
+        let (mut next_a, mut next_b) = (0u64, 0u64);
+        let mut build = DenseBPlusTree::build(n, &mut |o| logged(&mut log_a, &mut next_a, o));
+        let mut t = BPlusTree::with_capacity(n, &mut |o| logged(&mut log_b, &mut next_b, o));
+        for key in 0..n {
+            next_a += 64;
+            build.push(next_a, &mut |o| logged(&mut log_a, &mut next_a, o));
+            next_b += 64;
+            t.insert(key, next_b, &mut |o| logged(&mut log_b, &mut next_b, o));
+        }
+        let dense = build.finish();
+        assert_eq!(log_a, log_b, "alloc calls, n = {n}");
+        assert_eq!(
+            (dense.len(), dense.height()),
+            (t.len(), t.height()),
+            "n = {n}"
+        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for key in 0..n + 3 {
+            a.clear();
+            b.clear();
+            let (ra, rb) = (dense.lookup_trace(key, &mut a), t.lookup_trace(key, &mut b));
+            assert_eq!(ra, rb, "record of key {key}, n = {n}");
+            assert_eq!(a, b, "descent to key {key}, n = {n}");
+        }
+    }
+
+    #[test]
+    fn dense_tree_matches_ascending_inserts() {
+        // Every size below 1 000, which takes the tree to four levels,
+        // then the sizes at which the fifth and the sixth level appear.
+        for n in 0..1_000 {
+            assert_dense_matches_inserts(n);
+        }
+        for n in [7_168, 7_169, 57_344, 57_345] {
+            assert_dense_matches_inserts(n);
+        }
+    }
+
+    #[test]
+    fn dense_nodes_are_small() {
+        assert_eq!(std::mem::size_of::<DenseNode>(), 12);
     }
 }

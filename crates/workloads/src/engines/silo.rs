@@ -5,10 +5,12 @@
 //! set, then a commit phase (validation compute + version writes to the
 //! touched record headers) — the access shape of Silo's OCC protocol.
 
+use std::sync::Arc;
+
 use astriflash_sim::SimRng;
 
 use crate::address_space::{AddressSpace, SimAlloc, PAGE_SIZE};
-use crate::engines::btree_index::BPlusTree;
+use crate::engines::btree_index::DenseBPlusTree;
 use crate::engines::touch_record;
 use crate::job::{JobBuf, MemoryAccess, WorkloadEngine};
 use crate::kind::WorkloadParams;
@@ -16,11 +18,11 @@ use crate::popularity::KeyChooser;
 
 const NODE_BYTES: u64 = 256;
 
-/// The Silo workload engine. Runs never write the index, so clones
-/// share all of it (DESIGN.md §18).
+/// The Silo workload engine. Runs never write the index, so it is
+/// built frozen (DESIGN.md §17) and clones share all of it (§18).
 #[derive(Debug, Clone)]
 pub struct Silo {
-    tree: BPlusTree,
+    tree: Arc<DenseBPlusTree>,
     chooser: KeyChooser,
     compute_ns: u64,
     n: u64,
@@ -34,15 +36,14 @@ impl Silo {
         let mut alloc = SimAlloc::scattered(space, seed ^ 0x51_10);
         let record_bytes = params.record_bytes;
 
-        let mut tree = BPlusTree::with_capacity(n, &mut |_| alloc.alloc(NODE_BYTES));
-        for key in 0..n {
+        let mut build = DenseBPlusTree::build(n, &mut |_| alloc.alloc(NODE_BYTES));
+        for _ in 0..n {
             let record = alloc.alloc(record_bytes);
-            tree.insert(key, record, &mut |_| alloc.alloc(NODE_BYTES));
+            build.push(record, &mut |_| alloc.alloc(NODE_BYTES));
         }
-        tree.freeze();
 
         Silo {
-            tree,
+            tree: Arc::new(build.finish()),
             chooser: KeyChooser::new(
                 n,
                 params.zipf_theta,
@@ -55,7 +56,7 @@ impl Silo {
     }
 
     /// The underlying index (exposed for invariant tests).
-    pub fn tree(&self) -> &BPlusTree {
+    pub fn tree(&self) -> &DenseBPlusTree {
         &self.tree
     }
 }
@@ -115,7 +116,15 @@ mod tests {
     #[test]
     fn index_valid_after_build() {
         let e = Silo::new(&WorkloadParams::tiny_for_tests(), 51);
-        assert_eq!(e.tree().validate(), e.tree().len());
+        let tree = e.tree();
+        assert_eq!(tree.len() as u64, e.n);
+        let mut trace = Vec::new();
+        for key in 0..=e.n {
+            trace.clear();
+            let record = tree.lookup_trace(key, &mut trace);
+            assert_eq!(record.is_some(), key < e.n, "key {key}");
+            assert_eq!(trace.len(), tree.height(), "descent to key {key}");
+        }
     }
 
     #[test]

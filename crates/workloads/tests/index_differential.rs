@@ -13,7 +13,7 @@ use astriflash_sim::rng::splitmix64;
 use astriflash_sim::SimRng;
 use astriflash_testkit::{prop_check, TestRng};
 use astriflash_workloads::address_space::{AddressSpace, SimAlloc, BLOCK_SIZE, PAGE_SIZE};
-use astriflash_workloads::engines::btree_index::BPlusTree;
+use astriflash_workloads::engines::btree_index::{BPlusTree, DenseBPlusTree};
 use astriflash_workloads::engines::rb_tree::{RbArena, RbLayout};
 use astriflash_workloads::engines::{HashTable, Masstree, RbTree, Silo};
 use astriflash_workloads::{JobBuf, KeyChooser, MemoryAccess, WorkloadEngine, WorkloadParams};
@@ -1263,11 +1263,27 @@ fn masstree_and_silo_indexes_match_oracle_builds() {
             n,
         );
         let silo = Silo::new(&params, seed);
-        assert_same_btree(
+        assert_same_dense_btree(
             silo.tree(),
             &oracle_engine_index(&params, seed ^ 0x51_10),
             n,
         );
+    }
+}
+
+/// Silo's frozen index against the oracle's build of the same keys: same
+/// height, and the same record and descent for every key and for keys
+/// past the end.
+fn assert_same_dense_btree(new: &DenseBPlusTree, old: &old_btree::BPlusTree, n: u64) {
+    assert_eq!(new.len(), old.len(), "len");
+    assert_eq!(new.height(), old.height(), "height");
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for key in 0..n + 3 {
+        a.clear();
+        b.clear();
+        let (ra, rb) = (new.lookup_trace(key, &mut a), old.lookup_trace(key, &mut b));
+        assert_eq!(ra, rb, "record of key {key}");
+        assert_eq!(a, b, "descent to key {key}");
     }
 }
 
