@@ -60,9 +60,9 @@ impl std::fmt::Display for Configuration {
 
 /// Full-system parameters.
 ///
-/// Defaults reproduce the paper's *ratios* at 1/64 scale (DESIGN.md §2):
-/// 16 cores, a dataset standing in for the paper's 256 GB, a DRAM cache
-/// at 3 % of it, and a flash device sized to the dataset.
+/// Defaults reproduce the paper's *ratios* at 1/128 scale (DESIGN.md §2):
+/// 16 cores, a 2 GiB dataset standing in for the paper's 256 GB, a DRAM
+/// cache at 3 % of it, and a flash device sized to the dataset.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Number of cores.

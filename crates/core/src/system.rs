@@ -31,7 +31,7 @@ use astriflash_mem::{
 };
 use astriflash_os::{OsPagingCosts, PageTableWalker, Tlb};
 use astriflash_prof::{scope as prof_scope, Scope as ProfScope};
-use astriflash_sim::{EventQueue, PageMap, SimDuration, SimRng, SimTime};
+use astriflash_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use astriflash_stats::{Histogram, MetricSet, OnlineStats, Percentile, Phase, PhaseSet};
 use astriflash_trace::{Track, Tracer};
 use astriflash_uthread::{Completion, MissPark, NotificationQueue, Pick, Policy, Scheduler};
@@ -99,8 +99,11 @@ struct Thread {
     forced: bool,
 }
 
-/// Cold half of a thread slot: touched only on miss lifecycles, never by
-/// the per-access execute loop (DESIGN.md §14).
+/// Cold half of a thread slot: the thread's one in-flight miss, touched
+/// only on miss lifecycles, never by the per-access execute loop
+/// (DESIGN.md §14). The miss opens in [`ThreadCold::open_miss`] and
+/// closes in [`ThreadCold::close_miss`], its trace span and its phase
+/// scratch together.
 #[derive(Debug, Default)]
 struct ThreadCold {
     /// Open trace span for the in-flight miss (0 = none).
@@ -108,6 +111,64 @@ struct ThreadCold {
     /// Per-phase scratch for the in-flight miss (latency attribution,
     /// DESIGN.md §11). Lives and dies with the miss span.
     attr: MissAttr,
+}
+
+impl ThreadCold {
+    /// Opens the miss on `page` detected at `t_ns`, or re-enters the one
+    /// still open after an MSR-stall retry. Its span becomes current, so
+    /// the BC and flash emissions that follow attribute to it.
+    fn open_miss(&mut self, tracer: &Tracer, t_ns: u64, core: u32, page: u64) {
+        if tracer.enabled() {
+            if self.miss_span == 0 {
+                self.miss_span = tracer.begin_span(t_ns, Track::Core(core), "miss", page);
+            } else {
+                tracer.resume_span(self.miss_span);
+            }
+        }
+        if !self.attr.active {
+            self.attr = MissAttr::begin(t_ns);
+        }
+    }
+
+    /// Stamps the arrival of `page`, installed at `t_ns`, on the open
+    /// miss. Only the first arrival counts: a thread can appear twice in
+    /// a waiter list after an aged promotion re-missed the same page.
+    fn miss_arrived(&mut self, tracer: &Tracer, t_ns: u64, core: u32, page: u64) {
+        if self.miss_span != 0 {
+            tracer.resume_span(self.miss_span);
+            tracer.span_instant(t_ns, Track::Core(core), "page_arrived", page);
+        }
+        let attr = &mut self.attr;
+        if !attr.active || attr.arrived {
+            return;
+        }
+        attr.arrived = true;
+        attr.arrived_ns = t_ns;
+        match attr.kind {
+            MissKind::Issued => attr.install_ns = t_ns.saturating_sub(attr.xfer_done_ns),
+            MissKind::Coalesced => attr.coalesced_ns = t_ns.saturating_sub(attr.admit_end_ns),
+            MissKind::Unresolved => {}
+        }
+    }
+
+    /// Closes the open miss at `t_ns`, when its thread runs again or the
+    /// run ends: ends the span and, only if the page arrived, records
+    /// the phases, the gap since arrival as its resume delay. A miss
+    /// whose page never arrived (an aged promotion, a retry that hit, a
+    /// read still in flight at the end) records nothing, as the trace
+    /// analyzer skips a span with no `page_arrived`.
+    fn close_miss(&mut self, tracer: &Tracer, t_ns: u64, core: u32, phases: &mut PhaseSet) {
+        if self.miss_span != 0 {
+            let span = std::mem::take(&mut self.miss_span);
+            tracer.end_span(t_ns, Track::Core(core), "miss", span);
+        }
+        if self.attr.active {
+            let attr = std::mem::take(&mut self.attr);
+            if attr.arrived {
+                attr.flush(t_ns, phases);
+            }
+        }
+    }
 }
 
 /// How the in-flight miss's BC admission resolved.
@@ -277,17 +338,9 @@ pub(crate) struct SystemSim {
     service_ns: Histogram,
     response_ns: Histogram,
     service_stats: OnlineStats,
-    /// Footprint bitmap of each in-flight flash read (footprint mode).
-    /// Bounded by the MSR capacity, so the map is pre-sized and never
-    /// rehashes.
-    inflight_footprints: PageMap<u64>,
     stopped: bool,
     max_time: SimTime,
     tracer: Tracer,
-    /// Trace span of the thread that *issued* each in-flight flash read
-    /// (page → span id); completions re-attribute to it. Bounded by the
-    /// MSR capacity like `inflight_footprints`.
-    inflight_spans: PageMap<u64>,
     /// Reused waiter buffer for completions (cleared between events).
     waiter_scratch: Vec<Waiter>,
     /// Per-phase histograms of completed miss lifecycles.
@@ -426,13 +479,9 @@ impl SystemSim {
             service_ns: Histogram::new(),
             response_ns: Histogram::new(),
             service_stats: OnlineStats::new(),
-            // In-flight reads are capped by the MSR, so sizing both maps
-            // to its capacity makes rehashing impossible at runtime.
-            inflight_footprints: PageMap::with_capacity(msr_sets * msr_ways),
             stopped: false,
             max_time,
             tracer: Tracer::off(),
-            inflight_spans: PageMap::with_capacity(msr_sets * msr_ways),
             waiter_scratch: Vec::new(),
             phases: PhaseSet::new(),
             telem_windows,
@@ -493,33 +542,14 @@ impl SystemSim {
     }
 
     fn finish(mut self) -> RunReport {
-        // Close any spans still open at end-of-run (threads parked or
-        // blocked when the job target / time cap hit) so every trace is
-        // well-formed.
-        if self.tracer.enabled() {
-            let t = self.queue.now().as_ns();
-            for (ci, core) in self.cores.iter_mut().enumerate() {
-                for slot in 0..core.threads.len() {
-                    if core.threads[slot].is_some() {
-                        let span = std::mem::take(&mut core.cold[slot].miss_span);
-                        self.tracer.end_span(t, Track::Core(ci as u32), "miss", span);
-                    }
-                }
-            }
-        }
-        // Mirror the span force-close for phase attribution: lifecycles
-        // whose page arrived count (resume delay runs to end-of-run, as
-        // in the force-closed span the analyzer sees); the rest — pages
-        // still in flight — are discarded on both sides.
+        // Close the misses still open at the end of the run (threads
+        // parked or blocked when the job target or the time cap hit), so
+        // every trace is well-formed. One whose page arrived counts, its
+        // resume delay running to the end of the run.
         let end = self.queue.now().as_ns();
-        for core in &mut self.cores {
-            for slot in 0..core.threads.len() {
-                if core.threads[slot].is_some() {
-                    let attr = std::mem::take(&mut core.cold[slot].attr);
-                    if attr.active && attr.arrived {
-                        attr.flush(end, &mut self.phases);
-                    }
-                }
+        for (ci, core) in self.cores.iter_mut().enumerate() {
+            for cold in &mut core.cold {
+                cold.close_miss(&self.tracer, end, ci as u32, &mut self.phases);
             }
         }
         // Assemble the telemetry report from every layer's windows and
@@ -687,21 +717,13 @@ impl SystemSim {
     fn on_page_arrived(&mut self, page: u64) {
         let install_prof = prof_scope(ProfScope::Install);
         let now = self.queue.now();
-        let bitmap = self.inflight_footprints.remove(page).unwrap_or(u64::MAX);
-        if self.tracer.enabled() {
-            // Re-attribute the install (and any writeback) to the span
-            // of the thread that issued this flash read.
-            match self.inflight_spans.remove(page) {
-                Some(span) => self.tracer.resume_span(span),
-                None => self.tracer.clear_span(),
-            }
-        }
         // Take the scratch buffer so the waiter loop below can borrow
         // `self` mutably; returned (cleared) at the end.
         let mut waiters = std::mem::take(&mut self.waiter_scratch);
+        // The install, and the writeback below, attribute to the span of
+        // the thread that issued this flash read.
         let (installed_at, dirty_victim) =
-            self.bc
-                .complete(now, page, bitmap, &mut self.dram_cache, &mut waiters);
+            self.bc.complete(now, page, &mut self.dram_cache, &mut waiters);
         if let Some(victim) = dirty_victim {
             // Dirty writeback off the critical path (§IV-B2); flash
             // tracks the program + any GC it triggers.
@@ -719,54 +741,20 @@ impl SystemSim {
             else {
                 continue;
             };
-            let blocked_here = state == ThreadState::BlockedOnPage && blocked_page == page;
-            if self.tracer.enabled() && self.cores[core].cold[thread].miss_span != 0 {
-                self.tracer.resume_span(self.cores[core].cold[thread].miss_span);
-                self.tracer.span_instant(
-                    installed.as_ns(),
-                    Track::Core(w.core),
-                    "page_arrived",
-                    page,
-                );
-            }
-            // Phase attribution: stamp the arrival (once — a thread can
-            // appear twice in the waiter list after an aged promotion
-            // re-missed the same page) and close out lifecycles that
-            // resume synchronously below.
-            let mut done_attr: Option<MissAttr> = None;
-            let attr = &mut self.cores[core].cold[thread].attr;
-            if attr.active {
-                if !attr.arrived {
-                    attr.arrived = true;
-                    attr.arrived_ns = installed.as_ns();
-                    match attr.kind {
-                        MissKind::Issued => {
-                            attr.install_ns =
-                                installed.as_ns().saturating_sub(attr.xfer_done_ns);
-                        }
-                        MissKind::Coalesced => {
-                            attr.coalesced_ns =
-                                installed.as_ns().saturating_sub(attr.admit_end_ns);
-                        }
-                        MissKind::Unresolved => {}
-                    }
-                }
-                // Blocked threads resume at install time: zero resume
+            let c = &mut self.cores[core];
+            c.cold[thread].miss_arrived(&self.tracer, installed.as_ns(), w.core, page);
+            if state == ThreadState::BlockedOnPage && blocked_page == page {
+                // A blocked thread resumes at install time: zero resume
                 // delay, lifecycle complete.
-                if blocked_here {
-                    done_attr = Some(std::mem::take(attr));
-                }
-            }
-            if blocked_here {
-                let c = &mut self.cores[core];
-                c.threads[thread].as_mut().expect("checked above").state =
-                    ThreadState::Running;
-                let span = std::mem::take(&mut c.cold[thread].miss_span);
-                self.tracer
-                    .end_span(installed.as_ns(), Track::Core(w.core), "miss", span);
-                debug_assert_eq!(self.cores[core].running, Some(thread));
-                self.cores[core].stats.blocked_ns +=
-                    installed.saturating_since(since).as_ns();
+                c.cold[thread].close_miss(
+                    &self.tracer,
+                    installed.as_ns(),
+                    w.core,
+                    &mut self.phases,
+                );
+                c.threads[thread].as_mut().expect("checked above").state = ThreadState::Running;
+                debug_assert_eq!(c.running, Some(thread));
+                c.stats.blocked_ns += installed.saturating_since(since).as_ns();
                 self.schedule_resume(core, installed);
             } else if state == ThreadState::Parked {
                 // Post the completion on the core's queue pair; the
@@ -780,9 +768,6 @@ impl SystemSim {
                 if self.cores[core].running.is_none() {
                     self.schedule_resume(core, installed);
                 }
-            }
-            if let Some(attr) = done_attr {
-                attr.flush(installed.as_ns(), &mut self.phases);
             }
         }
         waiters.clear();
@@ -853,29 +838,17 @@ impl SystemSim {
                 // retire its access even if the page was evicted again
                 // (§IV-C3). The bit also covers not-ready aged threads.
                 t.forced = true;
-                let span = std::mem::take(&mut core.cold[slot].miss_span);
-                if span != 0 {
-                    self.tracer.resume_span(span);
+                let cold = &mut core.cold[slot];
+                if cold.miss_span != 0 {
+                    self.tracer.resume_span(cold.miss_span);
                     self.tracer.span_instant(
                         now.as_ns(),
                         Track::Core(core_id as u32),
                         "resume",
                         thread as u64,
                     );
-                    self.tracer
-                        .end_span(now.as_ns(), Track::Core(core_id as u32), "miss", span);
                 }
-                // Phase attribution mirrors the span close above: a
-                // lifecycle whose page arrived completes here (the gap
-                // since arrival is its resume delay); an aged promotion
-                // without arrival is discarded, like its span — the
-                // analyzer skips spans with no `page_arrived` too.
-                if core.cold[slot].attr.active {
-                    let attr = std::mem::take(&mut core.cold[slot].attr);
-                    if attr.arrived {
-                        attr.flush(now.as_ns(), &mut self.phases);
-                    }
-                }
+                cold.close_miss(&self.tracer, now.as_ns(), core_id as u32, &mut self.phases);
                 core.running = Some(slot);
                 true
             }
@@ -1000,10 +973,15 @@ impl SystemSim {
         let th = self.cores[core_id].threads[slot]
             .take()
             .expect("completing thread");
-        // Recycle the job's arena slot and reset the cold scratch; the
-        // slot's buffers keep their capacity for the next job.
+        // Recycle the job's arena slot; its buffers keep their capacity
+        // for the next job. A job retires its last access only after
+        // its last miss closed, so the slot's cold half is empty.
         self.cores[core_id].arena.release(th.job_slot);
-        self.cores[core_id].cold[slot] = ThreadCold::default();
+        let cold = &self.cores[core_id].cold[slot];
+        debug_assert!(
+            cold.miss_span == 0 && !cold.attr.active,
+            "a job completed with its miss open"
+        );
         self.cores[core_id].running = None;
         self.total_jobs += 1;
         if let Some(w) = self.telem_windows.as_deref_mut() {
@@ -1194,22 +1172,15 @@ impl SystemSim {
             ProbeOutcome::Hit { done_at } => {
                 let lat = done_at.saturating_since(t).as_ns();
                 let t = t + SimDuration::from_ns(effective_stall_ns(lat));
-                if self.tracer.enabled() && self.cores[core_id].threads[slot].is_some() {
-                    // An MSR-stalled retry can hit if another thread's
-                    // fetch installed the page meanwhile: close its span.
-                    let span = std::mem::take(&mut self.cores[core_id].cold[slot].miss_span);
-                    self.tracer
-                        .end_span(t.as_ns(), Track::Core(core_id as u32), "miss", span);
-                }
-                if self.cores[core_id].threads[slot].is_some() {
-                    // The retried miss resolved as a hit: its lifecycle
-                    // never saw a page arrival, so discard the scratch
-                    // (the analyzer skips such spans as well).
-                    let attr = &mut self.cores[core_id].cold[slot].attr;
-                    if attr.active {
-                        *attr = MissAttr::default();
-                    }
-                }
+                // An MSR-stalled retry can hit if another thread's fetch
+                // installed the page meanwhile: its miss closes without
+                // an arrival.
+                self.cores[core_id].cold[slot].close_miss(
+                    &self.tracer,
+                    t.as_ns(),
+                    core_id as u32,
+                    &mut self.phases,
+                );
                 self.clear_forced(core_id, slot);
                 AccessResult::Done(t)
             }
@@ -1233,39 +1204,23 @@ impl SystemSim {
     ) -> AccessResult {
         let _prof = prof_scope(ProfScope::MissPath);
         let page = access.vpn;
-        // Open (or re-enter after an MSR-stall retry) this miss's trace
-        // span; BC and flash emissions below attribute to it.
-        let miss_span = if self.tracer.enabled() {
-            debug_assert!(self.cores[core_id].threads[slot].is_some());
-            if self.cores[core_id].cold[slot].miss_span == 0 {
-                self.cores[core_id].cold[slot].miss_span = self.tracer.begin_span(
-                    t.as_ns(),
-                    Track::Core(core_id as u32),
-                    "miss",
-                    page,
-                );
-            } else {
-                self.tracer.resume_span(self.cores[core_id].cold[slot].miss_span);
-            }
-            self.cores[core_id].cold[slot].miss_span
-        } else {
-            0
-        };
-        // Open (or keep, across an MSR-stall retry) this miss's
-        // attribution scratch; the BC admission below resolves it.
-        let attr = &mut self.cores[core_id].cold[slot].attr;
-        if !attr.active {
-            *attr = MissAttr::begin(t.as_ns());
-        }
+        // The BC admission below resolves the miss this opens.
+        self.cores[core_id].cold[slot].open_miss(
+            &self.tracer,
+            t.as_ns(),
+            core_id as u32,
+            page,
+        );
 
         // Admit to the backside controller (dedup via MSR, flash read).
         let waiter = Waiter {
             core: core_id as u32,
             thread: slot as u32,
         };
+        let fetch = self.dram_cache.predict_footprint(page, access.block);
         let admission = {
             let _prof = prof_scope(ProfScope::MsrAdmit);
-            self.bc.admit(t, page, waiter, &mut self.dram_cache)
+            self.bc.admit(t, page, fetch, waiter, &mut self.dram_cache)
         };
         match admission {
             BcAdmission::Duplicate { resolved_at } => {
@@ -1276,8 +1231,7 @@ impl SystemSim {
                 attr.admit_end_ns = resolved_at.as_ns();
             }
             BcAdmission::IssueFlashRead { issue_at } => {
-                let bitmap = self.dram_cache.predict_footprint(page, access.block);
-                let bytes = bitmap.count_ones() as u64 * 64;
+                let bytes = u64::from(fetch.count_ones()) * 64;
                 let timing = {
                     let _prof = prof_scope(ProfScope::FlashIssue);
                     self.flash.read_bytes_timed(issue_at, page, bytes)
@@ -1291,10 +1245,6 @@ impl SystemSim {
                 attr.read_ns = timing.read_ns;
                 attr.xfer_ns = timing.xfer_ns;
                 attr.xfer_done_ns = timing.transfer_done.as_ns();
-                self.inflight_footprints.insert(page, bitmap);
-                if miss_span != 0 {
-                    self.inflight_spans.insert(page, miss_span);
-                }
                 self.queue.schedule(done, Event::PageArrived { page });
             }
             BcAdmission::Stalled => {
@@ -1331,11 +1281,10 @@ impl SystemSim {
                 }
                 // Switch-on-miss: flush the ROB and switch to the
                 // handler (§IV-C2).
+                let switch = self.switch_cost_ns();
                 let overhead = {
                     let core = &mut self.cores[core_id];
-                    let overhead = core.rob.flush()
-                        + self.cfg.switch_cost_ns
-                            * u64::from(self.configuration != Configuration::AstriFlashIdeal);
+                    let overhead = core.rob.flush() + switch;
                     core.stats.thread_switches += 1;
                     core.stats.switch_overhead_ns += overhead;
                     overhead
@@ -1477,11 +1426,11 @@ impl SystemSim {
                                 match self.bc.admit(
                                     tag_check_done_at,
                                     page,
+                                    u64::MAX,
                                     waiter,
                                     &mut self.dram_cache,
                                 ) {
                                     BcAdmission::IssueFlashRead { issue_at } => {
-                                        self.inflight_footprints.insert(page, u64::MAX);
                                         let done = self.flash.read(issue_at, page);
                                         self.queue
                                             .schedule(done, Event::PageArrived { page });
@@ -1626,20 +1575,6 @@ mod tests {
         let config = SystemConfig::default().with_cores(2).scaled_for_tests();
         let (_, gauges) = traced_gauges(config);
         assert_eq!(gauges, vec![("msr_occupancy", 0)]);
-    }
-
-    #[test]
-    fn inflight_maps_presized_past_the_msr_bound() {
-        // The MSR caps concurrent misses, so the in-flight maps must be
-        // born large enough that no admission pattern can ever trigger a
-        // rehash (satellite of the hot-path overhaul: capacity hints on
-        // known-bounded maps).
-        let config = SystemConfig::default().with_cores(2).scaled_for_tests();
-        let (sets, ways) = config.msr_geometry;
-        let sim = SystemSim::new(config, Configuration::AstriFlash, 7);
-        let cap_before = sim.inflight_footprints.capacity();
-        assert!(cap_before * 3 >= sets * ways * 4, "map would rehash under full MSR");
-        assert!(sim.inflight_spans.capacity() * 3 >= sets * ways * 4);
     }
 
     #[test]

@@ -144,7 +144,8 @@ impl BacksideController {
     }
 
     /// Installs the observability handle. Admissions and completions emit
-    /// on [`Track::Bc`], attributed to the composer's current miss span.
+    /// on [`Track::Bc`]: an admission is attributed to the composer's
+    /// current miss span, an install to the span that issued its read.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
@@ -153,17 +154,21 @@ impl BacksideController {
     ///
     /// On acceptance BC checks the MSR (one CAS-class lookup), allocates
     /// an entry, picks the victim and copies it to the evict buffer, and
-    /// hands back the flash-read issue time.
+    /// hands back the flash-read issue time. A new entry records `fetch`,
+    /// the blocks its read fetches (`u64::MAX` for the whole page; fewer
+    /// under the §II-A footprint extension), and the current trace span.
     pub fn admit(
         &mut self,
         now: SimTime,
         page: u64,
+        fetch: u64,
         waiter: Waiter,
         cache: &mut DramCache,
     ) -> BcAdmission {
         // MSR lookup + BC processing.
         let processed = now + SimDuration::from_ns(self.processing_ns * 2);
-        let admission = match self.msr.admit(page, waiter) {
+        let span = self.tracer.current_span();
+        let admission = match self.msr.admit(page, waiter, fetch, span) {
             MsrAdmission::Duplicate => {
                 self.stats.duplicates += 1;
                 BcAdmission::Duplicate {
@@ -203,31 +208,32 @@ impl BacksideController {
         admission
     }
 
-    /// Called when flash delivers `page`: installs (or merges) the
-    /// fetched `bitmap` of its blocks into the DRAM cache (`u64::MAX`
-    /// for the whole page; fewer under the §II-A footprint extension),
-    /// clears the MSR entry and appends the waiters to notify to `out`,
-    /// a caller-owned scratch buffer, so a completion never allocates.
-    /// Returns the install time and any dirty victim to write back.
+    /// Called when flash delivers `page`: clears the MSR entry, appends
+    /// the waiters to notify to `out`, a caller-owned scratch buffer, so
+    /// a completion never allocates, and installs (or merges) the
+    /// entry's fetched blocks into the DRAM cache. The span that issued
+    /// the read becomes current before the install is emitted, so the
+    /// caller's writeback attributes to it too. Returns the install time
+    /// and any dirty victim to write back.
     pub fn complete(
         &mut self,
         now: SimTime,
         page: u64,
-        bitmap: u64,
         cache: &mut DramCache,
         out: &mut Vec<Waiter>,
     ) -> (SimTime, Option<u64>) {
         let processed = now + SimDuration::from_ns(self.processing_ns);
-        let (installed_at, dirty_victim) = cache.complete_fill(processed, page, bitmap);
+        let (fetch, span) = self.msr.complete_into(page, out);
+        let (installed_at, dirty_victim) = cache.complete_fill(processed, page, fetch);
         if dirty_victim.is_some() {
             self.stats.writebacks += 1;
         }
         self.stats.installs += 1;
-        self.msr.complete_into(page, out);
         if let Some(w) = self.windows.as_deref_mut() {
             w.record(installed_at.as_ns(), self.msr.occupancy());
         }
         if self.tracer.enabled() {
+            self.tracer.resume_span(span);
             self.tracer
                 .span_instant(installed_at.as_ns(), Track::Bc, "bc_install", page);
             if let Some(victim) = dirty_victim {
@@ -267,7 +273,7 @@ impl BacksideController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dram_cache::DramCacheConfig;
+    use crate::dram_cache::{DramCacheConfig, ProbeOutcome};
 
     fn setup() -> (BacksideController, DramCache) {
         let cache = DramCache::new(DramCacheConfig {
@@ -278,8 +284,9 @@ mod tests {
     }
 
     const W: Waiter = Waiter { core: 0, thread: 1 };
+    const ALL: u64 = u64::MAX;
 
-    /// Completes a whole-page read: (install time, waiters, dirty victim).
+    /// Completes a read: (install time, waiters, dirty victim).
     fn complete(
         bc: &mut BacksideController,
         now: SimTime,
@@ -287,14 +294,14 @@ mod tests {
         cache: &mut DramCache,
     ) -> (SimTime, Vec<Waiter>, Option<u64>) {
         let mut waiters = Vec::new();
-        let (installed_at, wb) = bc.complete(now, page, u64::MAX, cache, &mut waiters);
+        let (installed_at, wb) = bc.complete(now, page, cache, &mut waiters);
         (installed_at, waiters, wb)
     }
 
     #[test]
     fn admit_then_complete_notifies_waiters() {
         let (mut bc, mut cache) = setup();
-        let adm = bc.admit(SimTime::ZERO, 42, W, &mut cache);
+        let adm = bc.admit(SimTime::ZERO, 42, ALL, W, &mut cache);
         assert!(matches!(adm, BcAdmission::IssueFlashRead { .. }));
         assert_eq!(bc.outstanding(), 1);
         let (installed_at, waiters, wb) = complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
@@ -309,9 +316,9 @@ mod tests {
     #[test]
     fn duplicate_misses_coalesce() {
         let (mut bc, mut cache) = setup();
-        bc.admit(SimTime::ZERO, 7, W, &mut cache);
+        bc.admit(SimTime::ZERO, 7, ALL, W, &mut cache);
         let w2 = Waiter { core: 3, thread: 9 };
-        let adm = bc.admit(SimTime::ZERO, 7, w2, &mut cache);
+        let adm = bc.admit(SimTime::ZERO, 7, ALL, w2, &mut cache);
         // Resolved after the MSR lookup + BC processing (2 × 2 ns).
         assert_eq!(
             adm,
@@ -333,14 +340,17 @@ mod tests {
             ..DramCacheConfig::default()
         });
         assert!(matches!(
-            bc.admit(SimTime::ZERO, 1, W, &mut cache),
+            bc.admit(SimTime::ZERO, 1, ALL, W, &mut cache),
             BcAdmission::IssueFlashRead { .. }
         ));
         assert!(matches!(
-            bc.admit(SimTime::ZERO, 2, W, &mut cache),
+            bc.admit(SimTime::ZERO, 2, ALL, W, &mut cache),
             BcAdmission::IssueFlashRead { .. }
         ));
-        assert_eq!(bc.admit(SimTime::ZERO, 3, W, &mut cache), BcAdmission::Stalled);
+        assert_eq!(
+            bc.admit(SimTime::ZERO, 3, ALL, W, &mut cache),
+            BcAdmission::Stalled
+        );
         assert_eq!(bc.stats().stalls, 1);
     }
 
@@ -349,14 +359,61 @@ mod tests {
         let (mut bc, mut cache) = setup();
         let tracer = Tracer::ring(64);
         bc.set_tracer(tracer.clone());
-        bc.admit(SimTime::ZERO, 42, W, &mut cache);
-        bc.admit(SimTime::ZERO, 42, W, &mut cache);
+        bc.admit(SimTime::ZERO, 42, ALL, W, &mut cache);
+        bc.admit(SimTime::ZERO, 42, ALL, W, &mut cache);
         complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
         let names: Vec<&str> = tracer.finish().iter().map(|e| e.name).collect();
         assert!(names.contains(&"bc_admit"));
         assert!(names.contains(&"bc_duplicate"));
         assert!(names.contains(&"bc_install"));
         assert!(names.contains(&"msr_occupancy"));
+    }
+
+    #[test]
+    fn completion_installs_the_admitted_blocks() {
+        let mut bc = BacksideController::new(64, 8, 2);
+        let mut cache = DramCache::new(DramCacheConfig {
+            capacity_bytes: 1 << 20,
+            footprint: true,
+            ..DramCacheConfig::default()
+        });
+        let fetch = 0b1001;
+        bc.admit(SimTime::ZERO, 5, fetch, W, &mut cache);
+        // A duplicate's bitmap does not widen the read.
+        bc.admit(SimTime::ZERO, 5, ALL, W, &mut cache);
+        complete(&mut bc, SimTime::from_us(50), 5, &mut cache);
+        let t = SimTime::from_us(60);
+        for block in [0, 3] {
+            let hit = cache.probe(t, 5, block, false);
+            assert!(matches!(hit, ProbeOutcome::Hit { .. }), "block {block}");
+        }
+        let outside = cache.probe(t, 5, 1, false);
+        assert!(matches!(outside, ProbeOutcome::SubMiss { .. }));
+    }
+
+    #[test]
+    fn install_is_attributed_to_the_admitting_span() {
+        let (mut bc, mut cache) = setup();
+        let tracer = Tracer::ring(64);
+        bc.set_tracer(tracer.clone());
+        let issuer = tracer.begin_span(0, Track::Core(0), "miss", 42);
+        bc.admit(SimTime::ZERO, 42, ALL, W, &mut cache);
+        // Another miss is current when the page arrives.
+        let other = tracer.begin_span(10, Track::Core(1), "miss", 43);
+        bc.admit(SimTime::from_ns(10), 42, ALL, W, &mut cache);
+        complete(&mut bc, SimTime::from_us(50), 42, &mut cache);
+        let evs = tracer.finish();
+        let spans = |name| {
+            evs.iter()
+                .filter(|e| e.name == name)
+                .map(|e| e.span)
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(issuer, other);
+        assert_eq!(spans("bc_admit"), vec![issuer]);
+        assert_eq!(spans("bc_duplicate"), vec![other]);
+        assert_eq!(spans("bc_install"), vec![issuer]);
+        assert_eq!(tracer.current_span(), issuer);
     }
 
     #[test]
@@ -380,7 +437,7 @@ mod tests {
         }
         cache.probe(SimTime::from_us(5), 0, 0, false);
         // Now LRU == page `sets` (dirty, last touched at t=3).
-        bc.admit(SimTime::from_us(6), 8 * sets, W, &mut cache);
+        bc.admit(SimTime::from_us(6), 8 * sets, ALL, W, &mut cache);
         let (_, _, wb) = complete(&mut bc, SimTime::from_us(60), 8 * sets, &mut cache);
         assert_eq!(wb, Some(sets));
         assert_eq!(bc.stats().writebacks, 1);

@@ -9,14 +9,14 @@
 //! the prediction that do get touched cost a *sub-miss* (a partial
 //! refetch).
 
-use astriflash_sim::PageMap;
+use crate::page_hash::PageHashMap;
 
 /// Per-page footprint history.
 ///
 /// Bitmaps are one bit per 64 B block of a 4 KiB page (64 bits exactly).
 #[derive(Debug, Default)]
 pub struct FootprintPredictor {
-    history: PageMap<u64>,
+    history: PageHashMap<u64>,
 }
 
 impl FootprintPredictor {
@@ -30,7 +30,7 @@ impl FootprintPredictor {
     /// fetch everything (cold-start safe).
     pub fn predict(&self, page: u64, needed_block: u32) -> u64 {
         let needed = 1u64 << (needed_block & 63);
-        match self.history.get(page) {
+        match self.history.get(&page) {
             Some(bits) => bits | needed,
             None => u64::MAX,
         }

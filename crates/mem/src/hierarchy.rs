@@ -215,11 +215,6 @@ impl CacheHierarchy {
         &self.l1[core]
     }
 
-    /// A core's private L2 (for stats inspection).
-    pub fn l2(&self, core: usize) -> &SramCache {
-        &self.l2[core]
-    }
-
     /// Chip-wide hit/miss totals per level (private levels summed over
     /// cores) — the observable behind the per-level hit-rate breakdown.
     pub fn level_totals(&self) -> LevelTotals {

@@ -22,6 +22,7 @@ pub mod footprint;
 pub mod hierarchy;
 pub mod msr;
 pub mod page_cache;
+mod page_hash;
 pub mod sram_cache;
 
 pub use backside::{BacksideController, BcAdmission, MsrWindows, Waiter};

@@ -5,7 +5,7 @@
 //! Implemented as a hash map plus an intrusive doubly-linked list over a
 //! slot arena, so a replay of millions of accesses is O(1) per access.
 
-use astriflash_sim::PageMap;
+use crate::page_hash::PageHashMap;
 
 const NIL: u32 = u32::MAX;
 
@@ -31,7 +31,7 @@ struct Slot {
 /// ```
 #[derive(Debug)]
 pub struct PageLru {
-    map: PageMap<u32>,
+    map: PageHashMap<u32>,
     slots: Vec<Slot>,
     head: u32, // MRU
     tail: u32, // LRU
@@ -47,7 +47,10 @@ impl PageLru {
     pub fn new(capacity_pages: usize) -> Self {
         assert!(capacity_pages > 0);
         PageLru {
-            map: PageMap::with_capacity(capacity_pages.min(1 << 22)),
+            map: PageHashMap::with_capacity_and_hasher(
+                capacity_pages.min(1 << 22),
+                Default::default(),
+            ),
             slots: Vec::with_capacity(capacity_pages.min(1 << 22)),
             head: NIL,
             tail: NIL,
@@ -84,7 +87,7 @@ impl PageLru {
     /// Accesses `page`; returns whether it hit. Misses install the page,
     /// evicting the LRU page if at capacity.
     pub fn access(&mut self, page: u64) -> bool {
-        if let Some(idx) = self.map.get(page) {
+        if let Some(&idx) = self.map.get(&page) {
             if self.head != idx {
                 self.unlink(idx);
                 self.push_front(idx);
@@ -96,7 +99,7 @@ impl PageLru {
             let idx = self.tail;
             let victim = self.slots[idx as usize].page;
             self.unlink(idx);
-            self.map.remove(victim);
+            self.map.remove(&victim);
             self.slots[idx as usize].page = page;
             idx
         } else {
@@ -115,7 +118,7 @@ impl PageLru {
 
     /// Whether `page` is resident (no LRU update).
     pub fn contains(&self, page: u64) -> bool {
-        self.map.contains_key(page)
+        self.map.contains_key(&page)
     }
 
     /// Resident page count.

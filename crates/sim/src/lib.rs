@@ -1,8 +1,8 @@
 //! Discrete-event simulation kernel for the AstriFlash reproduction.
 //!
 //! This crate provides the time base, deterministic random-number
-//! generation, event queue, page-keyed hash map and bandwidth links that
-//! every other simulation crate builds on.
+//! generation, event queue and bandwidth links that every other
+//! simulation crate builds on.
 //!
 //! The design is deliberately *passive*: components are plain state
 //! machines advanced by a system composer that owns the single
@@ -28,12 +28,10 @@
 
 pub mod bandwidth;
 pub mod event;
-pub mod hash;
 pub mod rng;
 pub mod time;
 
 pub use bandwidth::BandwidthLink;
 pub use event::EventQueue;
-pub use hash::PageMap;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

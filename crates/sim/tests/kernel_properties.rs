@@ -3,9 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use astriflash_sim::{
-    BandwidthLink, EventQueue, PageMap, SimDuration, SimRng, SimTime,
-};
+use astriflash_sim::{BandwidthLink, EventQueue, SimDuration, SimRng, SimTime};
 use astriflash_testkit::prop_check;
 
 /// The event-queue contract as a `BinaryHeap`: earliest timestamp first,
@@ -174,29 +172,6 @@ fn event_queue_matches_heap_reference() {
         }
         assert_eq!(queue.scheduled_total(), heap.seq);
         assert_eq!(queue.popped_total(), heap.seq);
-    });
-}
-
-/// [`PageMap`] agrees with `std::collections::HashMap` under a random
-/// op stream over a small (collision-heavy) key space.
-#[test]
-fn page_map_matches_hashmap_reference() {
-    prop_check!(cases: 64, |g| {
-        let mut map: PageMap<u64> = PageMap::new();
-        let mut reference = std::collections::HashMap::new();
-        let ops = g.usize_in(1..2_000);
-        for _ in 0..ops {
-            let key = g.u64_in(0..256);
-            match g.usize_in(0..4) {
-                0 | 1 => {
-                    let val = g.any_u64();
-                    assert_eq!(map.insert(key, val), reference.insert(key, val));
-                }
-                2 => assert_eq!(map.remove(key), reference.remove(&key)),
-                _ => assert_eq!(map.get(key), reference.get(&key).copied()),
-            }
-            assert_eq!(map.len(), reference.len());
-        }
     });
 }
 
